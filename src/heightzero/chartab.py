@@ -24,7 +24,8 @@ import numpy as np
 import sympy
 
 from . import modular
-from .cyclotomic import CycElt, rational, root_of_unity, zero
+from .cyclotomic import CycElt, _unit_group_generators, rational, root_of_unity, zero
+from .fields import _fixer_scan
 from .groups import ClassData, FiniteGroup, conjugacy_classes, semidirect_cn_h
 
 __all__ = [
@@ -107,6 +108,20 @@ class CharacterTable:
 
     def row_set(self):
         return frozenset(tuple(v.key() for v in row) for row in self.rows)
+
+    def row_field(self, r):
+        """Q(chi_r), the field of values of row r, as an AbelianField.
+
+        In a table sigma_k(chi(g_j)) = chi(g_j^k), so a unit k of the exponent
+        fixes the row exactly when the row is constant along the power map
+        j -> power_map[j][k]; values are interned to small ints and compared
+        as such.  Equal to fields.field_from_values(self.rows[r]) whenever the
+        power map is a genuine one (table_from_json checks ingested maps)."""
+        pm = self.classes.power_map
+        e = self.classes.exponent
+        intern = {}
+        ids = [intern.setdefault(v.embed(e), len(intern)) for v in self.rows[r]]
+        return _fixer_scan(e, lambda k: all(ids[pm_j[k]] == i for pm_j, i in zip(pm, ids)))
 
 
 def _sort_rows(rows):
@@ -510,14 +525,18 @@ def cyc_to_json(x):
     }
 
 
-def cyc_from_json(obj):
+def cyc_from_json(obj, e):
+    """One value of a table of exponent e; its modulus must divide e, so the
+    value lies in Q(zeta_e), where the Galois action of (Z/e)* is defined."""
     from .cyclotomic import zumbroich_exponents
 
-    n = int(obj["n"])
+    n = _int(obj["n"], "modulus")
+    if n < 1 or e % n:
+        raise ValueError(f"value modulus {n} does not divide the exponent {e}")
     basis = set(zumbroich_exponents(n))
     terms = {}
     for j, frac in obj["terms"]:
-        j = int(j)
+        j = _int(j, "basis exponent")
         if j not in basis:
             raise ValueError(f"exponent {j} is not a basis exponent at modulus {n}")
         num, den = frac.split("/")
@@ -543,14 +562,81 @@ def table_to_json(table):
     }
 
 
+def _int(value, what):
+    """A JSON integer; bools, floats and strings are malformed input."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _parse_power_map(entries, e):
+    if len(entries) != e:
+        raise ValueError(f"power map has {len(entries)} entries, expected exponent {e}")
+    return [_int(entries[str(a)], "power map entry") for a in range(e)]
+
+
+def _check_ingest(order, info, rows):
+    """Reject class data and values that are not those of a finite group.
+
+    Power maps are load-bearing (CharacterTable.row_field reads the Galois
+    action through them), so beyond shape and element orders this checks that
+    powering by each generator g of (Z/e)* composes, pm[pm[j][g]][b] =
+    pm[j][g*b], and is compatible with the values, row[pm[j][g]] =
+    row[j].galois(g).  By induction on word length in the generators, that
+    gives chi(g_j^k) = sigma_k(chi(g_j)) for every unit k."""
+    e, k = info.exponent, info.num_classes
+    sizes, orders, pm = info.class_sizes, info.element_orders, info.power_map
+    if order < 1 or any(sz < 1 for sz in sizes) or sum(sizes) != order:
+        raise ValueError("class sizes must be positive and sum to the group order")
+    if any(o < 1 for o in orders) or lcm(*orders) != e:
+        raise ValueError("exponent must be the lcm of the element orders")
+    ones = [j for j in range(k) if orders[j] == 1]
+    if len(ones) != 1:
+        raise ValueError("there must be exactly one class of element order 1")
+    for j in range(k):
+        if any(not 0 <= c < k for c in pm[j]):
+            raise ValueError(f"power map of class {j} names a class out of range")
+        if pm[j][0] != ones[0] or pm[j][1 % e] != j:
+            raise ValueError(f"power map of class {j} must send 0 to the identity and 1 to {j}")
+        o = orders[j]
+        if any(orders[c] != o // gcd(o, a) for a, c in enumerate(pm[j])):
+            raise ValueError(f"power map of class {j} disagrees with the element orders")
+    gens = _unit_group_generators(e)
+    for g in gens:
+        for j in range(k):
+            if any(pm[pm[j][g]][b] != pm[j][g * b % e] for b in range(e)):
+                raise ValueError(f"power map of class {j} does not compose under power {g}")
+    for row in rows:
+        if len(row) != k:
+            raise ValueError(f"character row has {len(row)} values for {k} classes")
+        for g in gens:
+            if any(row[pm[j][g]] != row[j].galois(g) for j in range(k)):
+                raise ValueError(f"power map under power {g} is not compatible with the values")
+
+
 def table_from_json(obj, check_orthogonality=True):
-    e = int(obj["exponent"])
-    sizes = [int(c["size"]) for c in obj["classes"]]
-    orders = [int(c["element_order"]) for c in obj["classes"]]
-    pmap = [[int(c["powermap"][str(k)]) for k in range(e)] for c in obj["classes"]]
+    """Ingest an externally produced table JSON (the table_to_json format).
+
+    Malformed input, a power map that is not one of a finite group and (by
+    default) a table failing orthogonality raise ValueError."""
+    try:
+        e = _int(obj["exponent"], "exponent")
+        if e < 1:
+            raise ValueError(f"exponent must be >= 1, got {e}")
+        classes = obj["classes"]
+        sizes = [_int(c["size"], "class size") for c in classes]
+        orders = [_int(c["element_order"], "element order") for c in classes]
+        pmap = [_parse_power_map(c["powermap"], e) for c in classes]
+        order = _int(obj["order"], "order")
+        rows = [[cyc_from_json(v, e) for v in row] for row in obj["irr"]]
+        name = obj.get("name", "ingest")
+    except KeyError as exc:
+        raise ValueError(f"table JSON lacks the required key {exc}") from None
+    except (TypeError, AttributeError, ZeroDivisionError) as exc:
+        raise ValueError(f"malformed table JSON: {exc}") from None
     info = ClassInfo(sizes, orders, pmap, e)
-    rows = [[cyc_from_json(v) for v in row] for row in obj["irr"]]
-    table = CharacterTable(obj.get("name", "ingest"), int(obj["order"]), info, rows)
+    _check_ingest(order, info, rows)
+    table = CharacterTable(name, order, info, rows)
     if check_orthogonality:
         table.check_orthogonality()
     return table

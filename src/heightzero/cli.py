@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from importlib import resources
 
 from .blocks import block_partition, block_report_json
@@ -68,12 +69,28 @@ def cmd_blocks(args):
     return 0
 
 
+def _timings():
+    """A sweep progress hook writing one JSON line per group to stderr, with
+    the seconds since the previous group finished (or since the sweep began)."""
+    last = time.perf_counter()
+
+    def progress(entry):
+        nonlocal last
+        now = time.perf_counter()
+        line = {key: entry[key] for key in ("group", "order", "height_zero_rows")}
+        line["seconds"] = round(now - last, 6)
+        print(json.dumps(line, sort_keys=True), file=sys.stderr, flush=True)
+        last = now
+
+    return progress
+
+
 def cmd_verify_a(args):
     if args.group:
         specs = [args.group]
     else:
         specs = _corpus_specs(args.corpus)
-    summary = sweep_theorem_A(specs, args.p)
+    summary = sweep_theorem_A(specs, args.p, progress=_timings() if args.timings else None)
     _dump(summary, args.out)
     nviol = summary["total_violations"]
     line = (
@@ -191,6 +208,11 @@ def build_parser():
     p_va.add_argument("--corpus", default="default")
     p_va.add_argument("--group", default=None)
     p_va.add_argument("--out", default="-")
+    p_va.add_argument(
+        "--timings",
+        action="store_true",
+        help="write one JSON line of per-group timing to stderr",
+    )
     p_va.set_defaults(func=cmd_verify_a)
 
     p_re = sub.add_parser("realize", help="realize a field via a height-zero row")

@@ -48,18 +48,18 @@ def subgroup_closure(n, gens):
     """Subgroup of (Z/n)* generated by gens, as a sorted tuple."""
     if n == 1:
         return (0,)
-    have = {1}
-    frontier = [g % n for g in gens]
-    for g in frontier:
+    gens = [g % n for g in gens]
+    for g in gens:
         if gcd(g, n) != 1:
             raise ValueError(f"{g} is not coprime to {n}")
-    while frontier:
-        a = frontier.pop()
-        for b in list(have):
-            c = (a * b) % n
-            if c not in have:
-                have.add(c)
-                frontier.append(c)
+    have = {1}
+    for g in gens:
+        # <have, g> is the union of the cosets have * g^i (the group is abelian)
+        grown, x = set(have), g
+        while x not in have:
+            grown.update(h * x % n for h in have)
+            x = x * g % n
+        have = grown
     return tuple(sorted(have))
 
 
@@ -194,7 +194,12 @@ def rational_field():
 
 
 def field_from_values(values):
-    """Smallest abelian field containing every value (e.g. Q(chi) for a row)."""
+    """Smallest abelian field containing every value, by a Galois scan over
+    the units of the common modulus.
+
+    This is the route for loose values (quadratic_field, the public API).
+    Rows of a CharacterTable go through CharacterTable.row_field, which reads
+    the same Galois action off the table's power map."""
     values = [v for v in values if isinstance(v, CycElt)]
     if not values:
         return rational_field()
@@ -204,14 +209,21 @@ def field_from_values(values):
     if big == 1:
         return rational_field()
     emb = [v.embed(big) for v in values]
-    # stabilizer scan; elements already known to lie in the subgroup are skipped
-    fixer = {1}
-    for k in _units(big):
+    return _fixer_scan(big, lambda k: all(v.galois(k) == v for v in emb))
+
+
+def _fixer_scan(n, fixes):
+    """The fixed field of {k in (Z/n)* : fixes(k)}, a subgroup.
+
+    Stabilizer scan over the units; elements already known to lie in the
+    subgroup are skipped."""
+    fixer = {1 % n}
+    for k in _units(n):
         if k in fixer:
             continue
-        if all(v.galois(k) == v for v in emb):
-            fixer = set(subgroup_closure(big, list(fixer) + [k]))
-    return AbelianField(big, fixer)
+        if fixes(k):
+            fixer = set(subgroup_closure(n, list(fixer) + [k]))
+    return AbelianField(n, fixer)
 
 
 def compositum(f1, f2):

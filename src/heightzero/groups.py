@@ -29,7 +29,6 @@ __all__ = [
     "subgroup_elements",
     "center",
     "derived_subgroup",
-    "normal_closure",
 ]
 
 ORDER_CAP = 20000
@@ -373,18 +372,3 @@ def derived_subgroup(group):
         for g in group.gen_indices:
             comms.add(group.mul(group.mul(a, g), group.mul(ai, group.inv(g))))
     return subgroup_elements(group, comms)
-
-
-def normal_closure(group, gen_indices):
-    have = set(subgroup_elements(group, gen_indices))
-    changed = True
-    while changed:
-        changed = False
-        for g in group.gen_indices:
-            gi = group.inv(g)
-            for x in list(have):
-                y = group.conj(x, g, gi)
-                if y not in have:
-                    have = set(subgroup_elements(group, have | {y}))
-                    changed = True
-    return frozenset(have)

@@ -8,8 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-MAX_Q = 1 << 31
-
 
 def as_mod(a, q):
     return np.asarray(a, dtype=np.int64) % q
@@ -49,7 +47,6 @@ def rref(a, q):
 def kernel(a, q):
     """Basis (rows) of the right null space of a mod q."""
     m, pivots = rref(a, q)
-    rows, cols = (m.shape if m.size else (0, np.asarray(a).shape[1]))
     cols = np.asarray(a).shape[1]
     free = [c for c in range(cols) if c not in pivots]
     basis = np.zeros((len(free), cols), dtype=np.int64)

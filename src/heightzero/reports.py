@@ -27,7 +27,6 @@ from .fields import (
     compositum,
     conductor_parts,
     cyclotomic_field,
-    field_from_values,
     in_class_Fp,
     quadratic_field,
     subgroup_closure,
@@ -215,7 +214,7 @@ class CharacterFieldReport:
 def char_field_report(table, row, p, partition=None):
     if partition is None:
         partition = block_partition(table, p)
-    field = field_from_values(table.rows[row])
+    field = table.row_field(row)
     return CharacterFieldReport(
         table.name,
         row,
@@ -245,7 +244,10 @@ def verify_theorem_A(table, p, partition=None):
 
 
 def sweep_theorem_A(specs, p, method="auto", progress=None):
-    """Run verify_theorem_A over many group specs; returns a summary dict."""
+    """Run verify_theorem_A over many group specs; returns a summary dict.
+
+    progress, when given, is called with each group's summary entry as soon
+    as that group is done."""
     groups_out = []
     total_rows = 0
     total_violations = 0
@@ -264,7 +266,7 @@ def sweep_theorem_A(specs, p, method="auto", progress=None):
             }
         )
         if progress is not None:
-            progress(spec, len(reports), len(violations))
+            progress(groups_out[-1])
     return {
         "p": p,
         "groups": groups_out,
@@ -342,7 +344,7 @@ def realize_field(field, p, cross_check_dixon=False):
     except ValueError:
         raise AssertionError("induced character is not an irreducible row") from None
 
-    achieved = field_from_values(table.rows[row])
+    achieved = table.row_field(row)
     partition = block_partition(table, p)
     cert = RealizerCertificate(
         field,
@@ -358,7 +360,7 @@ def realize_field(field, p, cross_check_dixon=False):
     if cross_check_dixon and cert.valid:
         dtab = dixon_table(group, cd)
         drow = dtab.rows.index(table.rows[row])
-        dfield = field_from_values(dtab.rows[drow])
+        dfield = dtab.row_field(drow)
         dpart = block_partition(dtab, p)
         cert.dixon_checked = (
             dtab.rows == table.rows
@@ -413,7 +415,7 @@ def sigma_check(table, partition=None):
     out = []
     for r, row in enumerate(table.rows):
         fixed = all(sigma_e(v, 1) == v for v in row)
-        cond = field_from_values(row).conductor
+        cond = table.row_field(r).conductor
         out.append(
             {
                 "row": r,

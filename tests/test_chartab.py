@@ -238,3 +238,82 @@ def test_ingest_rejects_non_basis_exponent():
     row[1] = {"n": 12, "terms": [[1, "1/1"]]}
     with pytest.raises(ValueError):
         table_from_json(obj)
+
+
+def _pm(j, a, c):
+    def mutate(obj):
+        obj["classes"][j]["powermap"][str(a)] = c
+
+    return mutate
+
+
+def _exponent_12(obj):
+    obj["exponent"] = 12
+    for cls in obj["classes"]:
+        cls["powermap"] = {str(a): cls["powermap"][str(a % 6)] for a in range(12)}
+
+
+def _two_identity_classes(obj):
+    obj["classes"][1]["element_order"] = 1
+
+
+def _class_size(obj):
+    obj["classes"][1]["size"] = 2
+
+
+def _faithful_rows_made_rational(obj):
+    obj["classes"][1]["powermap"]["2"] = 1
+    obj["classes"][2]["powermap"]["2"] = 2
+
+
+def _value_outside_exponent(obj):
+    obj["irr"][2][1] = {"n": 5, "terms": [[1, "1/1"]]}
+
+
+def _short_row(obj):
+    del obj["irr"][2][2]
+
+
+def _non_basis_exponent(obj):
+    # modulus 6 divides the exponent of S3, but 1 is not a basis exponent there
+    obj["irr"][1][1] = {"n": 6, "terms": [[1, "1/1"]]}
+
+
+@pytest.mark.parametrize(
+    "group,mutate,match",
+    [
+        (symmetric(3), _pm(1, 3, 7), "out of range"),
+        (symmetric(3), _pm(1, 0, 1), "send 0 to the identity"),
+        (symmetric(3), _pm(2, 1, 1), "send 0 to the identity and 1"),
+        (symmetric(3), _pm(2, 2, 1), "element orders"),
+        (symmetric(3), _exponent_12, "lcm"),
+        (cyclic(6), _two_identity_classes, "exactly one class"),
+        (symmetric(3), _class_size, "sum to the group order"),
+        (cyclic(3), _pm(1, 2, 1), "does not compose"),
+        (cyclic(3), _faithful_rows_made_rational, "not compatible with the values"),
+        (symmetric(3), _value_outside_exponent, "does not divide the exponent 6"),
+        (symmetric(3), _short_row, "2 values for 3 classes"),
+        (symmetric(3), _non_basis_exponent, "not a basis exponent"),
+    ],
+)
+def test_ingest_validates_class_data(group, mutate, match):
+    obj = json.loads(json.dumps(table_to_json(_table(group))))
+    mutate(obj)
+    with pytest.raises(ValueError, match=match):
+        table_from_json(obj, check_orthogonality=False)
+
+
+# ---------------------------------------------------------------------------
+# fields of values: the power-map route against the Galois scan
+
+
+def test_row_field_matches_galois_scan_on_default_corpus():
+    from heightzero.reports import build_table, default_corpus
+
+    rows = 0
+    for spec in default_corpus():
+        t = build_table(spec)
+        for r, row in enumerate(t.rows):
+            assert t.row_field(r) == field_from_values(row), (spec, r)
+            rows += 1
+    assert rows == 3600

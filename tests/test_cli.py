@@ -1,8 +1,12 @@
 """CLI subcommands: outputs, exit codes, determinism, ingest path."""
 
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from heightzero.cli import main
 
@@ -145,3 +149,157 @@ def test_default_corpus_file_matches_generator():
     from heightzero.reports import default_corpus
 
     assert _corpus_specs("default") == default_corpus()
+
+
+# ---------------------------------------------------------------------------
+# ingest validation: malformed input is an `error:` line and exit 1
+
+
+def _table_json(tmp_path, spec):
+    path = tmp_path / "t.json"
+    assert main(["table", "--group", spec, "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+_DELETE = object()
+
+
+def _edit(*path, value=_DELETE):
+    """A mutation of the table JSON: set (or delete) the entry at path."""
+
+    def mutate(obj):
+        *parents, last = path
+        for key in parents:
+            obj = obj[key]
+        if value is _DELETE:
+            del obj[last]
+        else:
+            obj[last] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _edit("exponent"),
+        _edit("order"),
+        _edit("classes"),
+        _edit("irr"),
+        _edit("classes", 1, "size"),
+        _edit("classes", 1, "element_order"),
+        _edit("classes", 1, "powermap"),
+        _edit("exponent", value=0),
+        _edit("exponent", value=-6),
+        _edit("exponent", value="6"),
+        _edit("order", value=6.0),
+        _edit("classes", 1, "size", value=True),
+        _edit("classes", 1, "element_order", value="2"),
+        _edit("classes", 1, "powermap", value=[0, 1, 0, 1, 0, 1]),
+        _edit("classes", value=3),
+    ],
+    ids=[
+        "missing-exponent",
+        "missing-order",
+        "missing-classes",
+        "missing-irr",
+        "missing-size",
+        "missing-element_order",
+        "missing-powermap",
+        "exponent-zero",
+        "exponent-negative",
+        "exponent-string",
+        "order-float",
+        "size-bool",
+        "element_order-string",
+        "powermap-list",
+        "classes-not-a-list",
+    ],
+)
+def test_ingest_rejects_malformed_json(tmp_path, capsys, mutate):
+    obj = _table_json(tmp_path, "sym:3")
+    mutate(obj)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(["ingest", "--file", str(path), "--p", "2", "--check", "a"], capsys)
+    assert code == 1
+    assert err.startswith("error: ")
+    assert out == ""
+
+
+def test_ingest_rejects_corrupt_power_map(tmp_path, capsys):
+    # c^2 for a generator c of C3 lies in the other faithful class; read
+    # through this map both faithful rows would look rational
+    obj = _table_json(tmp_path, "cyclic:3")
+    obj["classes"][1]["powermap"]["2"] = 1
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run(["ingest", "--file", str(path), "--p", "2", "--check", "a"], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and "power map" in err
+
+
+_FUZZ_GROUPS = ("sym:3", "dihedral:8", "quaternion:8")
+_FUZZ_CHECKS = (("a", "2"), ("sigma", "2"), ("blocks", "3"))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """Per group: the table JSON and, per check, the unmutated ingest output."""
+    root = tmp_path_factory.mktemp("fuzz")
+    base = {}
+    for spec in _FUZZ_GROUPS:
+        path = root / f"{spec.replace(':', '_')}.json"
+        assert main(["table", "--group", spec, "--out", str(path)]) == 0
+        outputs = {}
+        for check, p in _FUZZ_CHECKS:
+            out = root / "base.json"
+            code = main(["ingest", "--file", str(path), "--p", p, "--check", check,
+                         "--out", str(out)])
+            outputs[check] = (code, out.read_bytes())
+        base[spec] = (json.loads(path.read_text()), outputs)
+    return root, base
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_ingest_power_map_mutation_is_rejected_or_harmless(fuzz_dir, data):
+    root, base = fuzz_dir
+    spec = data.draw(st.sampled_from(_FUZZ_GROUPS))
+    check, p = data.draw(st.sampled_from(_FUZZ_CHECKS))
+    obj, outputs = base[spec]
+    obj = json.loads(json.dumps(obj))
+    k, e = len(obj["classes"]), obj["exponent"]
+    j = data.draw(st.integers(0, k - 1))
+    a = data.draw(st.integers(0, e - 1))
+    obj["classes"][j]["powermap"][str(a)] = data.draw(st.integers(-1, k))
+    path, out = root / "mutated.json", root / "out.json"
+    path.write_text(json.dumps(obj))
+    out.unlink(missing_ok=True)
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        code = main(["ingest", "--file", str(path), "--p", p, "--check", check,
+                     "--out", str(out)])
+    if code == 1 and err.getvalue().startswith("error: "):
+        return
+    assert (code, out.read_bytes()) == outputs[check]
+
+
+# ---------------------------------------------------------------------------
+# verify-a --timings
+
+
+def test_verify_a_timings_stay_out_of_the_result(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("sym:3\nmeta:12:11\n")
+    plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"
+    args = ["verify-a", "--p", "2", "--corpus", str(corpus)]
+    assert main(args + ["--out", str(plain)]) == 0
+    capsys.readouterr()
+    assert main(args + ["--out", str(timed), "--timings"]) == 0
+    err = capsys.readouterr().err
+    assert timed.read_bytes() == plain.read_bytes()
+    lines = [json.loads(ln) for ln in err.splitlines() if ln.startswith("{")]
+    assert [ln["group"] for ln in lines] == ["sym:3", "meta:12:11"]
+    for ln, order in zip(lines, (6, 24)):
+        assert set(ln) == {"group", "order", "height_zero_rows", "seconds"}
+        assert ln["order"] == order and ln["height_zero_rows"] > 0 and ln["seconds"] >= 0
