@@ -15,8 +15,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .cyclotomic import CycElt
-
 __all__ = [
     "GF",
     "IdealReduction",
@@ -42,35 +40,180 @@ def nu_p(n, p):
 
 
 # ---------------------------------------------------------------------------
+# polynomials over F_p packed into one int
+
+
+class _PackedRing:
+    """F_p[x] / (g) for a monic g, elements packed into Python ints.  The
+    packed 1 is the int 1 and the packed 0 is the int 0 in both layouts."""
+
+    def pow(self, x, k):
+        out = 1
+        while k:
+            if k & 1:
+                out = self.mul(out, x)
+            k >>= 1
+            if k:
+                x = self.mul(x, x)
+        return out
+
+
+class _CarrylessRing(_PackedRing):
+    """F_2[x] / (g): bit i holds the coefficient of x^i, addition is XOR and
+    multiplication is carry-less."""
+
+    def __init__(self, modulus):
+        self.f = len(modulus) - 1
+        self.modulus = self.pack(modulus)
+
+    @staticmethod
+    def pack(coeffs):
+        return sum(c << i for i, c in enumerate(coeffs))
+
+    def unpack(self, x):
+        return tuple(x >> i & 1 for i in range(self.f))
+
+    def mul(self, a, b):
+        prod = 0
+        while a:
+            low = a & -a
+            prod ^= b << low.bit_length() - 1
+            a ^= low
+        f, mod = self.f, self.modulus
+        for sh in range(prod.bit_length() - f - 1, -1, -1):
+            if prod >> (f + sh) & 1:
+                prod ^= mod << sh
+        return prod
+
+
+class _KroneckerRing(_PackedRing):
+    """F_p[x] / (g) by Kronecker substitution: the coefficient of x^i sits in
+    lane i, bits [w*i, w*(i + 1)), so integer + and * of packed ints add and
+    multiply the polynomials over Z while no lane overflows.
+
+    Lanes start in [0, p), and a lane collects at most S products of two
+    residues before `canon` reduces it, so it stays below 2**k with k the bit
+    length of S * (p - 1)**2.  S is the largest of:
+      * f + 2 times (1 + s*(p - 1))**folds for `mul`: a product has at most f
+        summands per lane, and each fold of its part of degree >= f through
+        x^f = -(tail of g) multiplies the lane bound by 1 + s*(p - 1), with s
+        the number of nonzero tail coefficients; the tail's degree fixes the
+        number of folds;
+      * f + 2 for one remainder in `coprime`, which adds at most f + 1
+        multiples of the divisor to the dividend;
+      * `summands`, for a caller's own sums of packed elements.
+    The width w is the least whole number of bytes with w >= 2k + 1.  That is
+    room for each lane times a (k + 1)-bit constant, so `canon` reduces every
+    lane mod p at once by one multiply-shift division (Granlund-Montgomery).
+    """
+
+    def __init__(self, p, modulus, summands=0):
+        f = len(modulus) - 1
+        tail = [-c % p for c in modulus[:f]]
+        last = max((i for i, c in enumerate(tail) if c), default=0)
+        folds, top = 0, 2 * f - 2
+        while top >= f:
+            folds, top = folds + 1, top - f + last
+        spread = 1 + (p - 1) * sum(1 for c in tail if c)
+        bound = max((f + 2) * spread**folds, summands) * (p - 1) ** 2
+        k = bound.bit_length()
+        self.p, self.f = p, f
+        self.w = w = -(-(2 * k + 1) // 8) * 8
+        self._shift = k + p.bit_length()
+        self._magic = -(-(1 << self._shift) // p)
+        self._qmask = self.pack([(1 << w - self._shift) - 1] * (f + 1))
+        self._tail = self.pack(tail)
+        self._fbits = f * w
+        self._low = (1 << f * w) - 1
+        self.modulus = self.pack(modulus)
+
+    def pack(self, coeffs):
+        nb = self.w // 8
+        return int.from_bytes(b"".join(c.to_bytes(nb, "little") for c in coeffs), "little")
+
+    def unpack(self, x):
+        """The f coefficients of x (of degree < f) reduced mod p."""
+        nb, p = self.w // 8, self.p
+        raw = x.to_bytes(self.f * nb, "little")
+        return tuple(int.from_bytes(raw[i : i + nb], "little") % p for i in range(0, len(raw), nb))
+
+    def canon(self, x):
+        """x with every lane (at most f + 1 of them) reduced mod p."""
+        return x - ((x * self._magic >> self._shift) & self._qmask) * self.p
+
+    def mul(self, a, b):
+        x = a * b
+        fbits, low, tail = self._fbits, self._low, self._tail
+        hi = x >> fbits
+        while hi:
+            x = (x & low) + hi * tail
+            hi = x >> fbits
+        return self.canon(x)
+
+    def coprime(self, b):
+        """Whether b (lanes in [0, p), degree < f) is prime to the modulus in
+        F_p[x]: Euclid's algorithm, one lane eliminated per step."""
+        p, w = self.p, self.w
+        a, da, db = self.modulus, self.f, self.f - 1
+        while True:
+            while db >= 0 and not b >> db * w:
+                db -= 1
+            if db <= 0:
+                return db == 0
+            lead = b >> db * w
+            rest = b - (lead << db * w)
+            neg_inv = -pow(lead, -1, p) % p
+            # a has no lane above i here: its top lane is a >> i*w
+            for i in range(da, db - 1, -1):
+                t = a >> i * w
+                if t % p:
+                    a += (t * neg_inv % p * rest) << (i - db) * w
+                a -= t << i * w
+            a, da, b, db = b, db, self.canon(a), db - 1
+
+
+def _irreducible(p, poly):
+    """Ben-Or's test: the monic poly (low-to-high coefficients) of degree f is
+    irreducible over F_p iff gcd(poly, x^(p^i) - x) = 1 for i = 1 .. f // 2."""
+    ring = _KroneckerRing(p, poly)
+    x = 1 << ring.w
+    minus_x = (p - 1) << ring.w
+    h = x
+    for _ in range(ring.f // 2):
+        h = ring.pow(h, p)
+        if not ring.coprime(ring.canon(h + minus_x)):
+            return False
+    return True
+
+
+def _digits(code, p, f):
+    """The f base-p digits of code, least significant first."""
+    out = []
+    for _ in range(f):
+        code, d = divmod(code, p)
+        out.append(d)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # finite fields GF(p^f), elements as coefficient tuples of length f
 
 
 def _gf_irreducible_poly(p, f):
     """Lexicographically least monic irreducible polynomial of degree f over
-    F_p, as low-to-high coefficients (length f + 1, leading 1)."""
-    from sympy.polys.galoistools import gf_irreducible_p
-    from sympy.polys.domains import ZZ
-
-    if f == 1:
-        return (0, 1)
-    # enumerate constant-first tuples in lexicographic order
-    total = p**f
-    for code in range(total):
-        coeffs = []
-        c = code
-        for _ in range(f):
-            coeffs.append(c % p)
-            c //= p
-        cand = coeffs + [1]
-        # sympy wants high-to-low coefficients
-        if gf_irreducible_p([ZZ(x) for x in reversed(cand)], p, ZZ):
+    F_p, as low-to-high coefficients (length f + 1, leading 1).  Candidates
+    run in constant-first lexicographic order, each through Ben-Or's test."""
+    for code in range(p**f):
+        cand = _digits(code, p, f) + [1]
+        if _irreducible(p, cand):
             return tuple(cand)
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
 class GF:
     """Arithmetic in GF(p^f) = F_p[x] / (m(x)); elements are tuples of f
-    residues (constant coefficient first)."""
+    residues (constant coefficient first).  Products are computed on packed
+    ints: carry-less for p = 2, Kronecker lanes for odd p."""
 
     def __init__(self, p, f):
         self.p = p
@@ -79,17 +222,9 @@ class GF:
         self.zero = (0,) * f
         self.one = (1,) + (0,) * (f - 1)
         if p == 2:
-            # packed modulus for the carry-less fast path
-            self._mod_bits = sum(c << i for i, c in enumerate(self.modulus))
-        # x^(f+k) expressed in the basis, for k = 0 .. f-2
-        self._high = []
-        top = [(-c) % p for c in self.modulus[:f]]  # x^f
-        cur = top
-        for _ in range(max(f - 1, 0)):
-            self._high.append(tuple(cur))
-            shifted = [0] + cur[:-1]
-            lead = cur[-1]
-            cur = [(shifted[i] + lead * top[i]) % p for i in range(f)]
+            self._ring = _CarrylessRing(self.modulus)
+        else:
+            self._ring = _KroneckerRing(p, self.modulus)
 
     @property
     def order(self):
@@ -99,100 +234,38 @@ class GF:
         p = self.p
         return tuple((x + y) % p for x, y in zip(a, b))
 
-    def scalar(self, c):
-        return (c % self.p,) + (0,) * (self.f - 1)
-
     def mul(self, a, b):
-        p, f = self.p, self.f
-        if p == 2:
-            ai = sum(x << i for i, x in enumerate(a))
-            bi = sum(x << i for i, x in enumerate(b))
-            prod = 0
-            while ai:
-                low = ai & -ai
-                prod ^= bi << low.bit_length() - 1
-                ai ^= low
-            mod = self._mod_bits
-            for sh in range(prod.bit_length() - f - 1, -1, -1):
-                if prod >> (f + sh) & 1:
-                    prod ^= mod << sh
-            return tuple((prod >> i) & 1 for i in range(f))
-        prod = [0] * (2 * f - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    prod[i + j] += ai * bj
-        out = [c % p for c in prod[:f]]
-        for k in range(f, 2 * f - 1):
-            c = prod[k] % p
-            if c:
-                red = self._high[k - f]
-                for i in range(f):
-                    out[i] = (out[i] + c * red[i]) % p
-        return tuple(out)
+        r = self._ring
+        return r.unpack(r.mul(r.pack(a), r.pack(b)))
 
     def pow(self, a, k):
         if k < 0:
             raise ValueError("negative exponent")
-        out = self.one
-        base = a
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
-
-    def element_order(self, a):
-        if a == self.zero:
-            raise ValueError("zero has no multiplicative order")
-        o, cur = 1, a
-        while cur != self.one:
-            cur = self.mul(cur, a)
-            o += 1
-        return o
-
-    def multiplicative_generator(self):
-        """Least generator of the cyclic group GF(p^f)^* (deterministic)."""
-        from sympy import factorint
-
-        n = self.order - 1
-        prime_factors = list(factorint(n))
-        # iterate elements in the same lexicographic code order as construction
-        for code in range(1, self.order):
-            coeffs = []
-            c = code
-            for _ in range(self.f):
-                coeffs.append(c % self.p)
-                c //= self.p
-            a = tuple(coeffs)
-            if all(self.pow(a, n // q) != self.one for q in prime_factors):
-                return a
-        raise AssertionError("no generator found")  # unreachable
+        r = self._ring
+        return r.unpack(r.pow(r.pack(a), k))
 
     def root_of_order(self, m):
-        """The first (in enumeration order) element of exact multiplicative
-        order m; m must divide p^f - 1.  Avoids factoring p^f - 1: only the
-        prime factors of m itself are needed to certify the order."""
+        """An element of exact multiplicative order m, which must divide
+        p^f - 1: c^((p^f - 1) / m) for the first c in code order for which
+        that power has order m.  Avoids factoring p^f - 1: only the prime
+        factors of m itself are needed to certify the order."""
         from sympy import factorint
 
         if (self.order - 1) % m:
             raise ValueError(f"{m} does not divide {self.order - 1}")
         if m == 1:
             return self.one
+        p, r = self.p, self._ring
         cofactor = (self.order - 1) // m
         prime_factors = list(factorint(m))
-        for code in range(1, self.order):
-            coeffs = []
-            c = code
-            for _ in range(self.f):
-                coeffs.append(c % self.p)
-                c //= self.p
-            u = self.pow(tuple(coeffs), cofactor)
-            if u != self.zero and all(
-                self.pow(u, m // q) != self.one for q in prime_factors
-            ):
-                return u
+        # codes 1 .. p - 1 are the constants c, and c^cofactor lies in the
+        # subgroup of F_p^* of order (p - 1) / gcd(p - 1, cofactor); when m
+        # does not divide that order, the scan starts at code p, the element x
+        first = 1 if (p - 1) // gcd(p - 1, cofactor) % m == 0 else p
+        for code in range(first, self.order):
+            u = r.pow(r.pack(_digits(code, p, self.f)), cofactor)
+            if u and all(r.pow(u, m // q) != 1 for q in prime_factors):
+                return r.unpack(u)
         raise AssertionError("no element of the requested order")  # unreachable
 
 
@@ -233,53 +306,56 @@ class IdealReduction:
         self.gf = _cached_gf(p, f)
         u = self.gf.root_of_order(eprime) if eprime > 1 else self.gf.one
         self.u = self.gf.pow(u, unit_power % max(eprime, 1)) if eprime > 1 else u
-        # u^k for k in [0, eprime): every reduction only ever needs these
-        self._upow = [self.gf.one]
-        for _ in range(eprime - 1):
-            self._upow.append(self.gf.mul(self._upow[-1], self.u))
+        # u^k for k in [0, eprime), packed: every image is a sum of these with
+        # at most one term per k, so the lanes hold eprime summands
         if p == 2:
-            # packed-int variant: reduction accumulates by XOR
-            self._upow_int = [
-                sum(bit << i for i, bit in enumerate(t)) for t in self._upow
-            ]
+            self._ring = self.gf._ring
+        else:
+            self._ring = _KroneckerRing(p, self.gf.modulus, summands=eprime)
+        x = self._ring.pack(self.u)
+        self._upow = [1]
+        for _ in range(eprime - 1):
+            self._upow.append(self._ring.mul(self._upow[-1], x))
 
     def reduce(self, x):
         """Image of the CycElt x in GF(p^f); x must be p-integral and the
         p'-part of its modulus must divide eprime."""
-        p, gf = self.p, self.gf
-        n = x.n
+        p = self.p
+        coeffs = {}
+        for j, c in x.terms.items():
+            if c.denominator % p == 0:
+                raise ValueError("value is not p-integral")
+            coeffs[j] = c.numerator * pow(c.denominator, -1, p)
+        return self._image(x.n, coeffs)
+
+    def _image(self, n, coeffs):
+        """Image of sum c_j zeta_n^j for the map coeffs: j -> integer c_j; an
+        int of bits for p = 2, a tuple of f residues for odd p."""
+        p, ep = self.p, self.eprime
         a = nu_p(n, p) if n > 1 else 0
         nprime = n // p**a
-        if self.eprime % nprime:
+        if ep % nprime:
             raise ValueError(
                 f"modulus {n} has p'-part {nprime}, not dividing {self.eprime}"
             )
         # zeta_n = zeta_{p^a}^alpha * zeta_{n'}^beta with the CRT exponents;
-        # zeta_{p^a} |-> 1, so only the n'-component survives.
-        if nprime > 1:
-            beta = pow(p**a, -1, nprime)
-            step = (self.eprime // nprime) * beta
+        # zeta_{p^a} |-> 1, so only the n'-component survives (step 0 if n' = 1)
+        step = ep // nprime * pow(p**a, -1, nprime)
+        upow = self._upow
         if p == 2:
-            ep = self.eprime
             out = 0
-            for j, c in x.terms.items():
-                if c.denominator % 2 == 0:
-                    raise ValueError("value is not p-integral")
-                if c.numerator % 2:
-                    out ^= self._upow_int[(j * step) % ep] if nprime > 1 else 1
+            for j, c in coeffs.items():
+                if c & 1:
+                    out ^= upow[j * step % ep]
             return out
-        out = gf.zero
-        for j, c in x.terms.items():
-            if c.denominator % p == 0:
-                raise ValueError("value is not p-integral")
-            cm = (c.numerator * pow(c.denominator, -1, p)) % p
-            if not cm:
-                continue
-            upow = self._upow[(j * step) % self.eprime] if nprime > 1 else gf.one
-            if cm != 1:
-                upow = tuple((cm * t) % p for t in upow)
-            out = gf.add(out, upow)
-        return out
+        by_power = {}
+        for j, c in coeffs.items():
+            k = j * step % ep
+            by_power[k] = by_power.get(k, 0) + c
+        out = 0
+        for k, c in by_power.items():
+            out += c % p * upow[k]
+        return self._ring.unpack(out)
 
 
 def central_character_value(table, r, j):
@@ -344,16 +420,23 @@ def block_partition(table, p, unit_power=1):
     eprime = exponent // p ** nu_p(exponent, p) if exponent > 1 else 1
     red = IdealReduction(p, eprime, unit_power=unit_power)
 
+    # omega_chi(K_j) = |K_j| chi(g_j) / chi(1), divided out exactly on each
+    # Zumbroich coefficient of chi(g_j); the basis is integral, so the value
+    # is an algebraic integer iff every quotient is an integer
+    sizes = table.classes.class_sizes
     signatures = {}
-    for r in range(len(table.rows)):
+    for r, (row, degree) in enumerate(zip(table.rows, table.degrees)):
         sig = []
-        for j in range(table.num_classes):
-            w = central_character_value(table, r, j)
-            if not w.is_integral():
-                raise ValueError(
-                    f"central character of row {r} is not an algebraic integer"
-                )
-            sig.append(red.reduce(w))
+        for size, value in zip(sizes, row):
+            coeffs = {}
+            for k, c in value.terms.items():
+                q, rem = divmod(size * c.numerator, degree * c.denominator)
+                if rem:
+                    raise ValueError(
+                        f"central character of row {r} is not an algebraic integer"
+                    )
+                coeffs[k] = q
+            sig.append(red._image(value.n, coeffs))
         signatures.setdefault(tuple(sig), []).append(r)
 
     nu_order = nu_p(table.order, p)

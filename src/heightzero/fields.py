@@ -121,6 +121,8 @@ class AbelianField:
     __slots__ = ("n", "fixer")
 
     def __init__(self, n, fixer_elements):
+        if n < 1:
+            raise ValueError("n must be >= 1")
         fixer = set(subgroup_closure(n, fixer_elements)) if n > 1 else {0}
         # conductor-normalize: descend to the smallest admissible divisor
         for m in _divisors(n):
@@ -184,8 +186,6 @@ class AbelianField:
 
 
 def cyclotomic_field(n):
-    if n < 1:
-        raise ValueError("n must be >= 1")
     return AbelianField(n, [1] if n > 1 else [])
 
 

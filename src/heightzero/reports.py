@@ -76,6 +76,8 @@ def _parse_perm_spec(body):
     gens = []
     for part in body.split(";"):
         part = part.strip()
+        if not re.fullmatch(r"(\s*\([^()]*\))*\s*", part):
+            raise ValueError(f"permutation is not a product of cycles: {part!r}")
         cycles = re.findall(r"\(([^()]*)\)", part)
         pts = []
         parsed = []

@@ -6,12 +6,19 @@ different realization of "reduction modulo a maximal ideal above p" than the
 library's explicit finite field.  The partitions must coincide.
 """
 
+import random
+
 import pytest
-from sympy import Poly, Symbol, cyclotomic_poly
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import Poly, Symbol, cyclotomic_poly, factorint
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_irred_p_ben_or, gf_irreducible_p, gf_mul, gf_rem
 
 from heightzero.blocks import (
     GF,
     IdealReduction,
+    _irreducible,
     block_partition,
     central_character_value,
     height_zero_rows,
@@ -130,6 +137,7 @@ def test_oracle_matches_library_on_sample():
         (semidihedral(16), 2),
         (dihedral(12), 3),
         (semidirect_cn_h(12, [11]), 2),
+        (semidirect_cn_h(31, [2]), 7),  # residue degree f = 60
     ]
     for g, p in cases:
         t = dixon_table(g)
@@ -289,9 +297,42 @@ def test_height_zero_restricts_to_height_zero_constituents(p):
 # finite-field plumbing
 
 
-def test_gf_axioms_odd_p():
-    import random
+def _digits(code, p, f):
+    """The f base-p digits of code, least significant first."""
+    out = []
+    for _ in range(f):
+        code, d = divmod(code, p)
+        out.append(d)
+    return tuple(out)
 
+
+def element_order(g, a):
+    if a == g.zero:
+        raise ValueError("zero has no multiplicative order")
+    o, cur = 1, a
+    while cur != g.one:
+        cur = g.mul(cur, a)
+        o += 1
+    return o
+
+
+def multiplicative_generator(g):
+    """Least generator of the cyclic group GF(p^f)^* in code order."""
+    n = g.order - 1
+    primes = list(factorint(n))
+    for code in range(1, g.order):
+        a = _digits(code, g.p, g.f)
+        if all(g.pow(a, n // q) != g.one for q in primes):
+            return a
+    raise AssertionError("no generator found")
+
+
+def _sympy_poly(coeffs):
+    """Low-to-high coefficients as sympy's high-to-low dense list."""
+    return [ZZ(c) for c in reversed(coeffs)]
+
+
+def test_gf_axioms_odd_p():
     g = GF(3, 4)
     rng = random.Random(11)
     els = [tuple(rng.randint(0, 2) for _ in range(4)) for _ in range(40)]
@@ -299,13 +340,65 @@ def test_gf_axioms_odd_p():
         assert g.mul(a, b) == g.mul(b, a)
         assert g.mul(g.mul(a, b), c) == g.mul(a, g.mul(b, c))
         assert g.mul(a, g.add(b, c)) == g.add(g.mul(a, b), g.mul(a, c))
-    assert g.element_order(g.multiplicative_generator()) == 80
+    assert element_order(g, multiplicative_generator(g)) == 80
 
 
 def test_gf_root_of_order():
     g = GF(2, 10)
     for m in (3, 11, 31, 33, 93, 341, 1023):
-        assert g.element_order(g.root_of_order(m)) == m
+        assert element_order(g, g.root_of_order(m)) == m
+
+
+def test_root_of_order_scans_from_code_one():
+    # root_of_order(m) is c^((p^f - 1) / m) for the first code c whose power
+    # has order m; skipping the constants c < p must not change it.  In
+    # GF(7, 2) and GF(13, 2) some orders m dividing p - 1 come from constants
+    for p, f in ((7, 2), (5, 2), (3, 4), (13, 2)):
+        g = GF(p, f)
+        n = g.order - 1
+        for m in (d for d in range(2, n + 1) if n % d == 0):
+            first = next(
+                u
+                for u in (g.pow(_digits(c, p, f), n // m) for c in range(1, g.order))
+                if u != g.zero and element_order(g, u) == m
+            )
+            assert g.root_of_order(m) == first, (p, f, m)
+
+
+@pytest.mark.parametrize("p,f", [(7, 110), (3, 84), (65537, 2), (4294967291, 2)])
+def test_gf_mul_matches_sympy(p, f):
+    g = GF(p, f)
+    if p == 4294967291:
+        assert g._ring.w > 64  # a lane holds sums of products of 32-bit residues
+    m = _sympy_poly(g.modulus)
+    rng = random.Random(p * f)
+    for _ in range(10):
+        a = tuple(rng.randrange(p) for _ in range(f))
+        b = tuple(rng.randrange(p) for _ in range(f))
+        want = gf_rem(gf_mul(_sympy_poly(a), _sympy_poly(b), p, ZZ), m, p, ZZ)
+        want = [int(c) for c in reversed(want)]
+        assert g.mul(a, b) == tuple(want + [0] * (f - len(want)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.sampled_from([2, 3, 5, 7, 11, 65537]),
+    coeffs=st.lists(st.integers(min_value=0), min_size=1, max_size=9),
+)
+def test_irreducibility_matches_sympy_ben_or(p, coeffs):
+    poly = [c % p for c in coeffs] + [1]
+    assert _irreducible(p, poly) == gf_irred_p_ben_or(_sympy_poly(poly), p, ZZ)
+
+
+@pytest.mark.parametrize("p,f", [(2, 8), (3, 5), (5, 4), (7, 3), (11, 2), (65537, 2)])
+def test_gf_modulus_is_sympy_lex_least(p, f):
+    # sympy's irreducibility test over the same constant-first lex order
+    want = next(
+        cand
+        for cand in (_digits(code, p, f) + (1,) for code in range(p**f))
+        if gf_irreducible_p(_sympy_poly(cand), p, ZZ)
+    )
+    assert GF(p, f).modulus == want
 
 
 def test_ideal_reduction_is_ring_homomorphism():

@@ -80,9 +80,19 @@ def test_realize_certificate(capsys):
 
 
 def test_realize_invalid_field_errors(capsys):
-    code, _, err = run(["realize", "--field", "quad:2", "--p", "2"], capsys)
-    assert code == 1
-    assert "error" in err
+    for field in ("quad:2", "fix:0:1"):
+        code, _, err = run(["realize", "--field", field, "--p", "2"], capsys)
+        assert code == 1
+        assert "error:" in err
+
+
+def test_blocks_at_a_large_prime(capsys):
+    # p = 4294967291 is 5 mod 6, so S3 reduces into GF(p^2)
+    code, out, _ = run(["blocks", "--group", "sym:3", "--p", "4294967291"], capsys)
+    assert code == 0
+    blocks = json.loads(out)["blocks"]
+    assert [len(b["rows"]) for b in blocks] == [1, 1, 1]
+    assert all(b["defect"] == 0 for b in blocks)
 
 
 def test_corollary_c_csv(capsys):

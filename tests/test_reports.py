@@ -41,7 +41,15 @@ def test_parse_group_specs():
 
 
 def test_parse_group_spec_rejects_garbage():
-    for bad in ("nope:3", "cyclic", "cyclic:x", "meta:12", "perm:()"):
+    for bad in (
+        "nope:3",
+        "cyclic",
+        "cyclic:x",
+        "meta:12",
+        "perm:()",
+        "perm:(1,2)(3",
+        "perm:(1,2)junk(3,4)",
+    ):
         with pytest.raises(ValueError):
             parse_group_spec(bad)
 
