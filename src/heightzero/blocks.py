@@ -202,8 +202,14 @@ def _digits(code, p, f):
 def _gf_irreducible_poly(p, f):
     """Lexicographically least monic irreducible polynomial of degree f over
     F_p, as low-to-high coefficients (length f + 1, leading 1).  Candidates
-    run in constant-first lexicographic order, each through Ben-Or's test."""
-    for code in range(p**f):
+    run in constant-first lexicographic order, each through Ben-Or's test.
+
+    Codes below p are the binomials x^f + c.  Some binomial of degree f is
+    irreducible over F_p iff every prime factor of f divides p - 1 and, when
+    4 | f, p = 1 mod 4 (Lidl-Niederreiter, Theorem 3.75); otherwise the scan
+    starts at code p.  The first test is rad(f) | p - 1, as f | (p - 1)^f."""
+    binomials = pow(p - 1, f, f) == 0 and (f % 4 or p % 4 == 1)
+    for code in range(0 if binomials else p, p**f):
         cand = _digits(code, p, f) + [1]
         if _irreducible(p, cand):
             return tuple(cand)

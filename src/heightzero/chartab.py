@@ -24,13 +24,12 @@ import numpy as np
 import sympy
 
 from . import modular
-from .cyclotomic import CycElt, _unit_group_generators, rational, root_of_unity, zero
+from .cyclotomic import CycElt, _unit_group_generators, rational, zero
 from .fields import _fixer_scan
 from .groups import ClassData, FiniteGroup, conjugacy_classes, semidirect_cn_h
 
 __all__ = [
     "CharacterTable",
-    "ClassInfo",
     "class_constants",
     "dixon_table",
     "metacyclic_table",
@@ -45,33 +44,14 @@ __all__ = [
 ]
 
 
-class ClassInfo:
-    """Class data detached from a group (ingest path)."""
-
-    def __init__(self, class_sizes, element_orders, power_map, exponent):
-        self.class_sizes = list(class_sizes)
-        self.element_orders = list(element_orders)
-        self.power_map = [list(r) for r in power_map]
-        self.exponent = exponent
-        self.inverse_class = [
-            self.power_map[ci][(exponent - 1) % exponent] if element_orders[ci] > 1 else ci
-            for ci in range(len(class_sizes))
-        ]
-
-    @property
-    def num_classes(self):
-        return len(self.class_sizes)
-
-
 class CharacterTable:
     """Irr(G) as rows of exact cyclotomic values over the classes."""
 
-    def __init__(self, name, order, classes, rows, group=None, validate=True):
+    def __init__(self, name, order, classes, rows, validate=True):
         self.name = name
         self.order = order
         self.classes = classes
         self.rows = [tuple(r) for r in rows]
-        self.group = group
         self.degrees = [int(r[0].to_rational()) for r in self.rows]
         if validate:
             if len(self.rows) != classes.num_classes:
@@ -105,9 +85,6 @@ class CharacterTable:
                 want = self.order // sizes[j] if j == k else 0
                 if acc != rational(want, acc.n):
                     raise ValueError(f"second orthogonality fails at classes {j},{k}")
-
-    def row_set(self):
-        return frozenset(tuple(v.key() for v in row) for row in self.rows)
 
     def row_field(self, r):
         """Q(chi_r), the field of values of row r, as an AbelianField.
@@ -274,7 +251,7 @@ def dixon_table(group, cd=None):
         rows.append(tuple(row))
 
     rows = _sort_rows(rows)
-    return CharacterTable(group.name, n, cd, rows, group=group)
+    return CharacterTable(group.name, n, cd, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +333,7 @@ def _subgroup_characters(n, sub):
     return m, chars
 
 
-def _root_power(e, order_mod, k):
-    """zeta_{order_mod}^k as a CycElt at modulus e (order must divide e)."""
-    ex = _root_power_exponent(e, order_mod, k)
-    return rational(1) if ex == 0 else root_of_unity(e, ex)
-
-
-def _root_power_exponent(e, order_mod, k):
+def _root_exponent(e, order_mod, k):
     """Exponent ex with zeta_e^ex = zeta_{order_mod}^k (raw, not reduced)."""
     if k % order_mod == 0:
         return 0
@@ -416,7 +387,7 @@ def metacyclic_table(n, hgens, group=None, cd=None):
                 else:
                     # fold the stabilizer-character root into the raw sum so
                     # reduction happens once per entry
-                    shift = _root_power_exponent(e, m, mu[h if n > 1 else 1])
+                    shift = _root_exponent(e, m, mu[h if n > 1 else 1])
                     terms = {}
                     for ex in oexps[cidx]:
                         key = (ex + shift) % e
@@ -427,7 +398,7 @@ def metacyclic_table(n, hgens, group=None, cd=None):
     if len(rows) != cd.num_classes:
         raise AssertionError("metacyclic construction produced wrong row count")
     rows = _sort_rows(rows)
-    return CharacterTable(group.name, group.order, cd, rows, group=group)
+    return CharacterTable(group.name, group.order, cd, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +546,7 @@ def _parse_power_map(entries, e):
     return [_int(entries[str(a)], "power map entry") for a in range(e)]
 
 
-def _check_ingest(order, info, rows):
+def _check_ingest(order, cd, rows):
     """Reject class data and values that are not those of a finite group.
 
     Power maps are load-bearing (CharacterTable.row_field reads the Galois
@@ -584,8 +555,8 @@ def _check_ingest(order, info, rows):
     pm[j][g*b], and is compatible with the values, row[pm[j][g]] =
     row[j].galois(g).  By induction on word length in the generators, that
     gives chi(g_j^k) = sigma_k(chi(g_j)) for every unit k."""
-    e, k = info.exponent, info.num_classes
-    sizes, orders, pm = info.class_sizes, info.element_orders, info.power_map
+    e, k = cd.exponent, cd.num_classes
+    sizes, orders, pm = cd.class_sizes, cd.element_orders, cd.power_map
     if order < 1 or any(sz < 1 for sz in sizes) or sum(sizes) != order:
         raise ValueError("class sizes must be positive and sum to the group order")
     if any(o < 1 for o in orders) or lcm(*orders) != e:
@@ -634,9 +605,9 @@ def table_from_json(obj, check_orthogonality=True):
         raise ValueError(f"table JSON lacks the required key {exc}") from None
     except (TypeError, AttributeError, ZeroDivisionError) as exc:
         raise ValueError(f"malformed table JSON: {exc}") from None
-    info = ClassInfo(sizes, orders, pmap, e)
-    _check_ingest(order, info, rows)
-    table = CharacterTable(name, order, info, rows)
+    cd = ClassData(sizes, orders, pmap, e)
+    _check_ingest(order, cd, rows)
+    table = CharacterTable(name, order, cd, rows)
     if check_orthogonality:
         table.check_orthogonality()
     return table

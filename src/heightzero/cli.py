@@ -19,18 +19,18 @@ import argparse
 import json
 import sys
 import time
-from importlib import resources
 
-from .blocks import block_partition, block_report_json
+from .blocks import block_report_json
 from .chartab import table_from_json, table_to_json
 from .reports import (
     build_table,
     corollary_c_sweep,
     default_corpus,
+    parse_corpus,
     parse_field_spec,
-    parse_group_spec,
     realize_field,
     sigma_check,
+    sigma_violations,
     sweep_theorem_A,
     verify_theorem_A,
 )
@@ -47,14 +47,9 @@ def _dump(obj, path):
 
 def _corpus_specs(arg):
     if arg == "default":
-        text = (
-            resources.files("heightzero").joinpath("data/default_corpus.txt").read_text()
-        )
-        lines = text.splitlines()
-    else:
-        with open(arg) as fh:
-            lines = fh.read().splitlines()
-    return [ln.strip() for ln in lines if ln.strip() and not ln.strip().startswith("#")]
+        return default_corpus()
+    with open(arg) as fh:
+        return parse_corpus(fh.read())
 
 
 def cmd_table(args):
@@ -135,11 +130,7 @@ def cmd_corollary_c(args):
 def cmd_sigma(args):
     table = build_table(args.group)
     rows = sigma_check(table)
-    bad = [
-        r["row"]
-        for r in rows
-        if r["height"] == 0 and r["sigma1_fixed"] != r["two_rational"]
-    ]
+    bad = sigma_violations(rows)
     _dump({"group": args.group, "rows": rows, "violations": bad}, args.out)
     return 0 if not bad else 1
 
@@ -161,11 +152,7 @@ def cmd_ingest(args):
         return 0 if not violations else 2
     if args.check == "sigma":
         rows = sigma_check(table)
-        bad = [
-            r["row"]
-            for r in rows
-            if r["height"] == 0 and r["sigma1_fixed"] != r["two_rational"]
-        ]
+        bad = sigma_violations(rows)
         _dump({"rows": rows, "violations": bad}, args.out)
         return 0 if not bad else 2
     if args.check == "blocks":

@@ -18,7 +18,6 @@ from .cyclotomic import (
     _prime_powers,
     rational,
     root_of_unity,
-    zero,
 )
 
 __all__ = [
@@ -31,7 +30,6 @@ __all__ = [
     "intersection",
     "quadratic_field",
     "in_class_Fp",
-    "in_subclass_Fp",
     "conductor_parts",
     "subgroup_closure",
     "all_subgroups",
@@ -158,12 +156,6 @@ class AbelianField:
         big = lcm(self.n, other.n)
         return other.preimage_fixer(big) <= self.preimage_fixer(big)
 
-    def contains_value(self, x):
-        """True iff the CycElt x lies in this field."""
-        big = lcm(self.n, x.n)
-        xe = x.embed(big)
-        return all(xe.galois(k) == xe for k in self.preimage_fixer(big) if k != 0)
-
     def __eq__(self, other):
         return (
             isinstance(other, AbelianField)
@@ -258,14 +250,6 @@ def in_class_Fp(field, p):
     comp = compositum(cyclotomic_field(m), field)
     index = _euler_phi(field.n) // comp.degree
     return index % p != 0
-
-
-def in_subclass_Fp(field, p):
-    """The stricter subclass: p does not divide [Q_{p^a} : Q_{p^a} meet F]."""
-    a, _ = conductor_parts(field, p)
-    qa = cyclotomic_field(p**a)
-    meet = intersection(qa, field)
-    return (qa.degree // meet.degree) % p != 0
 
 
 def _legendre(t, p):

@@ -9,8 +9,7 @@ the class data the character-table and block machinery needs.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from math import gcd, lcm
+from math import isqrt, lcm
 
 __all__ = [
     "FiniteGroup",
@@ -36,6 +35,17 @@ ORDER_CAP = 20000
 
 class GroupTooLarge(ValueError):
     pass
+
+
+def _capped_product(factors, what):
+    """The order given as a product of factors; GroupTooLarge as soon as the
+    running product passes ORDER_CAP, so a huge n costs nothing."""
+    order = 1
+    for k in factors:
+        order *= k
+        if order > ORDER_CAP:
+            raise GroupTooLarge(f"{what} has order above the cap {ORDER_CAP}")
+    return order
 
 
 class FiniteGroup:
@@ -96,72 +106,70 @@ class FiniteGroup:
 
 
 class ClassData:
-    """Conjugacy classes: reps, sizes, per-element class map, power maps."""
+    """Conjugacy-class data: sizes, element orders and power maps, where
+    power_map[ci][k] is the class of the k-th power of class ci for k in
+    [0, exponent).  Built from a group by conjugacy_classes, which also sets
+    the reps, members and element-to-class map; an ingested table carries
+    only the class-level data (chartab.table_from_json)."""
 
-    def __init__(self, group, class_members):
-        self.group = group
-        # deterministic class order: (element order, size, minimal member index)
-        keyed = []
-        for members in class_members:
-            rep = min(members)
-            keyed.append((group.element_order(rep), len(members), rep, sorted(members)))
-        keyed.sort(key=lambda t: (t[0], t[1], t[2]))
-        self.class_reps = [t[2] for t in keyed]
-        self.class_sizes = [t[1] for t in keyed]
-        self.element_orders = [t[0] for t in keyed]
-        self.members = [t[3] for t in keyed]
-        self.class_of = [None] * group.order
-        for ci, mem in enumerate(self.members):
-            for e in mem:
-                self.class_of[e] = ci
-        self.exponent = 1
-        for o in self.element_orders:
-            self.exponent = lcm(self.exponent, o)
-        # power_map[ci][k] = class of rep^k for k in [0, exponent)
-        self.power_map = []
-        for rep in self.class_reps:
-            row = []
-            cur = 0
-            for _ in range(self.exponent):
-                row.append(self.class_of[cur])
-                cur = group.mul(cur, rep)
-            self.power_map.append(row)
-        self.inverse_class = [self.power_map[ci][(self.exponent - 1) % self.exponent]
-                              if self.element_orders[ci] > 1 else ci
-                              for ci in range(len(self.class_reps))]
+    def __init__(self, class_sizes, element_orders, power_map, exponent,
+                 class_reps=None, members=None, class_of=None):
+        self.class_sizes = list(class_sizes)
+        self.element_orders = list(element_orders)
+        self.power_map = [list(r) for r in power_map]
+        self.exponent = exponent
+        self.class_reps = class_reps
+        self.members = members
+        self.class_of = class_of
+        self.inverse_class = [
+            self.power_map[ci][(exponent - 1) % exponent] if o > 1 else ci
+            for ci, o in enumerate(self.element_orders)
+        ]
 
     @property
     def num_classes(self):
-        return len(self.class_reps)
+        return len(self.class_sizes)
 
 
 def conjugacy_classes(group):
-    """Classes as orbits under conjugation by the group generators."""
+    """Classes as orbits under conjugation by the group generators, in a
+    deterministic order: (element order, size, minimal member index)."""
     n = group.order
     gens = group.gen_indices
     ginvs = [group.inv(g) for g in gens]
     assigned = [False] * n
-    classes = []
+    keyed = []
     for start in range(n):
         if assigned[start]:
             continue
-        orbit = {start}
-        frontier = [start]
+        orbit = [start]
         assigned[start] = True
-        while frontier:
-            x = frontier.pop()
+        for x in orbit:
             for g, gi in zip(gens, ginvs):
                 y = group.conj(x, g, gi)
                 if not assigned[y]:
                     assigned[y] = True
-                    orbit.add(y)
-                    frontier.append(y)
-        classes.append(orbit)
-    return ClassData(group, classes)
-
-
-def exponent(group):
-    return conjugacy_classes(group).exponent
+                    orbit.append(y)
+        keyed.append((group.element_order(start), len(orbit), start, sorted(orbit)))
+    keyed.sort(key=lambda t: t[:3])
+    reps = [t[2] for t in keyed]
+    orders = [t[0] for t in keyed]
+    members = [t[3] for t in keyed]
+    class_of = [None] * n
+    for ci, mem in enumerate(members):
+        for x in mem:
+            class_of[x] = ci
+    exponent = lcm(*orders)
+    power_map = []
+    for rep in reps:
+        row = []
+        cur = 0
+        for _ in range(exponent):
+            row.append(class_of[cur])
+            cur = group.mul(cur, rep)
+        power_map.append(row)
+    return ClassData([t[1] for t in keyed], orders, power_map, exponent,
+                     class_reps=reps, members=members, class_of=class_of)
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +217,7 @@ def semidirect_cn_h(n, hgens, name=None):
     from .fields import subgroup_closure
 
     H = subgroup_closure(n, hgens)  # residues mod n; (0,) when n == 1
-    if n * len(H) > ORDER_CAP:
-        raise GroupTooLarge(f"order {n * len(H)} exceeds cap")
+    _capped_product((n, len(H)), f"C_{n} x| H")
     one = 1 % n
 
     def mul(a, b):
@@ -241,6 +248,7 @@ def dihedral(order, name=None):
     """Dihedral group of the given even order 2n, n >= 1."""
     if order % 2 or order < 2:
         raise ValueError("dihedral order must be even and >= 2")
+    _capped_product((order,), f"D{order}")
     n = order // 2
 
     def mul(a, b):
@@ -259,6 +267,7 @@ def semidihedral(order, name=None):
     k = order.bit_length() - 1
     if order != 1 << k or k < 4:
         raise ValueError("semidihedral order must be 2^k with k >= 4")
+    _capped_product((order,), f"SD{order}")
     m = order // 2
     t = m // 2 - 1  # r s r = s^t with t = 2^(k-2) - 1
 
@@ -280,6 +289,7 @@ def generalized_quaternion(order, name=None):
     k = order.bit_length() - 1
     if order != 1 << k or k < 3:
         raise ValueError("quaternion order must be 2^k with k >= 3")
+    _capped_product((order,), f"Q{order}")
     m = order // 2
 
     def mul(a, b):
@@ -297,8 +307,9 @@ def generalized_quaternion(order, name=None):
 
 
 def symmetric(n, name=None):
-    if not 1 <= n <= 6:
-        raise ValueError("symmetric(n) supported for n <= 6")
+    if n < 1:
+        raise ValueError("symmetric(n) needs n >= 1")
+    _capped_product(range(2, n + 1), f"S{n}")
     if n == 1:
         return from_permutation_generators([], name=name or "sym:1")
     gens = [(1, 0) + tuple(range(2, n))]
@@ -308,8 +319,9 @@ def symmetric(n, name=None):
 
 
 def alternating(n, name=None):
-    if not 1 <= n <= 6:
-        raise ValueError("alternating(n) supported for n <= 6")
+    if n < 1:
+        raise ValueError("alternating(n) needs n >= 1")
+    _capped_product(range(3, n + 1), f"A{n}")  # n!/2
     if n <= 2:
         return from_permutation_generators([], name=name or f"alt:{n}")
     gens = [(1, 2, 0) + tuple(range(3, n))]
@@ -322,9 +334,12 @@ def alternating(n, name=None):
 
 
 def sl2(q, name=None):
-    """SL(2, q) acting on the q^2 - 1 nonzero vectors of F_q^2."""
-    if q not in (3, 5):
-        raise ValueError("sl2(q) supported for q in {3, 5}")
+    """SL(2, q) for a prime q, acting on the q^2 - 1 nonzero vectors of F_q^2."""
+    if q < 2:
+        raise ValueError(f"sl2(q) needs a prime q, got {q}")
+    _capped_product((q, q - 1, q + 1), f"SL(2, {q})")
+    if any(q % d == 0 for d in range(2, isqrt(q) + 1)):
+        raise ValueError(f"sl2(q) needs a prime q, got {q}")
     vecs = [(a, b) for a in range(q) for b in range(q) if (a, b) != (0, 0)]
     vidx = {v: i for i, v in enumerate(vecs)}
 

@@ -18,18 +18,16 @@ Ties the table, field, and block machinery together:
 from __future__ import annotations
 
 import re
-from math import lcm
+from importlib import resources
 
-from .cyclotomic import CycElt, root_of_unity, sigma_e
+from .cyclotomic import root_of_unity, sigma_e
 from .fields import (
     AbelianField,
-    all_subgroups,
     compositum,
     conductor_parts,
     cyclotomic_field,
     in_class_Fp,
     quadratic_field,
-    subgroup_closure,
 )
 from .groups import (
     alternating,
@@ -43,12 +41,7 @@ from .groups import (
     sl2,
     symmetric,
 )
-from .chartab import (
-    decompose,
-    dixon_table,
-    induce_linear,
-    metacyclic_table,
-)
+from .chartab import dixon_table, induce_linear, metacyclic_table
 from .blocks import block_partition, height_zero_rows
 
 __all__ = [
@@ -63,6 +56,8 @@ __all__ = [
     "realize_field",
     "corollary_c_sweep",
     "sigma_check",
+    "sigma_violations",
+    "parse_corpus",
     "default_corpus",
 ]
 
@@ -151,7 +146,7 @@ def parse_field_spec(spec):
     raise ValueError(f"unrecognized field spec {spec!r}")
 
 
-def build_table(group, method="auto", cd=None):
+def build_table(group, method="auto"):
     """Character table of a group (or spec string).
 
     method 'direct' uses the closed-form metacyclic construction (only for
@@ -160,8 +155,7 @@ def build_table(group, method="auto", cd=None):
     """
     if isinstance(group, str):
         group = parse_group_spec(group)
-    if cd is None:
-        cd = conjugacy_classes(group)
+    cd = conjugacy_classes(group)
     meta = getattr(group, "meta_params", None)
     if method == "direct" or (method == "auto" and meta is not None):
         if meta is None:
@@ -245,7 +239,7 @@ def verify_theorem_A(table, p, partition=None):
     return reports, violations
 
 
-def sweep_theorem_A(specs, p, method="auto", progress=None):
+def sweep_theorem_A(specs, p, progress=None):
     """Run verify_theorem_A over many group specs; returns a summary dict.
 
     progress, when given, is called with each group's summary entry as soon
@@ -254,7 +248,7 @@ def sweep_theorem_A(specs, p, method="auto", progress=None):
     total_rows = 0
     total_violations = 0
     for spec in specs:
-        table = build_table(spec, method=method)
+        table = build_table(spec)
         reports, violations = verify_theorem_A(table, p)
         total_rows += len(reports)
         total_violations += len(violations)
@@ -431,31 +425,29 @@ def sigma_check(table, partition=None):
     return out
 
 
+def sigma_violations(rows):
+    """The height-zero rows of a sigma_check report whose sigma_1 fixedness
+    and 2-rationality disagree."""
+    return [
+        r["row"]
+        for r in rows
+        if r["height"] == 0 and r["sigma1_fixed"] != r["two_rational"]
+    ]
+
+
 # ---------------------------------------------------------------------------
-# default corpus
+# corpus files
+
+
+def parse_corpus(text):
+    """Group specs of a corpus file: one per line; blank lines and lines
+    starting with '#' are skipped."""
+    lines = (ln.strip() for ln in text.splitlines())
+    return [ln for ln in lines if ln and not ln.startswith("#")]
 
 
 def default_corpus():
-    """Deterministic list of group specs for the standard sweeps."""
-    specs = [f"cyclic:{n}" for n in range(1, 49)]
-    specs += [f"dihedral:{m}" for m in range(4, 65, 2)]
-    specs += [f"semidihedral:{1 << k}" for k in range(4, 7)]
-    specs += [f"quaternion:{1 << k}" for k in range(3, 7)]
-    specs += [f"sym:{n}" for n in range(3, 6)]
-    specs += [f"alt:{n}" for n in (4, 5)]
-    specs += ["sl2:3", "sl2:5"]
-    # every conductor-normalized fixed field with conductor <= 40 passing the
-    # p=2 conductor-class test, realized as its semidirect-product group
-    seen = set()
-    for n in range(2, 41):
-        for sub in all_subgroups(n):
-            field = AbelianField(n, sub)
-            if field.conductor != n:
-                continue
-            if not in_class_Fp(field, 2):
-                continue
-            spec = f"meta:{n}:{','.join(map(str, sub))}"
-            if spec not in seen:
-                seen.add(spec)
-                specs.append(spec)
-    return specs
+    """The group specs of the standard sweeps, read from the packaged
+    data/default_corpus.txt, the only definition of the corpus."""
+    text = resources.files(__package__).joinpath("data/default_corpus.txt").read_text()
+    return parse_corpus(text)

@@ -15,6 +15,7 @@ from sympy import Poly, Symbol, cyclotomic_poly, factorint
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_irred_p_ben_or, gf_irreducible_p, gf_mul, gf_rem
 
+from heightzero import blocks
 from heightzero.blocks import (
     GF,
     IdealReduction,
@@ -399,6 +400,34 @@ def test_gf_modulus_is_sympy_lex_least(p, f):
         if gf_irreducible_p(_sympy_poly(cand), p, ZZ)
     )
     assert GF(p, f).modulus == want
+
+
+def test_modulus_search_skips_impossible_binomials(monkeypatch):
+    # x^4 - a is never irreducible over F_p for p = 3 mod 4, so the search
+    # must not run Ben-Or on the p binomials x^4 + c first
+    calls = 0
+
+    def counted(p, poly):
+        nonlocal calls
+        calls += 1
+        if calls > 1000:
+            raise AssertionError("modulus search tested more than 1000 candidates")
+        return _irreducible(p, poly)
+
+    monkeypatch.setattr(blocks, "_irreducible", counted)
+    assert blocks._gf_irreducible_poly(1000003, 4) == (1, 1, 0, 0, 1)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43])
+def test_binomial_skip_keeps_the_lex_least_modulus(p):
+    # the same modulus as a scan that tests the binomials too
+    for f in range(1, 9 if p <= 7 else 6):
+        want = next(
+            cand
+            for cand in (list(_digits(code, p, f)) + [1] for code in range(p**f))
+            if _irreducible(p, cand)
+        )
+        assert blocks._gf_irreducible_poly(p, f) == tuple(want), f
 
 
 def test_ideal_reduction_is_ring_homomorphism():

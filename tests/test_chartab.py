@@ -150,7 +150,6 @@ def test_irr_is_galois_stable():
     for g in (symmetric(4), sl2(3), semidihedral(16)):
         t = _table(g)
         e = t.classes.exponent
-        rowset = t.row_set()
         for k in range(1, e):
             if gcd(k, e) == 1:
                 mapped = frozenset(

@@ -95,6 +95,24 @@ def test_blocks_at_a_large_prime(capsys):
     assert all(b["defect"] == 0 for b in blocks)
 
 
+@pytest.mark.parametrize("spec", ["sym:7", "alt:7", "sl2:7"])
+def test_blocks_on_groups_past_the_old_limits(spec, capsys):
+    from heightzero.chartab import dixon_table
+    from heightzero.reports import parse_group_spec
+
+    code, out, _ = run(["blocks", "--group", spec, "--p", "2"], capsys)
+    assert code == 0
+    assert json.loads(out)["group"] == spec
+    dixon_table(parse_group_spec(spec)).check_orthogonality()
+
+
+@pytest.mark.parametrize("spec", ["sl2:4", "sl2:1", "sym:8"])
+def test_blocks_rejects_bad_or_oversized_groups(spec, capsys):
+    code, _, err = run(["blocks", "--group", spec, "--p", "2"], capsys)
+    assert code == 1
+    assert err.startswith("error:")
+
+
 def test_corollary_c_csv(capsys):
     code, out, _ = run(["corollary-c", "--max", "6"], capsys)
     assert code == 0
@@ -154,11 +172,37 @@ def test_output_is_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def _generated_corpus():
+    """The rule the packaged corpus file was written from; it pins the file."""
+    from heightzero.fields import AbelianField, all_subgroups, in_class_Fp
+
+    specs = [f"cyclic:{n}" for n in range(1, 49)]
+    specs += [f"dihedral:{m}" for m in range(4, 65, 2)]
+    specs += [f"semidihedral:{1 << k}" for k in range(4, 7)]
+    specs += [f"quaternion:{1 << k}" for k in range(3, 7)]
+    specs += [f"sym:{n}" for n in range(3, 6)]
+    specs += [f"alt:{n}" for n in (4, 5)]
+    specs += ["sl2:3", "sl2:5"]
+    # every conductor-normalized fixed field with conductor <= 40 passing the
+    # p=2 conductor-class test, realized as its semidirect-product group
+    seen = set()
+    for n in range(2, 41):
+        for sub in all_subgroups(n):
+            field = AbelianField(n, sub)
+            if field.conductor != n or not in_class_Fp(field, 2):
+                continue
+            spec = f"meta:{n}:{','.join(map(str, sub))}"
+            if spec not in seen:
+                seen.add(spec)
+                specs.append(spec)
+    return specs
+
+
 def test_default_corpus_file_matches_generator():
     from heightzero.cli import _corpus_specs
     from heightzero.reports import default_corpus
 
-    assert _corpus_specs("default") == default_corpus()
+    assert _corpus_specs("default") == default_corpus() == _generated_corpus()
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from heightzero.fields import (
     cyclotomic_field,
     field_from_values,
     in_class_Fp,
-    in_subclass_Fp,
     intersection,
     quadratic_field,
     rational_field,
@@ -71,12 +70,6 @@ def test_quadratic_rejects_non_squarefree():
 # membership and lattice operations
 
 
-def test_contains_value():
-    f = quadratic_field(-2)
-    assert f.contains_value(root_of_unity(8) + root_of_unity(8, 3))
-    assert not f.contains_value(root_of_unity(8))
-
-
 def test_compositum_of_sqrt3_and_q3_is_q12():
     assert compositum(quadratic_field(3), cyclotomic_field(3)) == cyclotomic_field(12)
 
@@ -113,13 +106,6 @@ def test_class_f2_membership():
     assert in_class_Fp(quadratic_field(-5), 2)
     assert in_class_Fp(quadratic_field(-1), 2)
     assert in_class_Fp(rational_field(), 2)
-
-
-def test_subclass_is_stricter():
-    for d in (-1, 3, -3, 5, 7, -7, 11):
-        f = quadratic_field(d)
-        if in_subclass_Fp(f, 2):
-            assert in_class_Fp(f, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,10 @@ def test_alternating_is_even_permutations_only():
 def test_order_cap_enforced():
     with pytest.raises(GroupTooLarge):
         from_permutation_generators([tuple(range(1, 10)) + (0,), (1, 0) + tuple(range(2, 10))], cap=1000)
+    # S8, A8 and SL(2, 29) are the first of their families past the cap of 20000
+    for build, arg in ((symmetric, 8), (alternating, 8), (sl2, 29), (dihedral, 20002)):
+        with pytest.raises(GroupTooLarge):
+            build(arg)
 
 
 def test_identity_is_index_zero():

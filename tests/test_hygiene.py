@@ -1,0 +1,66 @@
+"""Static checks over the package sources, with the stdlib ast module.
+
+* Every name in a module's __all__ is defined there.  perfbench/tracing.py
+  wraps each layer through __all__, so a stale entry breaks a traced run.
+* No module imports a name it never uses.  A re-export listed in __all__
+  counts as a use.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "heightzero").glob("*.py"))
+
+
+def _exported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return [ast.literal_eval(elt) for elt in node.value.elts]
+    return []
+
+
+def _bound(node):
+    """The names an import statement binds; none for other statements."""
+    if isinstance(node, ast.Import):
+        return [(a.asname or a.name).split(".")[0] for a in node.names]
+    if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+        return [a.asname or a.name for a in node.names]
+    return []
+
+
+def _defined(tree):
+    """Names bound at module level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+        names.update(_bound(node))
+    return names
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_exported_name_is_defined(path):
+    tree = ast.parse(path.read_text())
+    missing = sorted(set(_exported(tree)) - _defined(tree))
+    assert not missing, f"{path.name}: __all__ names nothing for {missing}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text())
+    used = set(_exported(tree))
+    used.update(node.id for node in ast.walk(tree) if isinstance(node, ast.Name))
+    unused = [
+        f"{name} (line {node.lineno})"
+        for node in ast.walk(tree)
+        for name in _bound(node)
+        if name not in used
+    ]
+    assert not unused, f"{path.name}: unused imports {unused}"
