@@ -15,6 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from .cyclotomic import _prime_powers
+
 __all__ = [
     "GF",
     "IdealReduction",
@@ -255,15 +257,13 @@ class GF:
         p^f - 1: c^((p^f - 1) / m) for the first c in code order for which
         that power has order m.  Avoids factoring p^f - 1: only the prime
         factors of m itself are needed to certify the order."""
-        from sympy import factorint
-
         if (self.order - 1) % m:
             raise ValueError(f"{m} does not divide {self.order - 1}")
         if m == 1:
             return self.one
         p, r = self.p, self._ring
         cofactor = (self.order - 1) // m
-        prime_factors = list(factorint(m))
+        prime_factors = [q for q, _ in _prime_powers(m)]
         # codes 1 .. p - 1 are the constants c, and c^cofactor lies in the
         # subgroup of F_p^* of order (p - 1) / gcd(p - 1, cofactor); when m
         # does not divide that order, the scan starts at code p, the element x

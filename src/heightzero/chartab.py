@@ -2,9 +2,10 @@
 
 Two independent construction routes:
 
-* dixon_table: the Dixon-Schneider modular method (class-algebra structure
-  constants over F_q, common eigenspace splitting, discrete-Fourier lift of
-  the values back to the cyclotomic field of the group exponent);
+* dixon_table: the Dixon-Schneider modular method (class matrices over F_q,
+  built one at a time from the class members, common eigenspace splitting,
+  discrete-Fourier lift of the values back to the cyclotomic field of the
+  group exponent);
 * metacyclic_table: a direct Clifford-theoretic construction for C_n x| H
   with H <= (Z/n)*, used by the realizer and as a cross-check of dixon.
 
@@ -24,21 +25,16 @@ import numpy as np
 import sympy
 
 from . import modular
-from .cyclotomic import CycElt, _unit_group_generators, rational, zero
+from .cyclotomic import CycElt, _prime_powers, _unit_group_generators, rational, zero
 from .fields import _fixer_scan
-from .groups import ClassData, FiniteGroup, conjugacy_classes, semidirect_cn_h
+from .groups import ClassData, conjugacy_classes, semidirect_cn_h
 
 __all__ = [
     "CharacterTable",
-    "class_constants",
+    "class_matrix",
     "dixon_table",
     "metacyclic_table",
-    "ClassFunction",
-    "inner_product",
     "induce_linear",
-    "restrict",
-    "decompose",
-    "subgroup_as_group",
     "table_to_json",
     "table_from_json",
 ]
@@ -112,22 +108,23 @@ def _sort_rows(rows):
 
 
 # ---------------------------------------------------------------------------
-# class-algebra structure constants
+# class matrices
 
 
-def class_constants(group, cd):
-    """a[i, j, k] = #{(x, y) in K_i x K_j : x y = z_k} for the fixed rep z_k.
+def class_matrix(group, cd, i):
+    """Class matrix i: m[j, k] = a_ijk = #{x in K_i : x^-1 z_k in K_j}, the
+    structure constant #{(x, y) in K_i x K_j : x y = z_k} for the fixed rep
+    z_k, read off the members of K_i.
 
-    Satisfies sum_k a[i, j, k] * |K_k| = |K_i| * |K_j|."""
+    Satisfies sum_k m[j, k] * |K_k| = |K_i| * |K_j|."""
     c = cd.num_classes
-    a = np.zeros((c, c, c), dtype=np.int64)
-    inv = [group.inv(x) for x in range(group.order)]
+    m = np.zeros((c, c), dtype=np.int64)
     cls = cd.class_of
-    for k, z in enumerate(cd.class_reps):
-        for x in range(group.order):
-            y = group.mul(inv[x], z)
-            a[cls[x], cls[y], k] += 1
-    return a
+    for x in cd.members[i]:
+        xinv = group.inv(x)
+        for k, z in enumerate(cd.class_reps):
+            m[cls[group.mul(xinv, z)], k] += 1
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +143,7 @@ def _dixon_prime(e, order, nclasses):
 
 
 def _primitive_root_of_unity(q, e):
-    fac = sympy.factorint(q - 1)
+    fac = [p for p, _ in _prime_powers(q - 1)]
     g = 2
     while True:
         if all(pow(g, (q - 1) // p, q) != 1 for p in fac):
@@ -155,13 +152,17 @@ def _primitive_root_of_unity(q, e):
     return pow(g, (q - 1) // e, q)
 
 
-def _split_eigenspaces(bmats, q):
-    c = bmats[0].shape[0]
+def _split_eigenspaces(group, cd, q):
+    """The common eigenvectors of the class matrices mod q, one per row.
+
+    Class matrix i (i >= 1; matrix 0 is the identity) is built only while
+    some space is still unsplit."""
+    c = cd.num_classes
     spaces = [modular.rref(np.eye(c, dtype=np.int64), q)]
-    for b in bmats[1:]:
+    for i in range(1, c):
         if all(u.shape[0] == 1 for u, _ in spaces):
             break
-        bt = b.T % q
+        bt = class_matrix(group, cd, i).T % q
         nxt = []
         for u, piv in spaces:
             d = u.shape[0]
@@ -199,9 +200,7 @@ def dixon_table(group, cd=None):
     q = _dixon_prime(e, n, c)
     s = _primitive_root_of_unity(q, e)
 
-    a = class_constants(group, cd)
-    bmats = [a[i] for i in range(c)]  # bmats[i][j, k] = a_{ijk}
-    lines = _split_eigenspaces(bmats, q)
+    lines = _split_eigenspaces(group, cd, q)
 
     sizes = cd.class_sizes
     inv_sizes = [pow(sz, -1, q) for sz in sizes]
@@ -261,8 +260,6 @@ def dixon_table(group, cd=None):
 @lru_cache(maxsize=None)
 def _unit_group_decomposition(n):
     """Generators (lifted mod n) and their orders for (Z/n)*, via CRT."""
-    from .cyclotomic import _prime_powers
-
     if n <= 2:
         return ()
     gens = []
@@ -402,38 +399,12 @@ def metacyclic_table(n, hgens, group=None, cd=None):
 
 
 # ---------------------------------------------------------------------------
-# class functions, induction, restriction
-
-
-class ClassFunction:
-    def __init__(self, values):
-        self.values = tuple(values)
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-    def __len__(self):
-        return len(self.values)
-
-    def __eq__(self, other):
-        if isinstance(other, ClassFunction):
-            return self.values == other.values
-        return NotImplemented
-
-
-def inner_product(f1, f2, cd, order=None):
-    """[f1, f2] = (1/|G|) sum_j |K_j| f1(j) conj(f2(j)); exact CycElt."""
-    order = order if order is not None else sum(cd.class_sizes)
-    acc = zero(1)
-    v1 = f1.values if isinstance(f1, ClassFunction) else f1
-    v2 = f2.values if isinstance(f2, ClassFunction) else f2
-    for j, sz in enumerate(cd.class_sizes):
-        acc = acc + v1[j] * v2[j].conjugate() * sz
-    return acc.scalar_mul(Fraction(1, order))
+# induction
 
 
 def induce_linear(group, cd, sub_indices, lam):
-    """Induce the linear character lam (dict: subgroup index -> CycElt) to G."""
+    """Induce the linear character lam (dict: subgroup index -> CycElt) to G;
+    the values on the classes, as a tuple."""
     sub = set(sub_indices)
     inv = [group.inv(x) for x in range(group.order)]
     e = cd.exponent
@@ -448,41 +419,7 @@ def induce_linear(group, cd, sub_indices, lam):
         for y, cnt in counts.items():
             acc = acc + lam[y].scalar_mul(cnt)
         values.append(acc.scalar_mul(Fraction(1, len(sub))))
-    return ClassFunction(values)
-
-
-def subgroup_as_group(group, sub_indices, name=None):
-    """The subgroup as its own FiniteGroup plus the index embedding into G."""
-    idxs = sorted(sub_indices)
-    if 0 not in idxs:
-        raise ValueError("subgroup must contain the identity index 0")
-    idxs.remove(0)
-    idxs.insert(0, 0)
-    elements = [group.elements[i] for i in idxs]
-    sub = FiniteGroup(elements, group._mul_elems, name or f"{group.name}|sub{len(idxs)}")
-    embedding = list(idxs)
-    return sub, embedding
-
-
-def restrict(values, cd_big, sub_cd, embedding):
-    """Restrict a row of the big table to a subgroup with its own ClassData."""
-    out = []
-    for rep in sub_cd.class_reps:
-        out.append(values[cd_big.class_of[embedding[rep]]])
-    return ClassFunction(out)
-
-
-def decompose(f, table):
-    """Multiplicities of f against the rows of the table; must be in N."""
-    cd = table.classes
-    mults = []
-    for row in table.rows:
-        ip = inner_product(f, row, cd, order=table.order)
-        r = ip.to_rational()
-        if r.denominator != 1 or r < 0:
-            raise ValueError("class function is not a nonnegative integer combination")
-        mults.append(int(r))
-    return mults
+    return tuple(values)
 
 
 # ---------------------------------------------------------------------------

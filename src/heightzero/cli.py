@@ -10,7 +10,8 @@ Subcommands:
   ingest       run checks on an externally supplied table JSON
 
 Exit codes: 0 success / no violations, 2 recorded findings (odd-p sweep or
-failed ingest check), 1 internal error or hard constraint violation.
+failed ingest check), 1 usage error, bad input, internal error or hard
+constraint violation.
 """
 
 from __future__ import annotations
@@ -170,8 +171,17 @@ def _prime(value):
     return p
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors (a bad or missing argument) exit 1 with an error: line,
+    like every other bad input; exit code 2 means recorded findings."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"error: {message}\n")
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="heightzero",
         description="Exact workbench for fields of values, blocks, and "
         "heights of irreducible characters of finite groups.",

@@ -20,6 +20,7 @@ __all__ = [
     "zero",
     "conductor_of_element",
     "sigma_e",
+    "sigma_unit",
     "zumbroich_exponents",
 ]
 
@@ -245,9 +246,6 @@ class CycElt:
 
     # -- rationality -------------------------------------------------------
 
-    def is_zero(self):
-        return not self.terms
-
     def is_rational(self):
         if not self.terms:
             return True
@@ -266,10 +264,6 @@ class CycElt:
         one = _one_at(self.n)
         j, c = next(iter(one.terms.items()))
         return Fraction(self.terms.get(j, 0)) / c
-
-    def is_integral(self):
-        """All canonical-basis coefficients are integers (algebraic integer)."""
-        return all(c.denominator == 1 for c in self.terms.values())
 
     # -- dunder glue -------------------------------------------------------
 
@@ -369,19 +363,17 @@ def _divisors(n):
     return tuple(out)
 
 
+def sigma_unit(n, e):
+    """The unit k with sigma_e(x) = x.galois(k) at modulus n: k = 1 mod the
+    odd part of n and k = 1 + 2^e mod its 2-part."""
+    n2 = n & -n
+    return _crt(1, n // n2, (1 + (1 << e)) % n2, n2)
+
+
 def sigma_e(x, e):
     """Galois map fixing odd-order roots of unity and raising 2-power roots
     to the (1+2^e)-th power, restricted to the modulus of x."""
-    n = x.n
-    n2 = 1
-    while n % (2 * n2) == 0:
-        n2 *= 2
-    nodd = n // n2
-    if n2 == 1:
-        return x
-    # k = 1 mod nodd, k = 1+2^e mod n2
-    k = _crt(1, nodd, (1 + (1 << e)) % n2, n2)
-    return x.galois(k)
+    return x.galois(sigma_unit(x.n, e))
 
 
 def _crt(a1, m1, a2, m2):

@@ -2,7 +2,8 @@
 
 A field is stored conductor-normalized: the modulus n is the conductor, so
 equality is structural.  Subgroups store their full element sets; desk-scale
-phi(n) keeps intersections and preimages cheap as plain set operations.
+phi(n) keeps composita and preimages cheap as plain set operations, and an
+index over a cyclotomic subfield a count of fixer elements.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ __all__ = [
     "rational_field",
     "field_from_values",
     "compositum",
-    "intersection",
     "quadratic_field",
+    "cyclotomic_index",
     "in_class_Fp",
     "conductor_parts",
     "subgroup_closure",
@@ -226,14 +227,6 @@ def compositum(f1, f2):
     return AbelianField(big, fixer)
 
 
-def intersection(f1, f2):
-    big = lcm(f1.n, f2.n)
-    if big == 1:
-        return rational_field()
-    fixer = f1.preimage_fixer(big) | f2.preimage_fixer(big)
-    return AbelianField(big, fixer)
-
-
 def conductor_parts(field, p):
     """(a, m) with conductor = p^a * m and p not dividing m."""
     n = field.n
@@ -244,12 +237,19 @@ def conductor_parts(field, p):
     return a, n
 
 
+def cyclotomic_index(field, m):
+    """|Q_n : <Q_m, F>| for F of conductor n and m dividing n.
+
+    Gal(Q_n / <Q_m, F>) is the part of the fixer of F that is 1 mod m, and
+    the fixer is stored mod n, so the index is a count of fixer elements."""
+    return sum(1 for k in field.fixer if k % m == 1 % m)
+
+
 def in_class_Fp(field, p):
-    """Membership in the class F_p: p does not divide |Q_n : <Q_m, F>|."""
+    """Membership in the class F_p: p does not divide |Q_n : <Q_m, F>|,
+    where n = p^a * m is the conductor."""
     a, m = conductor_parts(field, p)
-    comp = compositum(cyclotomic_field(m), field)
-    index = _euler_phi(field.n) // comp.degree
-    return index % p != 0
+    return cyclotomic_index(field, m) % p != 0
 
 
 def _legendre(t, p):

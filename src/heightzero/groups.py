@@ -9,7 +9,9 @@ the class data the character-table and block machinery needs.
 
 from __future__ import annotations
 
-from math import isqrt, lcm
+from math import lcm
+
+from .cyclotomic import _prime_powers
 
 __all__ = [
     "FiniteGroup",
@@ -25,9 +27,6 @@ __all__ = [
     "sl2",
     "semidirect_cn_h",
     "conjugacy_classes",
-    "subgroup_elements",
-    "center",
-    "derived_subgroup",
 ]
 
 ORDER_CAP = 20000
@@ -338,7 +337,7 @@ def sl2(q, name=None):
     if q < 2:
         raise ValueError(f"sl2(q) needs a prime q, got {q}")
     _capped_product((q, q - 1, q + 1), f"SL(2, {q})")
-    if any(q % d == 0 for d in range(2, isqrt(q) + 1)):
+    if _prime_powers(q) != ((q, q),):
         raise ValueError(f"sl2(q) needs a prime q, got {q}")
     vecs = [(a, b) for a in range(q) for b in range(q) if (a, b) != (0, 0)]
     vidx = {v: i for i, v in enumerate(vecs)}
@@ -349,41 +348,3 @@ def sl2(q, name=None):
 
     gens = [mat_perm((1, 1, 0, 1)), mat_perm((0, q - 1, 1, 0))]
     return from_permutation_generators(gens, name=name or f"sl2:{q}")
-
-
-# ---------------------------------------------------------------------------
-# subgroup machinery (plain element-index sets inside an ambient group)
-
-
-def subgroup_elements(group, gen_indices):
-    """Index set of the subgroup generated by the given indices."""
-    have = {0}
-    frontier = list(gen_indices)
-    while frontier:
-        a = frontier.pop()
-        if a in have:
-            continue
-        have.add(a)
-        for b in list(have):
-            for c in (group.mul(a, b), group.mul(b, a)):
-                if c not in have:
-                    frontier.append(c)
-    return frozenset(have)
-
-
-def center(group):
-    gens = group.gen_indices
-    return frozenset(
-        i
-        for i in range(group.order)
-        if all(group.mul(i, g) == group.mul(g, i) for g in gens)
-    )
-
-
-def derived_subgroup(group):
-    comms = set()
-    for a in range(group.order):
-        ai = group.inv(a)
-        for g in group.gen_indices:
-            comms.add(group.mul(group.mul(a, g), group.mul(ai, group.inv(g))))
-    return subgroup_elements(group, comms)

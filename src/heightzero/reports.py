@@ -20,12 +20,12 @@ from __future__ import annotations
 import re
 from importlib import resources
 
-from .cyclotomic import root_of_unity, sigma_e
+from .cyclotomic import _prime_powers, root_of_unity, sigma_unit
 from .fields import (
     AbelianField,
-    compositum,
     conductor_parts,
     cyclotomic_field,
+    cyclotomic_index,
     in_class_Fp,
     quadratic_field,
 )
@@ -172,7 +172,11 @@ def build_table(group, method="auto"):
 
 
 class CharacterFieldReport:
-    """Field-of-values facts for one row at one prime."""
+    """Field-of-values facts for one row at one prime.
+
+    Both verdicts read the index I = |Q_n : <Q_m, F>| for the conductor
+    n = p^a * m: Q_{p^a} lies in <Q_m, F> iff I = 1, and F is in the class
+    F_p iff p does not divide I."""
 
     def __init__(self, group_label, row, degree, block_id, height, field, p):
         self.group = group_label
@@ -185,9 +189,9 @@ class CharacterFieldReport:
         self.conductor = field.conductor
         self.a, self.m = conductor_parts(field, p)
         self.p_rational = self.a == 0
-        comp = compositum(cyclotomic_field(self.m), field)
-        self.theorem_containment = cyclotomic_field(p**self.a).is_subfield_of(comp)
-        self.in_Fp = in_class_Fp(field, p)
+        index = cyclotomic_index(field, self.m)
+        self.theorem_containment = index == 1
+        self.in_Fp = index % p != 0
 
     def to_json(self):
         return {
@@ -336,7 +340,7 @@ def realize_field(field, p, cross_check_dixon=False):
     # H acts faithfully on the characters of C_n, so the induced character is
     # irreducible and must literally be a table row
     try:
-        row = table.rows.index(tuple(induced.values))
+        row = table.rows.index(induced)
     except ValueError:
         raise AssertionError("induced character is not an irreducible row") from None
 
@@ -372,15 +376,6 @@ def realize_field(field, p, cross_check_dixon=False):
 # quadratic-field sweep
 
 
-def _is_squarefree(m):
-    d = 2
-    while d * d <= m:
-        if m % (d * d) == 0:
-            return False
-        d += 1
-    return True
-
-
 def corollary_c_sweep(dmax):
     """(d, in_F2, expected) for every squarefree d with |d| <= dmax, d not in
     {0, 1}; expected = d odd.  The two booleans agree exactly when the
@@ -389,7 +384,7 @@ def corollary_c_sweep(dmax):
         raise ValueError("dmax must be at least 2")
     out = []
     for d in range(-dmax, dmax + 1):
-        if d in (0, 1) or not _is_squarefree(abs(d)):
+        if d in (0, 1) or any(q != p for p, q in _prime_powers(abs(d))):
             continue
         in_f2 = in_class_Fp(quadratic_field(d), 2)
         out.append((d, in_f2, d % 2 != 0))
@@ -404,20 +399,22 @@ def sigma_check(table, partition=None):
     """Per-row: (height at p=2, fixed by sigma_1, 2-rational).
 
     For height-zero rows the last two booleans must coincide; rows of
-    positive height are reported unconstrained.
+    positive height are reported unconstrained.  sigma_1 fixes the row
+    exactly when its unit at the conductor of the row's field lies in the
+    fixer of that field.
     """
     if partition is None:
         partition = block_partition(table, 2)
     out = []
-    for r, row in enumerate(table.rows):
-        fixed = all(sigma_e(v, 1) == v for v in row)
-        cond = table.row_field(r).conductor
+    for r in range(len(table.rows)):
+        field = table.row_field(r)
+        cond = field.conductor
         out.append(
             {
                 "row": r,
                 "degree": table.degrees[r],
                 "height": partition.height[r],
-                "sigma1_fixed": fixed,
+                "sigma1_fixed": sigma_unit(cond, 1) in field.fixer,
                 "two_rational": cond % 2 == 1,
                 "conductor": cond,
             }

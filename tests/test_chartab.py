@@ -17,19 +17,16 @@ from heightzero.groups import (
     sl2,
     symmetric,
 )
+from heightzero import chartab
 from heightzero.chartab import (
-    ClassFunction,
-    class_constants,
-    decompose,
+    class_matrix,
     dixon_table,
     induce_linear,
-    inner_product,
     metacyclic_table,
-    restrict,
-    subgroup_as_group,
     table_from_json,
     table_to_json,
 )
+from subgroups import decompose, derived_subgroup, inner_product, restrict, subgroup_as_group
 
 
 def _table(group):
@@ -37,18 +34,45 @@ def _table(group):
 
 
 # ---------------------------------------------------------------------------
-# structure constants
+# class matrices
 
 
-def test_class_constants_counting_identity():
-    g = symmetric(3)
-    cd = conjugacy_classes(g)
-    a = class_constants(g, cd)
+@pytest.mark.parametrize(
+    "group", [symmetric(3), symmetric(4), alternating(5), dihedral(12), sl2(3)], ids=lambda g: g.name
+)
+def test_class_matrix_counts_products(group):
+    cd = conjugacy_classes(group)
     c = cd.num_classes
+    # brute force over G x G: a[i][j][k] = #{(x, y) in K_i x K_j : x y = z_k}
+    rep_class = {z: k for k, z in enumerate(cd.class_reps)}
+    a = [[[0] * c for _ in range(c)] for _ in range(c)]
+    for x in range(group.order):
+        for y in range(group.order):
+            k = rep_class.get(group.mul(x, y))
+            if k is not None:
+                a[cd.class_of[x]][cd.class_of[y]][k] += 1
     for i in range(c):
+        m = class_matrix(group, cd, i)
+        assert m.tolist() == a[i]
         for j in range(c):
-            total = sum(a[i][j][k] * cd.class_sizes[k] for k in range(c))
+            total = sum(int(m[j, k]) * cd.class_sizes[k] for k in range(c))
             assert total == cd.class_sizes[i] * cd.class_sizes[j]
+
+
+def test_dixon_table_allocates_no_cube(monkeypatch):
+    # class matrices come one at a time; no c x c x c structure-constant tensor
+    shapes = []
+    zeros = chartab.np.zeros
+
+    def recording_zeros(shape, *args, **kwargs):
+        shapes.append(shape if isinstance(shape, tuple) else (shape,))
+        return zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(chartab.np, "zeros", recording_zeros)
+    for group in (symmetric(4), dihedral(40)):
+        dixon_table(group)
+    assert shapes
+    assert all(len(s) <= 2 for s in shapes), shapes
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +193,7 @@ def test_rows_are_orthonormal_class_functions():
     cd = t.classes
     for r in range(len(t.rows)):
         for s in range(len(t.rows)):
-            ip = inner_product(ClassFunction(t.rows[r]), ClassFunction(t.rows[s]), cd, t.order)
+            ip = inner_product(t.rows[r], t.rows[s], cd, t.order)
             assert ip.to_rational() == (1 if r == s else 0)
 
 
@@ -178,8 +202,6 @@ def test_induce_linear_from_a4_to_s4():
     cd = conjugacy_classes(g)
     t = dixon_table(g, cd)
     # index-2 subgroup: the even permutations
-    from heightzero.groups import derived_subgroup, subgroup_elements
-
     a4 = derived_subgroup(g)
     assert len(a4) == 12
     lam = {i: rational(1) for i in a4}
@@ -194,8 +216,6 @@ def test_restriction_of_s4_to_a4():
     g = symmetric(4)
     cd = conjugacy_classes(g)
     t = dixon_table(g, cd)
-    from heightzero.groups import derived_subgroup
-
     a4 = derived_subgroup(g)
     sub, embedding = subgroup_as_group(g, a4, name="alt4")
     sub_cd = conjugacy_classes(sub)
@@ -203,7 +223,7 @@ def test_restriction_of_s4_to_a4():
     # restriction of the degree-2 row of S4 decomposes into A4 irreducibles
     deg2 = t.degrees.index(2)
     vals = restrict(t.rows[deg2], cd, sub_cd, embedding)
-    mults = decompose(ClassFunction(vals), sub_t)
+    mults = decompose(vals, sub_t)
     assert sum(m * d for m, d in zip(mults, sub_t.degrees)) == 2
 
 

@@ -43,8 +43,24 @@ def test_blocks_report(capsys):
 
 
 def test_prime_argument_validated(capsys):
-    with pytest.raises(SystemExit):
-        main(["blocks", "--group", "sym:4", "--p", "4"])
+    # usage errors exit 1 with an error: line; 2 is reserved for findings
+    for argv in (
+        ["blocks", "--group", "sym:4", "--p", "4"],
+        ["blocks", "--group", "sym:3", "--p", "0"],
+        ["blocks", "--group", "sym:3", "--p", "9"],
+        ["blocks", "--group", "sym:3", "--p", "x"],
+        ["blocks", "--p", "3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1, argv
+        assert capsys.readouterr().err.splitlines()[-1].startswith("error: "), argv
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-a", "--help"])
+    assert exc.value.code == 0
 
 
 def test_verify_a_single_group_exit_zero(tmp_path, capsys):

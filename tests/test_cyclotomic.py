@@ -65,7 +65,7 @@ def test_zeta6_descends_to_modulus_3():
 
 
 def test_i_plus_minus_i_is_zero():
-    assert (root_of_unity(4) + root_of_unity(4, 3)).is_zero()
+    assert root_of_unity(4) + root_of_unity(4, 3) == zero(4)
 
 
 def test_sum_of_primitive_fifth_roots():
@@ -135,11 +135,6 @@ def test_sigma_e_fixes_odd_roots_and_twists_two_part():
 def test_rational_roundtrip():
     assert rational(Fraction(3, 2), 12).to_rational() == Fraction(3, 2)
     assert rational(-5, 7).to_rational() == -5
-
-
-def test_is_integral():
-    assert root_of_unity(9).is_integral()
-    assert not rational(Fraction(1, 2), 8).is_integral()
 
 
 def test_non_rational_raises():

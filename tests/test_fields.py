@@ -13,8 +13,8 @@ from heightzero.fields import (
     conductor_parts,
     cyclotomic_field,
     field_from_values,
+    cyclotomic_index,
     in_class_Fp,
-    intersection,
     quadratic_field,
     rational_field,
     sqrt_cyc,
@@ -74,11 +74,6 @@ def test_compositum_of_sqrt3_and_q3_is_q12():
     assert compositum(quadratic_field(3), cyclotomic_field(3)) == cyclotomic_field(12)
 
 
-def test_intersection_example():
-    assert intersection(cyclotomic_field(12), cyclotomic_field(8)) == cyclotomic_field(4)
-    assert intersection(quadratic_field(3), quadratic_field(5)) == rational_field()
-
-
 def test_subfield_relation():
     assert quadratic_field(-1).is_subfield_of(cyclotomic_field(8))
     assert not cyclotomic_field(8).is_subfield_of(quadratic_field(-1))
@@ -106,6 +101,20 @@ def test_class_f2_membership():
     assert in_class_Fp(quadratic_field(-5), 2)
     assert in_class_Fp(quadratic_field(-1), 2)
     assert in_class_Fp(rational_field(), 2)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_cyclotomic_index_matches_compositum(p):
+    # the count of fixer elements that are 1 mod m against the degree of the
+    # compositum <Q_m, F>, and both verdicts against the subfield test
+    fields = {AbelianField(n, h) for n in range(1, 61) for h in all_subgroups(n)}
+    for f in fields:
+        a, m = conductor_parts(f, p)
+        comp = compositum(cyclotomic_field(m), f)
+        index = cyclotomic_field(f.conductor).degree // comp.degree
+        assert cyclotomic_index(f, m) == index, f
+        assert in_class_Fp(f, p) == (index % p != 0), f
+        assert (index == 1) == cyclotomic_field(p**a).is_subfield_of(comp), f
 
 
 # ---------------------------------------------------------------------------
@@ -143,13 +152,3 @@ def test_compositum_conductor_divides_lcm_on_random_pairs():
         if f1 == cyclotomic_field(f1.conductor) and f2 == cyclotomic_field(f2.conductor):
             assert comp == cyclotomic_field(big)
 
-
-def test_intersection_is_largest_common_subfield():
-    rng = random.Random(992)
-    for _ in range(60):
-        f1, f2 = _random_field(rng), _random_field(rng)
-        meet = intersection(f1, f2)
-        assert meet.is_subfield_of(f1) and meet.is_subfield_of(f2)
-        # Galois degree identity: [F1F2 : Q] [F1 meet F2 : Q] = [F1 : Q] [F2 : Q]
-        comp = compositum(f1, f2)
-        assert comp.degree * meet.degree == f1.degree * f2.degree

@@ -1,23 +1,22 @@
-"""Group constructors, conjugacy classes, power maps, subgroup machinery."""
+"""Group constructors, conjugacy classes, power maps, and the subgroup
+helpers of the tests."""
 
 import pytest
 
 from heightzero.groups import (
     GroupTooLarge,
     alternating,
-    center,
     conjugacy_classes,
     cyclic,
-    derived_subgroup,
     dihedral,
     from_permutation_generators,
     generalized_quaternion,
     semidihedral,
     semidirect_cn_h,
     sl2,
-    subgroup_elements,
     symmetric,
 )
+from subgroups import center, derived_subgroup, subgroup_elements
 
 
 def test_orders():

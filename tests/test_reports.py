@@ -250,6 +250,14 @@ def test_sigma_check_sd16_counterexample_shape():
     )
 
 
+def test_sigma1_fixed_lookup_matches_value_scan():
+    # the fixer lookup against applying sigma_1 to every value of the row
+    for spec in default_corpus():
+        t = build_table(spec)
+        for r, rep in enumerate(sigma_check(t)):
+            assert rep["sigma1_fixed"] == all(sigma_e(v, 1) == v for v in t.rows[r]), (spec, r)
+
+
 def test_sigma_check_meta_12_11():
     rows = sigma_check(build_table("meta:12:11"))
     sqrt3_rows = [r for r in rows if r["conductor"] == 12]
@@ -305,8 +313,9 @@ def test_two_step_containment_lemma():
 def test_two_rational_height_zero_restricts_two_rational():
     # at p = 2: a 2-rational height-zero row has 2-rational constituents on
     # the cyclic normal subgroup of the semidirect products
-    from heightzero.chartab import ClassFunction, decompose, restrict, subgroup_as_group
-    from heightzero.groups import conjugacy_classes, subgroup_elements
+    from heightzero.chartab import dixon_table
+    from heightzero.groups import conjugacy_classes
+    from subgroups import decompose, restrict, subgroup_as_group, subgroup_elements
 
     for spec in ("meta:12:11", "meta:20:3", "meta:16:7"):
         big = parse_group_spec(spec)
@@ -316,14 +325,12 @@ def test_two_rational_height_zero_restricts_two_rational():
         nsub = subgroup_elements(big, [big.index[(1, 1)]])
         sub, embedding = subgroup_as_group(big, nsub)
         sub_cd = conjugacy_classes(sub)
-        from heightzero.chartab import dixon_table
-
         sub_t = dixon_table(sub, sub_cd)
         bp = block_partition(t, 2)
         for r in height_zero_rows(t, 2, bp):
             if field_from_values(t.rows[r]).conductor % 2 == 1:
                 vals = restrict(t.rows[r], cd, sub_cd, embedding)
-                mults = decompose(ClassFunction(vals), sub_t)
+                mults = decompose(vals, sub_t)
                 for s, mlt in enumerate(mults):
                     if mlt:
                         assert field_from_values(sub_t.rows[s]).conductor % 2 == 1
