@@ -7,7 +7,9 @@ Two independent construction routes:
   discrete-Fourier lift of the values back to the cyclotomic field of the
   group exponent);
 * metacyclic_table: a direct Clifford-theoretic construction for C_n x| H
-  with H <= (Z/n)*, used by the realizer and as a cross-check of dixon.
+  with H <= (Z/n)*, the route for every group that carries meta_params
+  (cyclic, dihedral, semidihedral, meta and the realizer's groups); dixon
+  cross-checks it.
 
 All values are exact CycElt at modulus exponent(G); rows are sorted with the
 trivial character first, then by degree and a lexicographic value encoding,
@@ -27,7 +29,7 @@ import sympy
 from . import modular
 from .cyclotomic import CycElt, _prime_powers, _unit_group_generators, rational, zero
 from .fields import _fixer_scan
-from .groups import ClassData, conjugacy_classes, semidirect_cn_h
+from .groups import ClassData, conjugacy_classes
 
 __all__ = [
     "CharacterTable",
@@ -228,9 +230,10 @@ def dixon_table(group, cd=None):
     vals = np.zeros((c, c), dtype=np.int64)
     for r, om in enumerate(omegas):
         vals[r] = (degrees[r] * om * np.array(inv_sizes, dtype=np.int64)) % q
+    # each class's rows x o multiplicity array becomes its column of values
+    # at once, so only one array is alive at a time
     sinv = pow(s, -1, q)
-    rows = []
-    per_class_values = []
+    columns = []
     for j in range(c):
         o = cd.element_orders[j]
         so_inv = pow(sinv, e // o, q)
@@ -238,18 +241,15 @@ def dixon_table(group, cd=None):
         smat = pows[np.outer(np.arange(o), np.arange(o)) % o]
         v = vals[:, [cd.power_map[j][l] for l in range(o)]]
         mult = (modular.matmul(v, smat, q) * pow(o, -1, q)) % q  # rows x o
-        per_class_values.append((o, mult))
-    for r in range(c):
-        row = []
-        for j in range(c):
-            o, mult = per_class_values[j]
+        column = []
+        for r in range(c):
             ms = [int(m) for m in mult[r]]
             if sum(ms) != degrees[r]:
                 raise AssertionError("multiplicity lift inconsistent with degree")
-            row.append(CycElt(e, {u * (e // o): Fraction(m) for u, m in enumerate(ms) if m}))
-        rows.append(tuple(row))
+            column.append(CycElt(e, {u * (e // o): Fraction(m) for u, m in enumerate(ms) if m}))
+        columns.append(column)
 
-    rows = _sort_rows(rows)
+    rows = _sort_rows(zip(*columns))
     return CharacterTable(group.name, n, cd, rows)
 
 
@@ -341,14 +341,13 @@ def _root_exponent(e, order_mod, k):
     return (k // g) % ordr * (e // ordr)
 
 
-def metacyclic_table(n, hgens, group=None, cd=None):
-    """Character table of C_n x| H by orbits of H on Irr(C_n) and extensions
-    lambda~(c, h) = zeta_n^{j c} mu(h) induced up from the orbit stabilizer."""
-    if group is None:
-        group = semidirect_cn_h(n, hgens)
+def metacyclic_table(group, cd=None):
+    """Character table of C_n x| H, with (n, H) = group.meta_params, by orbits
+    of H on Irr(C_n) and extensions lambda~(c, h) = zeta_n^{j c} mu(h)
+    induced up from the orbit stabilizer."""
     if cd is None:
         cd = conjugacy_classes(group)
-    H = group.meta_params[1]
+    n, H = group.meta_params
     e = cd.exponent
     reps = [group.elements[i] for i in cd.class_reps]
 

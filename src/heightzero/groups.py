@@ -48,16 +48,22 @@ def _capped_product(factors, what):
 
 
 class FiniteGroup:
-    """Indexed element list + multiplication; index 0 is the identity."""
+    """Indexed element list + multiplication; index 0 is the identity.
 
-    def __init__(self, elements, mul_elems, name, gens=None):
+    gens are element values; gen_indices holds their indices without the
+    identity, or [0] for the trivial group.  meta_params is (n, H) for
+    C_n x| H, whose table chartab.metacyclic_table builds directly."""
+
+    meta_params = None
+
+    def __init__(self, elements, mul_elems, name, gens):
         self.elements = list(elements)
         self.name = name
         self._mul_elems = mul_elems
         self.index = {e: i for i, e in enumerate(self.elements)}
         if len(self.index) != len(self.elements):
             raise ValueError("duplicate elements")
-        self.gen_indices = list(gens) if gens is not None else list(range(1, len(self.elements)))
+        self.gen_indices = [self.index[g] for g in gens if self.index[g] != 0] or [0]
         self._inv = None
 
     def __len__(self):
@@ -202,11 +208,7 @@ def from_permutation_generators(gens, name=None, cap=ORDER_CAP):
                     raise GroupTooLarge(f"closure exceeds cap {cap}")
                 seen.add(nxt)
                 elements.append(nxt)
-    grp = FiniteGroup(elements, _perm_mul, name or "perm", gens=None)
-    grp.gen_indices = [grp.index[g] for g in gens if g != ident]
-    if not grp.gen_indices:
-        grp.gen_indices = [0]
-    return grp
+    return FiniteGroup(elements, _perm_mul, name or "perm", gens)
 
 
 def semidirect_cn_h(n, hgens, name=None):
@@ -216,7 +218,7 @@ def semidirect_cn_h(n, hgens, name=None):
     from .fields import subgroup_closure
 
     H = subgroup_closure(n, hgens)  # residues mod n; (0,) when n == 1
-    _capped_product((n, len(H)), f"C_{n} x| H")
+    _capped_product((n, len(H)), name or f"C_{n} x| H")
     one = 1 % n
 
     def mul(a, b):
@@ -227,14 +229,8 @@ def semidirect_cn_h(n, hgens, name=None):
         if h == one:
             continue
         elements.extend((c, h) for c in range(n))
-    grp = FiniteGroup(elements, mul, name or f"meta:{n}:{','.join(map(str, hgens))}")
-    gens = []
-    if n > 1:
-        gens.append(grp.index[(1, one)])
-    for h in H:
-        if h != one:
-            gens.append(grp.index[(0, h)])
-    grp.gen_indices = gens or [0]
+    gens = [(1 % n, one)] + [(0, h) for h in H]
+    grp = FiniteGroup(elements, mul, name or f"meta:{n}:{','.join(map(str, hgens))}", gens)
     grp.meta_params = (n, H)
     return grp
 
@@ -244,43 +240,25 @@ def cyclic(n, name=None):
 
 
 def dihedral(order, name=None):
-    """Dihedral group of the given even order 2n, n >= 1."""
+    """Dihedral group of the given even order 2n, n >= 1: C_n x| {1, -1}.
+
+    For n <= 2 the group is C_n x C_2, abelian, and -1 = 1 in Z/n, so it is
+    built from permutations instead and has no meta_params."""
     if order % 2 or order < 2:
         raise ValueError("dihedral order must be even and >= 2")
-    _capped_product((order,), f"D{order}")
     n = order // 2
-
-    def mul(a, b):
-        i, e = a
-        j, f = b
-        return ((i + (j if e == 0 else -j)) % n, e ^ f)
-
-    elements = [(0, 0)] + [(i, 0) for i in range(1, n)] + [(i, 1) for i in range(n)]
-    grp = FiniteGroup(elements, mul, name or f"dihedral:{order}")
-    grp.gen_indices = [grp.index[(1 % n, 0)], grp.index[(0, 1)]]
-    return grp
+    name = name or f"dihedral:{order}"
+    if n <= 2:
+        return from_permutation_generators([(1, 0)] + [(0, 1, 3, 2)] * (n - 1), name=name)
+    return semidirect_cn_h(n, [n - 1], name=name)
 
 
 def semidihedral(order, name=None):
-    """Semidihedral group of order 2^k, k >= 4."""
+    """Semidihedral group of order 2^k, k >= 4: C_{2^(k-1)} x| {1, 2^(k-2) - 1}."""
     k = order.bit_length() - 1
     if order != 1 << k or k < 4:
         raise ValueError("semidihedral order must be 2^k with k >= 4")
-    _capped_product((order,), f"SD{order}")
-    m = order // 2
-    t = m // 2 - 1  # r s r = s^t with t = 2^(k-2) - 1
-
-    def mul(a, b):
-        i, e = a
-        j, f = b
-        return ((i + (j if e == 0 else t * j)) % m, e ^ f)
-
-    elements = [(i, e) for e in (0, 1) for i in range(m)]
-    elements.remove((0, 0))
-    elements.insert(0, (0, 0))
-    grp = FiniteGroup(elements, mul, name or f"semidihedral:{order}")
-    grp.gen_indices = [grp.index[(1, 0)], grp.index[(0, 1)]]
-    return grp
+    return semidirect_cn_h(order // 2, [order // 4 - 1], name=name or f"semidihedral:{order}")
 
 
 def generalized_quaternion(order, name=None):
@@ -300,9 +278,7 @@ def generalized_quaternion(order, name=None):
     elements = [(i, e) for e in (0, 1) for i in range(m)]
     elements.remove((0, 0))
     elements.insert(0, (0, 0))
-    grp = FiniteGroup(elements, mul, name or f"quaternion:{order}")
-    grp.gen_indices = [grp.index[(1, 0)], grp.index[(0, 1)]]
-    return grp
+    return FiniteGroup(elements, mul, name or f"quaternion:{order}", [(1, 0), (0, 1)])
 
 
 def symmetric(n, name=None):

@@ -149,19 +149,18 @@ def parse_field_spec(spec):
 def build_table(group, method="auto"):
     """Character table of a group (or spec string).
 
-    method 'direct' uses the closed-form metacyclic construction (only for
-    meta/cyclic/dihedral-style semidirect groups), 'dixon' the modular
-    algorithm, 'auto' the direct route whenever available.
+    method 'direct' uses the closed-form metacyclic construction, for the
+    groups built as C_n x| H (cyclic:N, dihedral:N with N >= 6,
+    semidihedral:N and meta:...); 'dixon' the modular algorithm; 'auto' the
+    direct route whenever available.
     """
     if isinstance(group, str):
         group = parse_group_spec(group)
     cd = conjugacy_classes(group)
-    meta = getattr(group, "meta_params", None)
-    if method == "direct" or (method == "auto" and meta is not None):
-        if meta is None:
+    if method == "direct" or (method == "auto" and group.meta_params is not None):
+        if group.meta_params is None:
             raise ValueError(f"no direct construction for group {group.name}")
-        n, H = meta
-        return metacyclic_table(n, list(H), group=group, cd=cd)
+        return metacyclic_table(group, cd)
     if method in ("dixon", "auto"):
         return dixon_table(group, cd)
     raise ValueError(f"unknown method {method!r}")
@@ -328,10 +327,10 @@ def realize_field(field, p, cross_check_dixon=False):
     n = field.conductor
     H = list(field.fixer) if n > 1 else []
     group = semidirect_cn_h(n, H)
-    n_, Hfull = group.meta_params
+    Hfull = group.meta_params[1]
     spec = f"meta:{n}:{','.join(map(str, Hfull))}" if n > 1 else "cyclic:1"
     cd = conjugacy_classes(group)
-    table = metacyclic_table(n, H, group=group, cd=cd)
+    table = metacyclic_table(group, cd)
 
     # induce the faithful linear character c |-> zeta_n^c of C_n <= G
     sub_indices = [group.index[(c, 1 % n)] for c in range(n)]

@@ -54,7 +54,8 @@ def subgroup_as_group(group, sub_indices, name=None):
     idxs.remove(0)
     idxs.insert(0, 0)
     elements = [group.elements[i] for i in idxs]
-    sub = FiniteGroup(elements, group._mul_elems, name or f"{group.name}|sub{len(idxs)}")
+    sub = FiniteGroup(elements, group._mul_elems, name or f"{group.name}|sub{len(idxs)}",
+                      elements[1:])
     return sub, list(idxs)
 
 

@@ -144,14 +144,34 @@ def test_a5_degree3_rows_have_conductor_5():
 def test_direct_route_matches_dixon(n, hgens):
     g = semidirect_cn_h(n, hgens)
     cd = conjugacy_classes(g)
-    tm = metacyclic_table(n, hgens, group=g, cd=cd)
+    tm = metacyclic_table(g, cd)
     td = dixon_table(g, cd)
     assert tm.rows == td.rows  # identical ordered lists, not just row sets
     tm.check_orthogonality()
 
 
+def _dihedral_and_semidihedral_corpus_specs():
+    from heightzero.reports import default_corpus
+
+    return [
+        spec for spec in default_corpus()
+        if spec.startswith("semidihedral:")
+        or (spec.startswith("dihedral:") and int(spec.split(":")[1]) >= 6)
+    ]
+
+
+@pytest.mark.parametrize("spec", _dihedral_and_semidihedral_corpus_specs())
+def test_direct_route_matches_dixon_on_spec(spec):
+    # the same cross-check through build_table, on the corpus groups that are
+    # built as C_n x| H without being named meta:
+    from heightzero.reports import build_table
+
+    direct = table_to_json(build_table(spec, "direct"))
+    assert direct == table_to_json(build_table(spec, "dixon"))
+
+
 def test_cyclic_table_is_fourier_matrix():
-    t = metacyclic_table(5, [])
+    t = metacyclic_table(cyclic(5))
     # every row is determined by a k with row value zeta_5^k at a generator,
     # and all five k occur
     pm = t.classes.power_map[1]  # powers of a generator, as class indices

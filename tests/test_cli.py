@@ -28,9 +28,10 @@ def test_table_json(capsys):
 def test_table_method_flag(tmp_path, capsys):
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"
-    assert main(["table", "--group", "meta:12:11", "--method", "dixon", "--out", str(p1)]) == 0
-    assert main(["table", "--group", "meta:12:11", "--method", "direct", "--out", str(p2)]) == 0
-    assert p1.read_bytes() == p2.read_bytes()
+    for group in ("meta:12:11", "dihedral:8"):
+        assert main(["table", "--group", group, "--method", "dixon", "--out", str(p1)]) == 0
+        assert main(["table", "--group", group, "--method", "direct", "--out", str(p2)]) == 0
+        assert p1.read_bytes() == p2.read_bytes(), group
 
 
 def test_blocks_report(capsys):

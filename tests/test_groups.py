@@ -100,13 +100,25 @@ def test_quaternion_has_unique_involution():
     assert len(invs) == 1
 
 
+def test_small_dihedral_groups_are_elementary_abelian():
+    # D2 = C2 and D4 = C2 x C2 have no C_n x| {1, -1} form with -1 != 1
+    for order in (2, 4):
+        g = dihedral(order)
+        cd = conjugacy_classes(g)
+        assert g.order == order
+        assert g.meta_params is None
+        assert cd.exponent == 2
+        assert cd.class_sizes == [1] * order
+
+
 def test_semidihedral_relation():
     # r s r^-1 = s^(2^(k-2) - 1) for order 2^k
+    # SD32 = C_16 x| {1, 7}: s = (1, 1), r = (0, 7)
     g = semidihedral(32)
-    s = g.index[(1, 0)]
-    r = g.index[(0, 1)]
+    s = g.index[(1, 1)]
+    r = g.index[(0, 7)]
     conj = g.mul(g.mul(r, s), g.inv(r))
-    assert g.elements[conj] == (7, 0)
+    assert g.elements[conj] == (7, 1)
 
 
 def test_sl2_center():
