@@ -45,19 +45,18 @@ __all__ = [
 class CharacterTable:
     """Irr(G) as rows of exact cyclotomic values over the classes."""
 
-    def __init__(self, name, order, classes, rows, validate=True):
+    def __init__(self, name, order, classes, rows):
         self.name = name
         self.order = order
         self.classes = classes
         self.rows = [tuple(r) for r in rows]
         self.degrees = [int(r[0].to_rational()) for r in self.rows]
-        if validate:
-            if len(self.rows) != classes.num_classes:
-                raise ValueError("row count != class count")
-            if sum(d * d for d in self.degrees) != order:
-                raise ValueError("sum of squared degrees != group order")
-            if any(v != rational(1, v.n) for v in self.rows[0]):
-                raise ValueError("row 0 is not the trivial character")
+        if len(self.rows) != classes.num_classes:
+            raise ValueError("row count != class count")
+        if sum(d * d for d in self.degrees) != order:
+            raise ValueError("sum of squared degrees != group order")
+        if any(v != rational(1, v.n) for v in self.rows[0]):
+            raise ValueError("row 0 is not the trivial character")
 
     @property
     def num_classes(self):
@@ -401,23 +400,20 @@ def metacyclic_table(group, cd=None):
 # induction
 
 
-def induce_linear(group, cd, sub_indices, lam):
-    """Induce the linear character lam (dict: subgroup index -> CycElt) to G;
-    the values on the classes, as a tuple."""
-    sub = set(sub_indices)
-    inv = [group.inv(x) for x in range(group.order)]
-    e = cd.exponent
+def induce_linear(cd, lam):
+    """Induce the linear character lam (dict: element index -> CycElt) of the
+    subgroup S = lam's keys to G; the values on the classes, as a tuple.
+
+    Ind(lam)(z) = |C_G(z)|/|S| * sum of lam(y) over y in K_z and S, read off
+    the class members."""
+    order = sum(cd.class_sizes)
     values = []
-    for z in cd.class_reps:
-        counts = {}
-        for x in range(group.order):
-            y = group.mul(group.mul(x, z), inv[x])
-            if y in sub:
-                counts[y] = counts.get(y, 0) + 1
-        acc = zero(e)
-        for y, cnt in counts.items():
-            acc = acc + lam[y].scalar_mul(cnt)
-        values.append(acc.scalar_mul(Fraction(1, len(sub))))
+    for size, members in zip(cd.class_sizes, cd.members):
+        acc = zero(cd.exponent)
+        for y in members:
+            if y in lam:
+                acc = acc + lam[y]
+        values.append(acc.scalar_mul(Fraction(order // size, len(lam))))
     return tuple(values)
 
 
@@ -521,11 +517,11 @@ def _check_ingest(order, cd, rows):
                 raise ValueError(f"power map under power {g} is not compatible with the values")
 
 
-def table_from_json(obj, check_orthogonality=True):
+def table_from_json(obj):
     """Ingest an externally produced table JSON (the table_to_json format).
 
-    Malformed input, a power map that is not one of a finite group and (by
-    default) a table failing orthogonality raise ValueError."""
+    Malformed input, a power map that is not one of a finite group and a
+    table failing orthogonality raise ValueError."""
     try:
         e = _int(obj["exponent"], "exponent")
         if e < 1:
@@ -544,6 +540,5 @@ def table_from_json(obj, check_orthogonality=True):
     cd = ClassData(sizes, orders, pmap, e)
     _check_ingest(order, cd, rows)
     table = CharacterTable(name, order, cd, rows)
-    if check_orthogonality:
-        table.check_orthogonality()
+    table.check_orthogonality()
     return table

@@ -186,29 +186,31 @@ def _perm_mul(p, q):
     return tuple(p[i] for i in q)
 
 
-def from_permutation_generators(gens, name=None, cap=ORDER_CAP):
-    """BFS closure of permutation generators; deterministic element order."""
+def _closure(gens, mul, identity, name):
+    """BFS closure of gens under mul, from the identity; deterministic element
+    order, GroupTooLarge past ORDER_CAP."""
+    elements = [identity]
+    seen = {identity}
+    for cur in elements:
+        for g in gens:
+            nxt = mul(cur, g)
+            if nxt not in seen:
+                if len(elements) >= ORDER_CAP:
+                    raise GroupTooLarge(f"{name} has order above the cap {ORDER_CAP}")
+                seen.add(nxt)
+                elements.append(nxt)
+    return FiniteGroup(elements, mul, name, gens)
+
+
+def from_permutation_generators(gens, name=None):
+    """The group generated by permutations of range(degree), as a closure."""
     gens = [tuple(g) for g in gens]
     deg = max((len(g) for g in gens), default=1)
     gens = [g + tuple(range(len(g), deg)) for g in gens]
     for g in gens:
         if sorted(g) != list(range(deg)):
             raise ValueError(f"not a permutation: {g}")
-    ident = tuple(range(deg))
-    elements = [ident]
-    seen = {ident}
-    head = 0
-    while head < len(elements):
-        cur = elements[head]
-        head += 1
-        for g in gens:
-            nxt = _perm_mul(cur, g)
-            if nxt not in seen:
-                if len(elements) >= cap:
-                    raise GroupTooLarge(f"closure exceeds cap {cap}")
-                seen.add(nxt)
-                elements.append(nxt)
-    return FiniteGroup(elements, _perm_mul, name or "perm", gens)
+    return _closure(gens, _perm_mul, tuple(range(deg)), name or "perm")
 
 
 def semidirect_cn_h(n, hgens, name=None):
@@ -217,8 +219,10 @@ def semidirect_cn_h(n, hgens, name=None):
         raise ValueError("n must be positive")
     from .fields import subgroup_closure
 
+    what = name or f"C_{n} x| H"
+    _capped_product((n,), what)  # |G| >= n, checked before H is closed
     H = subgroup_closure(n, hgens)  # residues mod n; (0,) when n == 1
-    _capped_product((n, len(H)), name or f"C_{n} x| H")
+    _capped_product((n, len(H)), what)
     one = 1 % n
 
     def mul(a, b):
@@ -309,18 +313,16 @@ def alternating(n, name=None):
 
 
 def sl2(q, name=None):
-    """SL(2, q) for a prime q, acting on the q^2 - 1 nonzero vectors of F_q^2."""
+    """SL(2, q) for a prime q: matrices (a, b, c, d) = [[a, b], [c, d]] mod q."""
     if q < 2:
         raise ValueError(f"sl2(q) needs a prime q, got {q}")
     _capped_product((q, q - 1, q + 1), f"SL(2, {q})")
     if _prime_powers(q) != ((q, q),):
         raise ValueError(f"sl2(q) needs a prime q, got {q}")
-    vecs = [(a, b) for a in range(q) for b in range(q) if (a, b) != (0, 0)]
-    vidx = {v: i for i, v in enumerate(vecs)}
 
-    def mat_perm(m):
-        a, b, c, d = m
-        return tuple(vidx[((a * x + b * y) % q, (c * x + d * y) % q)] for x, y in vecs)
+    def mul(x, y):
+        a, b, c, d = x
+        e, f, g, h = y
+        return ((a * e + b * g) % q, (a * f + b * h) % q, (c * e + d * g) % q, (c * f + d * h) % q)
 
-    gens = [mat_perm((1, 1, 0, 1)), mat_perm((0, q - 1, 1, 0))]
-    return from_permutation_generators(gens, name=name or f"sl2:{q}")
+    return _closure([(1, 1, 0, 1), (0, q - 1, 1, 0)], mul, (1, 0, 0, 1), name or f"sl2:{q}")

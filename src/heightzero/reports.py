@@ -333,9 +333,8 @@ def realize_field(field, p, cross_check_dixon=False):
     table = metacyclic_table(group, cd)
 
     # induce the faithful linear character c |-> zeta_n^c of C_n <= G
-    sub_indices = [group.index[(c, 1 % n)] for c in range(n)]
     lam = {group.index[(c, 1 % n)]: root_of_unity(n, c) for c in range(n)}
-    induced = induce_linear(group, cd, sub_indices, lam)
+    induced = induce_linear(cd, lam)
     # H acts faithfully on the characters of C_n, so the induced character is
     # irreducible and must literally be a table row
     try:

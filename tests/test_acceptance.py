@@ -186,7 +186,7 @@ def test_criterion_7_property_suites():
             if k % eprime == 1 % eprime:
                 from heightzero.chartab import CharacterTable
 
-                mapped = CharacterTable(t.name, t.order, t.classes, rows_k, validate=False)
+                mapped = CharacterTable(t.name, t.order, t.classes, rows_k)
                 perm = [t.rows.index(r) for r in mapped.rows]
                 moved = sorted(
                     tuple(sorted(perm[r] for r in b.rows))

@@ -165,16 +165,18 @@ def test_s3_degree2_central_values():
 
 
 def test_corrupt_table_detected_by_integrality():
-    import json
-    from heightzero.chartab import table_from_json, table_to_json
+    from fractions import Fraction
+
+    from heightzero.chartab import CharacterTable
+    from heightzero.cyclotomic import rational
 
     t = dixon_table(symmetric(3))
-    obj = json.loads(json.dumps(table_to_json(t)))
     # make the degree-2 row fail the central-character integrality check while
     # keeping row 0 trivial: swap a value on the 3-cycle class
-    obj["irr"][2][2] = {"n": 1, "terms": [[0, "1/3"]]}
-    with pytest.raises(ValueError):
-        tampered = table_from_json(obj, check_orthogonality=False)
+    rows = [list(r) for r in t.rows]
+    rows[2][2] = rational(Fraction(1, 3))
+    tampered = CharacterTable(t.name, t.order, t.classes, rows)
+    with pytest.raises(ValueError, match="not an algebraic integer"):
         block_partition(tampered, 3)
 
 
@@ -257,7 +259,7 @@ def test_partition_galois_stable():
     for k in range(1, e):
         if gcd(k, e) == 1 and k % eprime == 1 % eprime:
             rows = [tuple(v.embed(e).galois(k) for v in row) for row in t.rows]
-            mapped = CharacterTable(t.name, t.order, t.classes, rows, validate=False)
+            mapped = CharacterTable(t.name, t.order, t.classes, rows)
             perm = [t.rows.index(r) for r in mapped.rows]
             base = [sorted(b.rows) for b in block_partition(t, p)]
             moved = [sorted(perm[r] for r in b.rows) for b in block_partition(mapped, p)]

@@ -225,7 +225,7 @@ def test_induce_linear_from_a4_to_s4():
     a4 = derived_subgroup(g)
     assert len(a4) == 12
     lam = {i: rational(1) for i in a4}
-    ind = induce_linear(g, cd, a4, lam)
+    ind = induce_linear(cd, lam)
     mults = decompose(ind, t)
     # 1_{A4}^{S4} = trivial + sign
     assert sum(mults) == 2
@@ -339,7 +339,7 @@ def test_ingest_validates_class_data(group, mutate, match):
     obj = json.loads(json.dumps(table_to_json(_table(group))))
     mutate(obj)
     with pytest.raises(ValueError, match=match):
-        table_from_json(obj, check_orthogonality=False)
+        table_from_json(obj)
 
 
 # ---------------------------------------------------------------------------

@@ -123,7 +123,7 @@ def test_blocks_on_groups_past_the_old_limits(spec, capsys):
     dixon_table(parse_group_spec(spec)).check_orthogonality()
 
 
-@pytest.mark.parametrize("spec", ["sl2:4", "sl2:1", "sym:8"])
+@pytest.mark.parametrize("spec", ["sl2:4", "sl2:1", "sym:8", "meta:1000000007:2"])
 def test_blocks_rejects_bad_or_oversized_groups(spec, capsys):
     code, _, err = run(["blocks", "--group", spec, "--p", "2"], capsys)
     assert code == 1

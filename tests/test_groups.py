@@ -38,8 +38,9 @@ def test_alternating_is_even_permutations_only():
 
 
 def test_order_cap_enforced():
+    # S10 has no order formula to check first: its closure stops at the cap
     with pytest.raises(GroupTooLarge):
-        from_permutation_generators([tuple(range(1, 10)) + (0,), (1, 0) + tuple(range(2, 10))], cap=1000)
+        from_permutation_generators([tuple(range(1, 10)) + (0,), (1, 0) + tuple(range(2, 10))])
     # S8, A8 and SL(2, 29) are the first of their families past the cap of 20000
     for build, arg in ((symmetric, 8), (alternating, 8), (sl2, 29), (dihedral, 20002)):
         with pytest.raises(GroupTooLarge):
@@ -119,6 +120,34 @@ def test_semidihedral_relation():
     r = g.index[(0, 7)]
     conj = g.mul(g.mul(r, s), g.inv(r))
     assert g.elements[conj] == (7, 1)
+
+
+def _sl2_on_vectors(q):
+    """SL(2, q) as permutations of the q^2 - 1 nonzero vectors of F_q^2, from
+    the same two generators; m -> (v -> m v) is a faithful homomorphism."""
+    vecs = [(a, b) for a in range(q) for b in range(q) if (a, b) != (0, 0)]
+    vidx = {v: i for i, v in enumerate(vecs)}
+
+    def act(m):
+        a, b, c, d = m
+        return tuple(vidx[((a * x + b * y) % q, (c * x + d * y) % q)] for x, y in vecs)
+
+    return act, from_permutation_generators([act((1, 1, 0, 1)), act((0, q - 1, 1, 0))])
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 13])
+def test_sl2_matrices_match_the_permutation_build(q):
+    g = sl2(q)
+    act, ref = _sl2_on_vectors(q)
+    assert g.order == ref.order == q * (q * q - 1)
+    assert [act(m) for m in g.elements] == ref.elements
+    assert g.gen_indices == ref.gen_indices
+    assert all((a * d - b * c) % q == 1 for a, b, c, d in g.elements)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7, 11, 13])
+def test_sl2_class_count(q):
+    assert conjugacy_classes(sl2(q)).num_classes == (3 if q == 2 else q + 4)
 
 
 def test_sl2_center():
