@@ -27,7 +27,7 @@ import numpy as np
 import sympy
 
 from . import modular
-from .cyclotomic import CycElt, _prime_powers, _unit_group_generators, rational, zero
+from .cyclotomic import CycElt, _prime_powers, rational, zero
 from .fields import _fixer_scan
 from .groups import ClassData, conjugacy_classes
 
@@ -442,6 +442,8 @@ def cyc_from_json(obj, e):
         j = _int(j, "basis exponent")
         if j not in basis:
             raise ValueError(f"exponent {j} is not a basis exponent at modulus {n}")
+        if j in terms:
+            raise ValueError(f"basis exponent {j} repeats at modulus {n}")
         num, den = frac.split("/")
         terms[j] = Fraction(int(num), int(den))
     return CycElt(n, terms, reduced=True)
@@ -504,7 +506,7 @@ def _check_ingest(order, cd, rows):
         o = orders[j]
         if any(orders[c] != o // gcd(o, a) for a, c in enumerate(pm[j])):
             raise ValueError(f"power map of class {j} disagrees with the element orders")
-    gens = _unit_group_generators(e)
+    gens = [g for g, _ in _unit_group_decomposition(e)]
     for g in gens:
         for j in range(k):
             if any(pm[pm[j][g]][b] != pm[j][g * b % e] for b in range(e)):
@@ -533,6 +535,8 @@ def table_from_json(obj):
         order = _int(obj["order"], "order")
         rows = [[cyc_from_json(v, e) for v in row] for row in obj["irr"]]
         name = obj.get("name", "ingest")
+        if type(name) is not str:
+            raise ValueError(f"name must be a string, got {name!r}")
     except KeyError as exc:
         raise ValueError(f"table JSON lacks the required key {exc}") from None
     except (TypeError, AttributeError, ZeroDivisionError) as exc:

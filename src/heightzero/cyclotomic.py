@@ -246,24 +246,18 @@ class CycElt:
 
     # -- rationality -------------------------------------------------------
 
-    def is_rational(self):
-        if not self.terms:
-            return True
-        for k in _unit_group_generators(self.n):
-            if self.galois(k) != self:
-                return False
-        return True
-
     def to_rational(self):
+        """The rational r with self = r.  The basis representation is unique,
+        so self is rational exactly when it equals r * (canonical form of 1
+        at this modulus), with r read off one basis coefficient of 1."""
         if not self.terms:
             return Fraction(0)
-        if not self.is_rational():
-            raise ValueError("element is not rational")
-        # a rational r is r * (canonical form of 1 at this modulus); uniqueness
-        # of coordinates lets us read r off a single shared basis coefficient
         one = _one_at(self.n)
         j, c = next(iter(one.terms.items()))
-        return Fraction(self.terms.get(j, 0)) / c
+        r = Fraction(self.terms.get(j, 0)) / c
+        if self.terms != {i: r * d for i, d in one.terms.items()}:
+            raise ValueError("element is not rational")
+        return r
 
     # -- dunder glue -------------------------------------------------------
 
@@ -325,42 +319,11 @@ def _one_at(n):
 
 
 @lru_cache(maxsize=None)
-def _unit_group_generators(n):
-    """A small generating set of (Z/n)*."""
-    if n <= 2:
-        return (1 % max(n, 1),)
-    gens = []
-    have = {1}
-    for k in range(2, n):
-        if gcd(k, n) != 1 or k in have:
-            continue
-        gens.append(k)
-        # close up
-        frontier = [k]
-        while frontier:
-            a = frontier.pop()
-            for b in list(have):
-                c = (a * b) % n
-                if c not in have:
-                    have.add(c)
-                    frontier.append(c)
-        if len(have) == _euler_phi(n):
-            break
-    return tuple(gens) if gens else (1,)
-
-
-@lru_cache(maxsize=None)
 def _euler_phi(n):
     out = n
     for p, _ in _prime_powers(n):
         out -= out // p
     return out
-
-
-@lru_cache(maxsize=None)
-def _divisors(n):
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return tuple(out)
 
 
 def sigma_unit(n, e):
@@ -385,23 +348,28 @@ def _crt(a1, m1, a2, m2):
     return (a1 + m1 * ((a2 - a1) * inv % m2)) % (m1 * m2)
 
 
-def _fixed_by_kernel(x, m):
-    """True iff galois(x, k) == x for all k = 1 mod m coprime to x.n."""
-    n = x.n
-    for k in range(1, n):
-        if k % m == 1 % m and gcd(k, n) == 1:
-            if x.galois(k) != x:
-                return False
-    return True
+def _conductor(n, fixes):
+    """Least m | n whose kernel {k in (Z/n)* : k = 1 mod m} lies in the
+    subgroup {k : fixes(k)} of (Z/n)*.
+
+    The kernel of gcd(a, b) is the product of the kernels of a and b, so the
+    admissible m are closed under gcd and the least one divides all others;
+    dividing out one prime at a time while the kernel stays inside reaches it."""
+    m = n
+    while True:
+        for p, _ in _prime_powers(m):
+            d = m // p
+            if all(fixes(k) for k in range(1, n, d) if gcd(k, n) == 1):
+                m = d
+                break
+        else:
+            return m
 
 
 def conductor_of_element(x):
     """Smallest m | n with x in Q(zeta_m), plus x rewritten at modulus m."""
-    n = x.n
-    for m in _divisors(n):
-        if _fixed_by_kernel(x, m):
-            return m, _descend(x, m)
-    raise AssertionError("unreachable: x is fixed by the trivial kernel at m=n")
+    m = _conductor(x.n, lambda k: x.galois(k) == x)
+    return m, _descend(x, m)
 
 
 def _descend(x, m):

@@ -14,7 +14,7 @@ from math import gcd, lcm
 
 from .cyclotomic import (
     CycElt,
-    _divisors,
+    _conductor,
     _euler_phi,
     _prime_powers,
     rational,
@@ -22,7 +22,6 @@ from .cyclotomic import (
 )
 
 __all__ = [
-    "ResidueSubgroup",
     "AbelianField",
     "cyclotomic_field",
     "rational_field",
@@ -44,95 +43,42 @@ def _units(n):
 
 
 def subgroup_closure(n, gens):
-    """Subgroup of (Z/n)* generated by gens, as a sorted tuple."""
+    """Subgroup of (Z/n)* generated by gens, as a frozenset of residues mod n
+    ({0} when n = 1)."""
     if n == 1:
-        return (0,)
+        return frozenset((0,))
     gens = [g % n for g in gens]
     for g in gens:
         if gcd(g, n) != 1:
             raise ValueError(f"{g} is not coprime to {n}")
     have = {1}
     for g in gens:
+        if g in have:
+            continue
         # <have, g> is the union of the cosets have * g^i (the group is abelian)
         grown, x = set(have), g
         while x not in have:
             grown.update(h * x % n for h in have)
             x = x * g % n
         have = grown
-    return tuple(sorted(have))
-
-
-class ResidueSubgroup:
-    """A subgroup of (Z/n)* given by its full element set."""
-
-    __slots__ = ("n", "elements")
-
-    def __init__(self, n, elements):
-        elements = tuple(sorted(set(e % n for e in elements))) if n > 1 else (0,)
-        if n > 1:
-            if not elements or 1 not in elements:
-                raise ValueError("subgroup must contain 1")
-            for a in elements:
-                if gcd(a, n) != 1:
-                    raise ValueError(f"{a} not coprime to {n}")
-                for b in elements:
-                    if (a * b) % n not in elements:
-                        raise ValueError("set not closed under multiplication")
-            if _euler_phi(n) % len(elements):
-                raise ValueError("order does not divide phi(n)")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "elements", elements)
-
-    def __setattr__(self, *a):
-        raise AttributeError("ResidueSubgroup is immutable")
-
-    def __contains__(self, k):
-        return (k % self.n if self.n > 1 else 0) in self.elements
-
-    def __len__(self):
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ResidueSubgroup)
-            and self.n == other.n
-            and self.elements == other.elements
-        )
-
-    def __hash__(self):
-        return hash((self.n, self.elements))
-
-    def __repr__(self):
-        return f"ResidueSubgroup({self.n}, {list(self.elements)})"
-
-
-def _kernel_contained(n, m, fixer_set):
-    """True iff ker((Z/n)* -> (Z/m)*) is inside fixer_set."""
-    return all(k in fixer_set for k in range(1, n) if k % m == 1 % m and gcd(k, n) == 1)
+    return frozenset(have)
 
 
 class AbelianField:
-    """Fixed field of `fixer` inside Q(zeta_n), stored with n = conductor."""
+    """Fixed field of `fixer` inside Q(zeta_n), stored with n = conductor;
+    `fixer` is the subgroup as a frozenset of residues mod n."""
 
     __slots__ = ("n", "fixer")
 
     def __init__(self, n, fixer_elements):
         if n < 1:
             raise ValueError("n must be >= 1")
-        fixer = set(subgroup_closure(n, fixer_elements)) if n > 1 else {0}
-        # conductor-normalize: descend to the smallest admissible divisor
-        for m in _divisors(n):
-            if m == n:
-                break
-            if _kernel_contained(n, m, fixer):
-                fixer = {k % m for k in fixer}
-                n = m
-                break
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "fixer", ResidueSubgroup(n, fixer))
+        fixer = subgroup_closure(n, fixer_elements)
+        m = _conductor(n, fixer.__contains__)
+        if m < n:
+            fixer = frozenset(k % m for k in fixer)
+        object.__setattr__(self, "n", m)
+        object.__setattr__(self, "fixer", fixer)
 
     def __setattr__(self, *a):
         raise AttributeError("AbelianField is immutable")
@@ -149,9 +95,7 @@ class AbelianField:
         """Fixer elements lifted to (Z/big_n)* (n must divide big_n)."""
         if big_n % self.n:
             raise ValueError("modulus mismatch")
-        if big_n == 1:
-            return {0}
-        return {k for k in _units(big_n) if k % self.n in self.fixer or self.n == 1}
+        return {k for k in _units(big_n) if k % self.n in self.fixer}
 
     def is_subfield_of(self, other):
         big = lcm(self.n, other.n)
@@ -168,12 +112,12 @@ class AbelianField:
         return hash((self.n, self.fixer))
 
     def __repr__(self):
-        return f"AbelianField(n={self.n}, fixer={list(self.fixer.elements)})"
+        return f"AbelianField(n={self.n}, fixer={sorted(self.fixer)})"
 
     def to_json(self):
         return {
             "conductor": self.n,
-            "fixer": list(self.fixer.elements) if self.n > 1 else [1],
+            "fixer": sorted(self.fixer) if self.n > 1 else [1],
             "degree": self.degree,
         }
 
@@ -215,7 +159,7 @@ def _fixer_scan(n, fixes):
         if k in fixer:
             continue
         if fixes(k):
-            fixer = set(subgroup_closure(n, list(fixer) + [k]))
+            fixer = subgroup_closure(n, [*fixer, k])
     return AbelianField(n, fixer)
 
 
@@ -302,15 +246,15 @@ def quadratic_field(d):
 
 def all_subgroups(n):
     """Every subgroup of (Z/n)*, as sorted tuples, deterministically ordered."""
-    if n <= 2:
-        return [subgroup_closure(n, [])]
-    seen = {subgroup_closure(n, [])}
-    frontier = [subgroup_closure(n, [])]
+    trivial = subgroup_closure(n, [])
+    seen = {trivial}
+    frontier = [trivial]
     while frontier:
         s = frontier.pop()
         for g in _units(n):
-            t = subgroup_closure(n, list(s) + [g])
-            if t not in seen:
-                seen.add(t)
-                frontier.append(t)
-    return sorted(seen, key=lambda s: (len(s), s))
+            if g not in s:
+                t = subgroup_closure(n, [*s, g])
+                if t not in seen:
+                    seen.add(t)
+                    frontier.append(t)
+    return sorted((tuple(sorted(s)) for s in seen), key=lambda s: (len(s), s))

@@ -221,7 +221,7 @@ def semidirect_cn_h(n, hgens, name=None):
 
     what = name or f"C_{n} x| H"
     _capped_product((n,), what)  # |G| >= n, checked before H is closed
-    H = subgroup_closure(n, hgens)  # residues mod n; (0,) when n == 1
+    H = tuple(sorted(subgroup_closure(n, hgens)))  # residues mod n; (0,) when n == 1
     _capped_product((n, len(H)), what)
     one = 1 % n
 

@@ -30,6 +30,7 @@ from .fields import (
     quadratic_field,
 )
 from .groups import (
+    ORDER_CAP,
     alternating,
     conjugacy_classes,
     cyclic,
@@ -129,21 +130,32 @@ def parse_group_spec(spec):
 
 
 def parse_field_spec(spec):
-    """Build the field named by 'cyclo:n', 'quad:d', or 'fix:n:k1,k2,...'."""
+    """Build the field named by 'cyclo:n', 'quad:d', or 'fix:n:k1,k2,...'.
+
+    |n| and |d| are at most ORDER_CAP, checked before any closure or
+    factorization."""
     parts = spec.strip().split(":")
     kind = parts[0]
     try:
         if kind == "cyclo" and len(parts) == 2:
-            return cyclotomic_field(int(parts[1]))
+            return cyclotomic_field(_capped(parts[1], "n"))
         if kind == "quad" and len(parts) == 2:
-            return quadratic_field(int(parts[1]))
+            return quadratic_field(_capped(parts[1], "d"))
         if kind == "fix" and len(parts) == 3:
-            n = int(parts[1])
+            n = _capped(parts[1], "n")
             gens = [int(t) for t in parts[2].split(",") if t]
             return AbelianField(n, gens)
     except ValueError as exc:
         raise ValueError(f"bad field spec {spec!r}: {exc}") from None
     raise ValueError(f"unrecognized field spec {spec!r}")
+
+
+def _capped(text, what):
+    """int(text), refused when its absolute value is above ORDER_CAP."""
+    v = int(text)
+    if abs(v) > ORDER_CAP:
+        raise ValueError(f"|{what}| = {abs(v)} is above the cap {ORDER_CAP}")
+    return v
 
 
 def build_table(group, method="auto"):
@@ -325,7 +337,7 @@ def realize_field(field, p, cross_check_dixon=False):
     if not in_class_Fp(field, p):
         raise ValueError("field fails the conductor-class precondition at p")
     n = field.conductor
-    H = list(field.fixer) if n > 1 else []
+    H = sorted(field.fixer) if n > 1 else []
     group = semidirect_cn_h(n, H)
     Hfull = group.meta_params[1]
     spec = f"meta:{n}:{','.join(map(str, Hfull))}" if n > 1 else "cyclic:1"

@@ -318,6 +318,15 @@ def _non_basis_exponent(obj):
     obj["irr"][1][1] = {"n": 6, "terms": [[1, "1/1"]]}
 
 
+def _repeated_exponent(obj):
+    # 1 at modulus 6 is -z^2 - z^4; a repeated z^2 term used to be dropped
+    obj["irr"][0][1] = {"n": 6, "terms": [[2, "-1/1"], [2, "-1/1"], [4, "-1/1"]]}
+
+
+def _name_not_a_string(obj):
+    obj["name"] = [1, 2]
+
+
 @pytest.mark.parametrize(
     "group,mutate,match",
     [
@@ -333,6 +342,8 @@ def _non_basis_exponent(obj):
         (symmetric(3), _value_outside_exponent, "does not divide the exponent 6"),
         (symmetric(3), _short_row, "2 values for 3 classes"),
         (symmetric(3), _non_basis_exponent, "not a basis exponent"),
+        (symmetric(3), _repeated_exponent, "basis exponent 2 repeats"),
+        (symmetric(3), _name_not_a_string, "name must be a string"),
     ],
 )
 def test_ingest_validates_class_data(group, mutate, match):

@@ -3,11 +3,16 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import heightzero
 from heightzero.cli import main
 
 
@@ -101,6 +106,27 @@ def test_realize_invalid_field_errors(capsys):
         code, _, err = run(["realize", "--field", field, "--p", "2"], capsys)
         assert code == 1
         assert "error:" in err
+
+
+def _run_cli_process(argv, timeout):
+    """The CLI in a child process, killed (and the test failed) past timeout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(heightzero.__file__).resolve().parent.parent))
+    code = "import sys; from heightzero.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=timeout
+    )
+
+
+# the first three moduli are above the cap; fix:4001:9 is inside it, but
+# |<9> mod 4001| = 2000, so its realizer C_4001 x| H is above the order cap
+@pytest.mark.parametrize(
+    "field",
+    ["cyclo:1000000000000", "fix:1000000007:2", "quad:1000000000000000003", "fix:4001:9"],
+)
+def test_realize_fails_fast_above_the_cap(field):
+    proc = _run_cli_process(["realize", "--field", field, "--p", "2"], timeout=10)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "above the cap 20000" in proc.stderr
 
 
 def test_blocks_at_a_large_prime(capsys):

@@ -226,6 +226,21 @@ def test_galois_is_ring_homomorphism(x, y):
             assert (x * y).galois(k) == x.galois(k) * y.galois(k)
 
 
+@settings(max_examples=150, deadline=None)
+@given(cyc_elts(moduli=(1, 2, 3, 4, 5, 6, 8, 9, 12, 15, 20)))
+def test_to_rational_raises_exactly_when_a_unit_moves_x(x):
+    units = [k for k in range(1, x.n) if gcd(k, x.n) == 1]
+    # the trace over all units is fixed by every unit, so always rational
+    for y in (x, sum((x.galois(k) for k in units), zero(x.n))):
+        moved = any(y.galois(k) != y for k in units)
+        try:
+            r = y.to_rational()
+        except ValueError:
+            assert moved, y
+        else:
+            assert not moved and y == rational(r, y.n), y
+
+
 @settings(max_examples=100, deadline=None)
 @given(cyc_elts())
 def test_embed_is_faithful(x):

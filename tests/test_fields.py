@@ -125,8 +125,28 @@ def test_all_subgroups_of_z12():
     subs = all_subgroups(12)
     # (Z/12)* = {1,5,7,11} = C2 x C2: 1 trivial + 3 order-2 + 1 full
     assert len(subs) == 5
-    assert subgroup_closure(12, []) in subs
-    assert subgroup_closure(12, [5, 7]) in subs
+    assert tuple(sorted(subgroup_closure(12, []))) in subs
+    assert tuple(sorted(subgroup_closure(12, [5, 7]))) in subs
+
+
+def _oracle_field(n, sub):
+    """(conductor, sorted fixer) by the divisor scan: the least m | n with
+    every unit k = 1 mod m in the subgroup, and the subgroup reduced mod m."""
+    units = [k for k in range(1, n) if gcd(k, n) == 1] or [0]
+    for m in range(1, n + 1):
+        if n % m == 0 and all(k in sub for k in units if k % m == 1 % m):
+            return m, sorted({k % m for k in sub})
+    raise AssertionError
+
+
+def test_conductor_matches_divisor_scan_on_every_subgroup():
+    checked = 0
+    for n in range(1, 61):
+        for sub in all_subgroups(n):
+            f = AbelianField(n, sub)
+            assert (f.conductor, sorted(f.fixer)) == _oracle_field(n, sub), (n, sub)
+            checked += 1
+    assert checked == 522
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,8 @@
   wraps each layer through __all__, so a stale entry breaks a traced run.
 * No module imports a name it never uses.  A re-export listed in __all__
   counts as a use.
+* Every private module-level function or class is referenced from src/
+  outside its own definition; otherwise it is dead, or reached only by tests.
 """
 
 import ast
@@ -64,3 +66,28 @@ def test_no_unused_imports(path):
         if name not in used
     ]
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+def _references(trees):
+    """(name, node) for every name read and attribute taken in the trees."""
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                yield node.id, node
+            elif isinstance(node, ast.Attribute):
+                yield node.attr, node
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_private_definition_is_referenced(path):
+    refs = list(_references(ast.parse(p.read_text()) for p in SOURCES))
+    unreferenced = []
+    for node in ast.parse(path.read_text()).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_") or node.name.startswith("__"):
+            continue
+        inside = {id(n) for n in ast.walk(node)}
+        if not any(name == node.name and id(n) not in inside for name, n in refs):
+            unreferenced.append(f"{node.name} (line {node.lineno})")
+    assert not unreferenced, f"{path.name}: private names unreferenced in src/ {unreferenced}"
