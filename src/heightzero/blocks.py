@@ -290,16 +290,12 @@ class IdealReduction:
 
     f is the multiplicative order of p mod eprime; the map fixes a root u of
     exact order eprime and sends zeta_{p^a} to 1 and zeta_{n'} to
-    u^(eprime / n') for n' | eprime.  `unit_power` (coprime to eprime)
-    replaces u by u^unit_power: a different but equally valid maximal ideal.
-    Block partitions must not depend on this choice.
+    u^(eprime / n') for n' | eprime.
     """
 
-    def __init__(self, p, eprime, unit_power=1):
+    def __init__(self, p, eprime):
         if eprime % p == 0 and eprime > 1 or eprime < 1:
             raise ValueError("eprime must be a positive integer prime to p")
-        if gcd(unit_power, eprime) != 1:
-            raise ValueError("unit_power must be coprime to eprime")
         self.p = p
         self.eprime = eprime
         f = 1
@@ -310,8 +306,7 @@ class IdealReduction:
                 f += 1
         self.f = f
         self.gf = _cached_gf(p, f)
-        u = self.gf.root_of_order(eprime) if eprime > 1 else self.gf.one
-        self.u = self.gf.pow(u, unit_power % max(eprime, 1)) if eprime > 1 else u
+        self.u = self.gf.root_of_order(eprime) if eprime > 1 else self.gf.one
         # u^k for k in [0, eprime), packed: every image is a sum of these with
         # at most one term per k, so the lanes hold eprime summands
         if p == 2:
@@ -410,7 +405,7 @@ class BlockPartition:
         return len(self.blocks)
 
 
-def block_partition(table, p, unit_power=1):
+def block_partition(table, p):
     """Partition of the rows of `table` into p-blocks.
 
     Returns a BlockPartition whose blocks are ordered by their least row
@@ -424,7 +419,7 @@ def block_partition(table, p, unit_power=1):
         raise ValueError(f"{p} is not prime")
     exponent = table.classes.exponent
     eprime = exponent // p ** nu_p(exponent, p) if exponent > 1 else 1
-    red = IdealReduction(p, eprime, unit_power=unit_power)
+    red = IdealReduction(p, eprime)
 
     # omega_chi(K_j) = |K_j| chi(g_j) / chi(1), divided out exactly on each
     # Zumbroich coefficient of chi(g_j); the basis is integral, so the value

@@ -19,16 +19,14 @@ so tables are reproducible bit-for-bit.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from itertools import product as iproduct
 from math import gcd, isqrt, lcm
 
 import numpy as np
-import sympy
+from sympy import isprime
 
 from . import modular
 from .cyclotomic import CycElt, _prime_powers, rational, zero
-from .fields import _fixer_scan
+from .fields import _fixer_scan, unit_generators
 from .groups import ClassData, conjugacy_classes
 
 __all__ = [
@@ -136,14 +134,16 @@ def _dixon_prime(e, order, nclasses):
     lo = max(2 * (isqrt(order) + 1), nclasses + 1, 3)
     q = e + 1
     while True:
-        if q > lo and sympy.isprime(q):
+        if q > lo and isprime(q):
             return q
         q += e
         if q > 10_000_000:
             raise RuntimeError("no suitable Dixon prime found")
 
 
-def _primitive_root_of_unity(q, e):
+def _unit_of_order(q, e):
+    """An element of order e in F_q^* (e divides q - 1): the least generator
+    of F_q^*, raised to (q - 1) / e."""
     fac = [p for p, _ in _prime_powers(q - 1)]
     g = 2
     while True:
@@ -199,7 +199,7 @@ def dixon_table(group, cd=None):
     n = group.order
     e = cd.exponent
     q = _dixon_prime(e, n, c)
-    s = _primitive_root_of_unity(q, e)
+    s = _unit_of_order(q, e)
 
     lines = _split_eigenspaces(group, cd, q)
 
@@ -256,88 +256,34 @@ def dixon_table(group, cd=None):
 # direct construction for C_n x| H
 
 
-@lru_cache(maxsize=None)
-def _unit_group_decomposition(n):
-    """Generators (lifted mod n) and their orders for (Z/n)*, via CRT."""
-    if n <= 2:
-        return ()
-    gens = []
-    for p, pk in _prime_powers(n):
-        rest = n // pk
-
-        def lift(g, pk=pk, rest=rest):
-            if rest == 1:
-                return g % n
-            # x = g mod pk, x = 1 mod rest
-            inv = pow(rest % pk, -1, pk)
-            return (1 + rest * ((g - 1) * inv % pk)) % n
-
-        if p == 2:
-            if pk == 4:
-                gens.append((lift(3), 2))
-            elif pk >= 8:
-                gens.append((lift(pk - 1), 2))
-                gens.append((lift(5), pk // 4))
-        else:
-            g = sympy.primitive_root(pk)
-            gens.append((lift(g), (pk // p) * (p - 1)))
-    return tuple(gens)
-
-
-@lru_cache(maxsize=None)
-def _unit_dlog(n):
-    """x -> exponent tuple over the generator decomposition of (Z/n)*."""
-    gens = _unit_group_decomposition(n)
-    table = {1 % n: tuple(0 for _ in gens)}
-    if not gens:
-        return table
-    for tup in iproduct(*(range(o) for _, o in gens)):
-        x = 1
-        for (g, _), a in zip(gens, tup):
-            x = x * pow(g, a, n) % n
-        table.setdefault(x, tup)
-    return table
-
-
-def _subgroup_characters(n, sub):
+def _subgroup_characters(n, sub, e):
     """All |sub| characters of the subgroup `sub` of (Z/n)*, each as a dict
-    element -> exponent k meaning zeta_M^k, with M the exponent of (Z/n)*."""
-    sub = tuple(sorted(set(x % n for x in sub))) if n > 1 else (1,)
-    if n <= 2:
-        return 1, [{x: 0 for x in sub}]
-    gens = _unit_group_decomposition(n)
-    dlog = _unit_dlog(n)
-    orders = [o for _, o in gens]
-    m = 1
-    for o in orders:
-        m = lcm(m, o)
-    chars = []
-    seen = set()
-    for t in iproduct(*(range(o) for o in orders)):
-        vals = {}
-        for x in sub:
-            a = dlog[x]
-            vals[x] = sum(ti * ai * (m // oi) for ti, ai, oi in zip(t, a, orders)) % m
-        sig = tuple(vals[x] for x in sub)
-        if sig not in seen:
-            seen.add(sig)
-            chars.append(vals)
-        if len(chars) == len(sub):
-            break
-    if len(chars) != len(sub):
-        raise AssertionError("character restriction did not exhaust dual group")
-    return m, chars
+    h -> k meaning zeta_e^k; the exponent of sub must divide e.
 
-
-def _root_exponent(e, order_mod, k):
-    """Exponent ex with zeta_e^ex = zeta_{order_mod}^k (raw, not reduced)."""
-    if k % order_mod == 0:
-        return 0
-    g = gcd(k, order_mod)
-    ordr = order_mod // g
-    if e % ordr:
-        raise AssertionError(f"root of order {ordr} does not live at modulus {e}")
-    return (k // g) % ordr * (e // ordr)
+    Built by extension: walking sub in increasing order, each g not yet
+    reached has some index k over the part P reached so far, with g^k = x in
+    P, and each character mu of P extends to <P, g> in k ways, by
+    mu(g) = mu(x)/k + r e/k.  mu(x)/k is exact: the order of mu(x) divides
+    ord(x) = ord(g)/k, so mu(x) is a multiple of e/ord(x) = k e/ord(g), and
+    ord(g) divides e."""
+    chars = [{1 % n: 0}]  # chars[0] stays trivial; its keys are the part reached
+    for g in sorted(sub):
+        part = chars[0]
+        if g in part:
+            continue
+        k, x = 1, g
+        while x not in part:
+            x, k = x * g % n, k + 1
+        cosets = [(i, pow(g, i, n)) for i in range(k)]
+        grown = []
+        for mu in chars:
+            for r in range(k):
+                t = mu[x] // k + r * e // k
+                grown.append(
+                    {y * gi % n: (v + i * t) % e for i, gi in cosets for y, v in mu.items()}
+                )
+        chars = grown
+    return chars
 
 
 def metacyclic_table(group, cd=None):
@@ -365,7 +311,7 @@ def metacyclic_table(group, cd=None):
     for orb in orbits:
         j0 = orb[0]
         stab = tuple(h for h in H if (h * j0) % n == j0)
-        m, mus = _subgroup_characters(n, stab)
+        mus = _subgroup_characters(n, stab, e)
         stab_set = set(stab)
         # raw orbit-sum exponents at modulus e, per class rep
         oexps = []
@@ -382,7 +328,7 @@ def metacyclic_table(group, cd=None):
                 else:
                     # fold the stabilizer-character root into the raw sum so
                     # reduction happens once per entry
-                    shift = _root_exponent(e, m, mu[h if n > 1 else 1])
+                    shift = mu[h]
                     terms = {}
                     for ex in oexps[cidx]:
                         key = (ex + shift) % e
@@ -506,7 +452,7 @@ def _check_ingest(order, cd, rows):
         o = orders[j]
         if any(orders[c] != o // gcd(o, a) for a, c in enumerate(pm[j])):
             raise ValueError(f"power map of class {j} disagrees with the element orders")
-    gens = [g for g, _ in _unit_group_decomposition(e)]
+    gens = unit_generators(e)
     for g in gens:
         for j in range(k):
             if any(pm[pm[j][g]][b] != pm[j][g * b % e] for b in range(e)):

@@ -8,17 +8,13 @@ index over a cyclotomic subfield a count of fixer elements.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .cyclotomic import (
     CycElt,
     _conductor,
     _euler_phi,
     _prime_powers,
-    rational,
-    root_of_unity,
 )
 
 __all__ = [
@@ -32,6 +28,7 @@ __all__ = [
     "in_class_Fp",
     "conductor_parts",
     "subgroup_closure",
+    "unit_generators",
     "all_subgroups",
 ]
 
@@ -40,6 +37,17 @@ def _units(n):
     if n == 1:
         return (0,)
     return tuple(k for k in range(1, n) if gcd(k, n) == 1)
+
+
+def unit_generators(n):
+    """Generators of (Z/n)*: each unit, in increasing order, that the earlier
+    picks do not generate."""
+    gens, have = [], subgroup_closure(n, [])
+    for k in _units(n):
+        if k not in have:
+            gens.append(k)
+            have = subgroup_closure(n, gens)
+    return gens
 
 
 def subgroup_closure(n, gens):
@@ -134,9 +142,9 @@ def field_from_values(values):
     """Smallest abelian field containing every value, by a Galois scan over
     the units of the common modulus.
 
-    This is the route for loose values (quadratic_field, the public API).
-    Rows of a CharacterTable go through CharacterTable.row_field, which reads
-    the same Galois action off the table's power map."""
+    This is the route for loose values (the public API).  Rows of a
+    CharacterTable go through CharacterTable.row_field, which reads the same
+    Galois action off the table's power map."""
     values = [v for v in values if isinstance(v, CycElt)]
     if not values:
         return rational_field()
@@ -201,47 +209,32 @@ def _legendre(t, p):
     return -1 if s == p - 1 else s
 
 
-@lru_cache(maxsize=None)
-def _gauss_sum(p):
-    """sqrt(p*) with p* = (-1)^((p-1)/2) p, as the quadratic Gauss sum."""
-    return CycElt(p, {t: Fraction(_legendre(t, p)) for t in range(1, p)})
-
-
-def sqrt_cyc(d):
-    """A CycElt whose square is the squarefree integer d."""
-    if d == 0:
-        raise ValueError("d must be nonzero")
-    x = rational(1)
-    radicand = 1
-    m = abs(d)
-    for p, q in _prime_powers(m):
-        if q != p:
-            raise ValueError(f"{d} is not squarefree")
-        if p == 2:
-            continue
-        x = x * _gauss_sum(p)
-        radicand *= p if p % 4 == 1 else -p
-    u = d // radicand
-    if u == -1:
-        x = x * root_of_unity(4)
-    elif u == 2:
-        x = x * (root_of_unity(8) + root_of_unity(8, 7))
-    elif u == -2:
-        x = x * (root_of_unity(8) + root_of_unity(8, 3))
-    elif u != 1:
-        raise AssertionError(f"unexpected residual factor {u}")
-    assert (x * x) == rational(d, x.n), "Gauss-sum construction failed to square to d"
-    return x
-
-
 def quadratic_field(d):
-    """Q(sqrt d) for squarefree d not in {0, 1}."""
+    """Q(sqrt d) for squarefree d not in {0, 1}, as the kernel of its
+    quadratic character.
+
+    d = u * prod(p*) over the odd primes p | d, with p* = +-p = 1 mod 4 and
+    u in {1, -1, 2, -2}; the character is the product of the Legendre
+    symbols (k/p) and the character of u, which is trivial for u = 1 and
+    read mod 4 for u = -1 and mod 8 for u = +-2."""
     if d in (0, 1):
         raise ValueError("d must be a squarefree integer other than 0 and 1")
     for p, q in _prime_powers(abs(d)):
         if q != p:
             raise ValueError(f"{d} is not squarefree")
-    return field_from_values([sqrt_cyc(d)])
+    odd = [p for p, _ in _prime_powers(abs(d)) if p != 2]
+    u = d
+    for p in odd:
+        u //= p if p % 4 == 1 else -p
+    # the character of u: its modulus and its kernel there
+    mod, ker = {1: (1, {0}), -1: (4, {1}), 2: (8, {1, 7}), -2: (8, {1, 3})}[u]
+    disc = mod * prod(odd)
+    fixer = [
+        k
+        for k in _units(disc)
+        if (k % mod in ker) == (prod(_legendre(k, p) for p in odd) == 1)
+    ]
+    return AbelianField(disc, fixer)
 
 
 def all_subgroups(n):

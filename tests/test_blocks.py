@@ -87,8 +87,8 @@ def oracle_partition(table, p):
     return sorted(sigs.values(), key=lambda rs: rs[0])
 
 
-def _lib_partition_rows(table, p, **kw):
-    return [b.rows for b in block_partition(table, p, **kw)]
+def _lib_partition_rows(table, p):
+    return [b.rows for b in block_partition(table, p)]
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +239,26 @@ def test_degree_coprime_rows_within_height_zero_in_max_defect_blocks():
 
 
 def test_partition_invariant_under_ideal_choice():
+    # reducing sigma_k(chi) through the fixed ideal, with k = u mod e' and
+    # k = 1 mod p^a, is reducing chi through the ideal that sends zeta_e' to
+    # the u-th power of the fixed root; every such ideal gives one partition
+    from math import gcd
+
+    from heightzero.chartab import CharacterTable
+
     t = dixon_table(alternating(5))
-    base = _lib_partition_rows(t, 2)
-    for u in (2, 4, 7, 8):
-        assert _lib_partition_rows(t, 2, unit_power=u) == base
+    e = t.classes.exponent
+    for p in (2, 3, 5):
+        pa = p ** nu_p(e, p)
+        eprime = e // pa
+        base = _lib_partition_rows(t, p)
+        for u in range(2, eprime):
+            if gcd(u, eprime) != 1:
+                continue
+            k = next(k for k in range(1, e) if k % eprime == u and k % pa == 1 % pa)
+            rows = [tuple(v.embed(e).galois(k) for v in row) for row in t.rows]
+            moved = CharacterTable(t.name, t.order, t.classes, rows)
+            assert _lib_partition_rows(moved, p) == base, (p, u)
 
 
 def test_partition_galois_stable():

@@ -1,11 +1,12 @@
 """Character tables: both construction routes, orthogonality, induction, JSON."""
 
 import json
+from math import lcm
 
 import pytest
 
 from heightzero.cyclotomic import rational, root_of_unity
-from heightzero.fields import field_from_values
+from heightzero.fields import all_subgroups, field_from_values
 from heightzero.groups import (
     alternating,
     conjugacy_classes,
@@ -168,6 +169,23 @@ def test_direct_route_matches_dixon_on_spec(spec):
 
     direct = table_to_json(build_table(spec, "direct"))
     assert direct == table_to_json(build_table(spec, "dixon"))
+
+
+@pytest.mark.parametrize("factor", [1, 6])
+def test_subgroup_characters_are_the_dual_group(factor):
+    # every subgroup S of (Z/n)*, n <= 60: |S| distinct homomorphisms
+    # S -> Z/e, for e the exponent of S and for a multiple of it
+    for n in range(1, 61):
+        for sub in all_subgroups(n):
+            exp = lcm(*(next(k for k in range(1, n + 1) if pow(h, k, n) == 1 % n) for h in sub))
+            e = exp * factor
+            chars = chartab._subgroup_characters(n, sub, e)
+            assert len(chars) == len(sub), (n, sub)
+            assert len({tuple(mu[h] for h in sub) for mu in chars}) == len(sub), (n, sub)
+            for mu in chars:
+                assert sorted(mu) == list(sub)
+                assert all(0 <= v < e for v in mu.values())
+                assert all(mu[a * b % n] == (mu[a] + mu[b]) % e for a in sub for b in sub)
 
 
 def test_cyclic_table_is_fourier_matrix():

@@ -118,10 +118,17 @@ def _run_cli_process(argv, timeout):
 
 
 # the first three moduli are above the cap; fix:4001:9 is inside it, but
-# |<9> mod 4001| = 2000, so its realizer C_4001 x| H is above the order cap
+# |<9> mod 4001| = 2000, so its realizer C_4001 x| H is above the order cap,
+# and so is the realizer C_19997 x| H of Q(sqrt 19997), of conductor 19997
 @pytest.mark.parametrize(
     "field",
-    ["cyclo:1000000000000", "fix:1000000007:2", "quad:1000000000000000003", "fix:4001:9"],
+    [
+        "cyclo:1000000000000",
+        "fix:1000000007:2",
+        "quad:1000000000000000003",
+        "fix:4001:9",
+        "quad:19997",
+    ],
 )
 def test_realize_fails_fast_above_the_cap(field):
     proc = _run_cli_process(["realize", "--field", field, "--p", "2"], timeout=10)
@@ -163,6 +170,15 @@ def test_corollary_c_csv(capsys):
     assert lines[0] == "d,in_F2,expected"
     assert "3,true,true" in lines
     assert "-2,false,false" in lines
+
+
+def test_corollary_c_large_max_is_fast():
+    proc = _run_cli_process(["corollary-c", "--max", "1000"], timeout=30)
+    assert proc.returncode == 0
+    header, *rows = proc.stdout.strip().splitlines()
+    assert header == "d,in_F2,expected"
+    assert len(rows) == 1215  # the squarefree d with |d| <= 1000, other than 1
+    assert all(row.split(",")[1] == row.split(",")[2] for row in rows)
 
 
 def test_sigma_report(capsys):

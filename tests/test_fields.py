@@ -1,11 +1,14 @@
 """Abelian fields as fixed fields: normalization, lattice ops, classification."""
 
 import random
+from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 import pytest
+from sympy import factorint, legendre_symbol
 
-from heightzero.cyclotomic import root_of_unity
+from heightzero.cyclotomic import CycElt, rational, root_of_unity
 from heightzero.fields import (
     AbelianField,
     all_subgroups,
@@ -17,8 +20,8 @@ from heightzero.fields import (
     in_class_Fp,
     quadratic_field,
     rational_field,
-    sqrt_cyc,
     subgroup_closure,
+    unit_generators,
 )
 
 
@@ -43,14 +46,55 @@ def test_subgroup_closure_rejects_non_units():
         subgroup_closure(8, [2])
 
 
+def test_unit_generators_generate_the_unit_group():
+    for n in range(1, 301):
+        units = subgroup_closure(n, [k for k in range(1, n + 1) if gcd(k, n) == 1])
+        assert subgroup_closure(n, unit_generators(n)) == units, n
+
+
 # ---------------------------------------------------------------------------
-# quadratic fields via explicit square roots
+# quadratic fields against explicit square roots
+
+
+@lru_cache(maxsize=None)
+def _gauss_sum(p):
+    """sqrt(p*) with p* = (-1)^((p-1)/2) p, as the quadratic Gauss sum."""
+    return CycElt(p, {t: Fraction(legendre_symbol(t, p)) for t in range(1, p)})
+
+
+def sqrt_cyc(d):
+    """A CycElt whose square is the squarefree integer d."""
+    x = rational(1)
+    radicand = 1
+    for p in factorint(abs(d)):
+        if p != 2:
+            x = x * _gauss_sum(p)
+            radicand *= p if p % 4 == 1 else -p
+    u = d // radicand
+    if u == -1:
+        x = x * root_of_unity(4)
+    elif u == 2:
+        x = x * (root_of_unity(8) + root_of_unity(8, 7))
+    elif u == -2:
+        x = x * (root_of_unity(8) + root_of_unity(8, 3))
+    return x
 
 
 def test_sqrt_squares_back():
     for d in (-1, 2, -2, 3, 5, -5, 6, -7, 15, -29):
         x = sqrt_cyc(d)
         assert (x * x).to_rational() == d
+
+
+def test_quadratic_field_is_the_field_of_sqrt_d():
+    squarefree = [
+        d
+        for d in range(-100, 101)
+        if d not in (0, 1) and all(e == 1 for e in factorint(abs(d)).values())
+    ]
+    assert len(squarefree) == 121
+    for d in squarefree:
+        assert quadratic_field(d) == field_from_values([sqrt_cyc(d)]), d
 
 
 def test_quadratic_field_conductors():

@@ -6,6 +6,8 @@
   counts as a use.
 * Every private module-level function or class is referenced from src/
   outside its own definition; otherwise it is dead, or reached only by tests.
+* The only sympy name the package uses is isprime; the rest of sympy is the
+  tests' reference.
 """
 
 import ast
@@ -91,3 +93,32 @@ def test_every_private_definition_is_referenced(path):
         if not any(name == node.name and id(n) not in inside for name, n in refs):
             unreferenced.append(f"{node.name} (line {node.lineno})")
     assert not unreferenced, f"{path.name}: private names unreferenced in src/ {unreferenced}"
+
+
+def _sympy_names(tree):
+    """The sympy names a module takes: imported from sympy, or read as an
+    attribute of an imported sympy module."""
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sympy":
+            prefix = "" if node.module == "sympy" else node.module + "."
+            yield from (prefix + a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "sympy":
+                    if a.name != "sympy":
+                        yield a.name
+                    aliases.add(a.asname or "sympy")
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id in aliases
+        ):
+            yield node.attr
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_sympy_is_used_only_for_isprime(path):
+    names = sorted(set(_sympy_names(ast.parse(path.read_text()))) - {"isprime"})
+    assert not names, f"{path.name}: sympy names other than isprime {names}"
