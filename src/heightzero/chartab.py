@@ -20,12 +20,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
+from operator import mul
 
 import numpy as np
 from sympy import isprime
 
 from . import modular
-from .cyclotomic import CycElt, _prime_powers, rational, zero
+from .cyclotomic import CycElt, _one_at, _prime_powers, _reduce_terms, rational, zero
 from .fields import _fixer_scan, unit_generators
 from .groups import ClassData, conjugacy_classes
 
@@ -48,7 +49,7 @@ class CharacterTable:
         self.order = order
         self.classes = classes
         self.rows = [tuple(r) for r in rows]
-        self.degrees = [int(r[0].to_rational()) for r in self.rows]
+        self.degrees = [_degree(r, row[0]) for r, row in enumerate(self.rows)]
         if len(self.rows) != classes.num_classes:
             raise ValueError("row count != class count")
         if sum(d * d for d in self.degrees) != order:
@@ -61,25 +62,77 @@ class CharacterTable:
         return self.classes.num_classes
 
     def check_orthogonality(self):
-        """Both orthogonality relations, exactly; raises on failure."""
+        """The first orthogonality relation, exactly; raises on failure.
+
+        For rows r <= s, r-major, S_rs = sum_j |K_j| chi_r(g_j)
+        conj(chi_s(g_j)) must be |G| for r = s and 0 otherwise.  The sum is
+        decided on packed integers, with no CycElt arithmetic.  Let E be the
+        lcm of the value moduli and D the lcm of the coefficient denominators.
+        A value sum_i a_i zeta_n^i packs as the integer sum_i D a_i 2^(W k_i),
+        where k_i = i E/n (the lane of zeta_E^k_i), and its conjugate packs
+        with lane -k_i mod E instead.  So D^2 S_rs is a sum of c big-int
+        products, read as a polynomial in x = zeta_E of degree <= 2E - 2.  Its
+        lanes are folded mod x^E - 1 and rewritten once in the Zumbroich basis,
+        and they must give |G| D^2 (for r = s) or 0 times the canonical 1 at E.
+
+        Width.  With A the largest scaled coefficient D |a_i|, lane k of the
+        folded sum collects, per class j, the E products a b with exponents
+        summing to k mod E, each times |K_j|.  So every lane, folded or not,
+        is at most L = E A^2 sum_j |K_j| in absolute value.  W is the least
+        multiple of 8 with L < 2^(W-2) (`_lane_width`).  That leaves one bit
+        for the sign: a bias of 2^(W-2) per lane makes every lane nonnegative
+        and below 2^(W-1).  It leaves one more for the fold, which adds the
+        high lanes onto the low ones.  No lane carries into the next, so the
+        bytes of the folded sum are its lanes.
+
+        The second relation, sum_r chi_r(g_j) conj(chi_r(g_k)) = |G|/|K_j|
+        for j = k and 0 otherwise, follows from the first and is not summed.
+        Let X be the value matrix and S = diag(|K_j|).  The first relation
+        says X S X*^T = |G| I over Q(zeta_E), with X* the entrywise conjugate.
+        X is square (__init__ checks that the row count is the class count),
+        so X is invertible with X^-1 = S X*^T / |G|.  Then X^-1 X = I gives
+        X*^T X = |G| S^-1, and complex conjugation, a field automorphism,
+        turns that entrywise into the second relation.  What remains of it is
+        that |G|/|K_j| must be an integer, the centralizer order, so every
+        class size must divide |G|; that is checked last."""
         c = self.num_classes
         sizes = self.classes.class_sizes
-        for r in range(len(self.rows)):
-            for s in range(r, len(self.rows)):
-                acc = zero(1)
-                for j in range(c):
-                    acc = acc + self.rows[r][j] * self.rows[s][j].conjugate() * sizes[j]
-                want = self.order if r == s else 0
-                if acc != rational(want, acc.n):
+        values = [row[:c] for row in self.rows]
+        e = lcm(*(v.n for row in values for v in row))
+        coeffs = [a for row in values for v in row for a in v.terms.values()]
+        den = lcm(*(a.denominator for a in coeffs))
+        top = max((abs(a.numerator) * (den // a.denominator) for a in coeffs), default=0)
+        w = _lane_width(e * top * top * sum(sizes))
+
+        def pack(v, sign):
+            step = e // v.n
+            return sum(
+                a.numerator * (den // a.denominator) << w * (sign * i * step % e)
+                for i, a in v.terms.items()
+            )
+
+        scaled = [[size * pack(v, 1) for size, v in zip(sizes, row)] for row in values]
+        conj = [[pack(v, -1) for v in row] for row in values]
+        nb, half, high = w // 8, 1 << w - 2, w * e
+        low = (1 << high) - 1
+        bias = half * (((1 << w * (2 * e - 1)) - 1) // ((1 << w) - 1))
+        one = _one_at(e).terms
+        for r, xs in enumerate(scaled):
+            for s in range(r, len(scaled)):
+                acc = sum(map(mul, xs, conj[s])) + bias
+                raw = ((acc & low) + (acc >> high)).to_bytes(e * nb, "little")
+                # lanes below E - 1 carry two biases after the fold, lane E - 1 one
+                lanes = {
+                    k: int.from_bytes(raw[k * nb : k * nb + nb], "little") - 2 * half
+                    for k in range(e)
+                }
+                lanes[e - 1] += half
+                want = self.order * den * den if r == s else 0
+                if _reduce_terms(e, lanes) != {i: want * a for i, a in one.items() if want}:
                     raise ValueError(f"first orthogonality fails at rows {r},{s}")
-        for j in range(c):
-            for k in range(j, c):
-                acc = zero(1)
-                for r in range(len(self.rows)):
-                    acc = acc + self.rows[r][j] * self.rows[r][k].conjugate()
-                want = self.order // sizes[j] if j == k else 0
-                if acc != rational(want, acc.n):
-                    raise ValueError(f"second orthogonality fails at classes {j},{k}")
+        for j, size in enumerate(sizes):
+            if self.order % size:
+                raise ValueError(f"class {j} has size {size}, not a divisor of the order {self.order}")
 
     def row_field(self, r):
         """Q(chi_r), the field of values of row r, as an AbelianField.
@@ -94,6 +147,23 @@ class CharacterTable:
         intern = {}
         ids = [intern.setdefault(v.embed(e), len(intern)) for v in self.rows[r]]
         return _fixer_scan(e, lambda k: all(ids[pm_j[k]] == i for pm_j, i in zip(pm, ids)))
+
+
+def _degree(r, value):
+    """The degree of row r, its value at class 0: a positive integer."""
+    try:
+        d = value.to_rational()
+    except ValueError:
+        d = value
+    if not (isinstance(d, Fraction) and d.denominator == 1 and d > 0):
+        raise ValueError(f"row {r} has degree {d}, not a positive integer")
+    return int(d)
+
+
+def _lane_width(bound):
+    """The least multiple of 8 bits W with bound < 2^(W-2): the lane width of
+    CharacterTable.check_orthogonality, with a sign bit and a fold bit."""
+    return -(-(bound.bit_length() + 2) // 8) * 8
 
 
 def _sort_rows(rows):

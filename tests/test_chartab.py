@@ -1,11 +1,16 @@
 """Character tables: both construction routes, orthogonality, induction, JSON."""
 
+import copy
 import json
+from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from heightzero.cyclotomic import rational, root_of_unity
+from heightzero.cyclotomic import CycElt, rational, root_of_unity, zero
 from heightzero.fields import all_subgroups, field_from_values
 from heightzero.groups import (
     alternating,
@@ -103,6 +108,173 @@ def test_known_degrees(group, degrees):
 def test_orthogonality_on_sample_tables():
     for g in (symmetric(4), alternating(5), semidihedral(16), sl2(3)):
         _table(g).check_orthogonality()
+
+
+# ---------------------------------------------------------------------------
+# orthogonality: the packed-integer check against the CycElt loop
+
+
+def _orthogonality_oracle(table):
+    """Both relations summed in CycElt arithmetic, as the check once did:
+    the message for the first failure of each relation, or None."""
+    rows, sizes, c, order = table.rows, table.classes.class_sizes, table.num_classes, table.order
+    first = next(
+        (
+            f"first orthogonality fails at rows {r},{s}"
+            for r in range(len(rows))
+            for s in range(r, len(rows))
+            if sum((rows[r][j] * rows[s][j].conjugate() * sizes[j] for j in range(c)), zero(1))
+            != rational(order if r == s else 0)
+        ),
+        None,
+    )
+    second = next(
+        (
+            f"second orthogonality fails at classes {j},{k}"
+            for j in range(c)
+            for k in range(j, c)
+            if sum((row[j] * row[k].conjugate() for row in rows), zero(1))
+            != rational(order // sizes[j] if j == k else 0)
+        ),
+        None,
+    )
+    return first, second
+
+
+def _verdict(table):
+    try:
+        table.check_orthogonality()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _with_rows(table, rows):
+    """The table with its rows replaced, past the constructor's checks: the
+    relations are a property of the values alone."""
+    out = copy.copy(table)
+    out.rows = [tuple(row) for row in rows]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _spec_table(spec):
+    from heightzero.reports import build_table
+
+    return build_table(spec)
+
+
+_ORACLE_SPECS = (
+    "sym:3", "sym:4", "alt:5", "sl2:3", "quaternion:16", "semidihedral:16", "meta:20:3"
+)
+
+
+def _edits(e):
+    """The value edits of the agreement test, each a strategy for a map
+    CycElt -> CycElt in a table of exponent e."""
+    divisors = [d for d in range(1, e) if e % d == 0]
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+    third = root_of_unity(e).scalar_mul(Fraction(1, 3))
+    return st.one_of(
+        small.map(lambda q: lambda v: v + q),
+        st.just(lambda v: v + third),
+        st.just(lambda v: v.conjugate()),
+        st.just(lambda v: zero(v.n)),
+        st.tuples(st.sampled_from(divisors), st.integers(0, e - 1)).map(
+            lambda dk: lambda v: root_of_unity(dk[0], dk[1])
+        ),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_packed_orthogonality_agrees_with_the_cyclotomic_loop(data):
+    table = _spec_table(data.draw(st.sampled_from(_ORACLE_SPECS)))
+    rows = [list(row) for row in table.rows]
+    c, e = table.num_classes, table.classes.exponent
+    for _ in range(data.draw(st.integers(1, 2))):
+        r, j = data.draw(st.integers(0, c - 1)), data.draw(st.integers(0, c - 1))
+        rows[r][j] = data.draw(_edits(e))(rows[r][j])
+    mutated = _with_rows(table, rows)
+    first, second = _orthogonality_oracle(mutated)
+    # on a square table the second relation never fails while the first holds
+    assert second is None or first is not None
+    assert _verdict(mutated) == first
+
+
+def test_orthogonality_does_no_cyclotomic_arithmetic(monkeypatch):
+    tables = [_table(alternating(5)), _table(sl2(5))]
+
+    def refuse(*args):
+        raise AssertionError("CycElt arithmetic in check_orthogonality")
+
+    for name in ("__add__", "__radd__", "__sub__", "__mul__", "__rmul__", "scalar_mul"):
+        monkeypatch.setattr(CycElt, name, refuse)
+    for table in tables:
+        table.check_orthogonality()
+
+
+def _rotated_s3():
+    """S3 with its two nontrivial rows turned by the rational rotation with
+    cos = (a^2 - b^2)/(a^2 + b^2), sin = 2ab/(a^2 + b^2), for a = 2^31,
+    b = 1: both relations still hold, with denominators 2^62 + 1."""
+    table = _spec_table("sym:3")
+    a, b = 1 << 31, 1
+    den = a * a + b * b
+    cos, sin = Fraction(a * a - b * b, den), Fraction(2 * a * b, den)
+    one, x, y = table.rows
+    return _with_rows(
+        table,
+        [
+            one,
+            [u.scalar_mul(cos) - v.scalar_mul(sin) for u, v in zip(x, y)],
+            [u.scalar_mul(sin) + v.scalar_mul(cos) for u, v in zip(x, y)],
+        ],
+    )
+
+
+def test_wide_lanes_keep_the_check_exact(monkeypatch):
+    rotated = _rotated_s3()
+    assert _orthogonality_oracle(rotated) == (None, None)
+    assert _verdict(rotated) is None
+    # a numerator past 2^70 breaks the relations, at the same first pair
+    rows = [list(row) for row in rotated.rows]
+    rows[2][1] = rows[2][1] + (1 << 70)
+    corrupt = _with_rows(rotated, rows)
+    first, _ = _orthogonality_oracle(corrupt)
+    assert first is not None and _verdict(corrupt) == first
+    # the proven width is past 64 bits, and 64-bit lanes overflow
+    widths = []
+    width = chartab._lane_width
+    monkeypatch.setattr(chartab, "_lane_width", lambda bound: widths.append(width(bound)) or 64)
+    assert _verdict(rotated) is not None
+    assert widths[0] > 64
+
+
+def test_orthogonality_rejects_a_class_size_not_dividing_the_order():
+    # sizes 1 and 4 in order 5 with rows (1, 1) and (2, -1/2): the first
+    # relation holds, but |G|/|K_1| = 5/4 is no centralizer order
+    from heightzero.groups import ClassData
+
+    cd = ClassData([1, 4], [1, 2], [[0, 0], [0, 1]], 2)
+    table = chartab.CharacterTable(
+        "fake", 5, cd, [[rational(1), rational(1)], [rational(2), rational(Fraction(-1, 2))]]
+    )
+    first, second = _orthogonality_oracle(table)
+    assert first is None and second == "second orthogonality fails at classes 1,1"
+    assert _verdict(table) == "class 1 has size 4, not a divisor of the order 5"
+
+
+@pytest.fixture(scope="module")
+def corpus_tables():
+    from heightzero.reports import build_table, default_corpus
+
+    return [(spec, build_table(spec)) for spec in default_corpus()]
+
+
+def test_orthogonality_on_default_corpus(corpus_tables):
+    for spec, table in corpus_tables:
+        assert _verdict(table) is None, spec
 
 
 def test_trivial_row_first_and_degree_sorted():
@@ -375,12 +547,9 @@ def test_ingest_validates_class_data(group, mutate, match):
 # fields of values: the power-map route against the Galois scan
 
 
-def test_row_field_matches_galois_scan_on_default_corpus():
-    from heightzero.reports import build_table, default_corpus
-
+def test_row_field_matches_galois_scan_on_default_corpus(corpus_tables):
     rows = 0
-    for spec in default_corpus():
-        t = build_table(spec)
+    for spec, t in corpus_tables:
         for r, row in enumerate(t.rows):
             assert t.row_field(r) == field_from_values(row), (spec, r)
             rows += 1

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -350,6 +351,23 @@ def test_ingest_rejects_corrupt_power_map(tmp_path, capsys):
     code, _, err = run(["ingest", "--file", str(path), "--p", "2", "--check", "a"], capsys)
     assert code == 1
     assert err.startswith("error: ") and "power map" in err
+
+
+@pytest.mark.parametrize("check,p", [("a", "2"), ("sigma", "2"), ("blocks", "3")])
+def test_ingest_rejects_a_negated_row(tmp_path, capsys, check, p):
+    # -chi passes the power-map checks and both orthogonality relations, and
+    # its degree -2 used to reach the blocks layer
+    obj = _table_json(tmp_path, "sym:3")
+    for value in obj["irr"][2]:
+        for term in value["terms"]:
+            neg = -Fraction(term[1])
+            term[1] = f"{neg.numerator}/{neg.denominator}"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(["ingest", "--file", str(path), "--p", p, "--check", check], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "row 2 has degree -2" in err
 
 
 _FUZZ_GROUPS = ("sym:3", "dihedral:8", "quaternion:8")
