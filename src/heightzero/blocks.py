@@ -384,10 +384,12 @@ class Block:
 
 
 class BlockPartition:
-    """All p-blocks of a table, with per-row lookups."""
+    """All p-blocks of a table, with per-row lookups, and the degree f of the
+    residue field GF(p^f) the central characters were reduced into."""
 
-    def __init__(self, p, blocks, num_rows):
-        self.p = p
+    def __init__(self, reduction, blocks, num_rows):
+        self.p = reduction.p
+        self.f = reduction.f
         self.blocks = blocks
         self.block_of = [None] * num_rows
         self.height = [None] * num_rows
@@ -412,6 +414,11 @@ def block_partition(table, p):
     index; within a block, rows keep table order.  Each row's central
     character must reduce to algebraic integers; a failure means the table
     data is corrupt and raises ValueError.
+
+    The exact division and the reduction run once per distinct (value, class
+    size, degree) of the table, not once per entry: in a table from
+    metacyclic_table equal values are one object, and a value repeats about
+    22 times per table over the default corpus.
     """
     from sympy import isprime
 
@@ -425,19 +432,23 @@ def block_partition(table, p):
     # Zumbroich coefficient of chi(g_j); the basis is integral, so the value
     # is an algebraic integer iff every quotient is an integer
     sizes = table.classes.class_sizes
+    images = {}
     signatures = {}
     for r, (row, degree) in enumerate(zip(table.rows, table.degrees)):
         sig = []
         for size, value in zip(sizes, row):
-            coeffs = {}
-            for k, c in value.terms.items():
-                q, rem = divmod(size * c.numerator, degree * c.denominator)
-                if rem:
-                    raise ValueError(
-                        f"central character of row {r} is not an algebraic integer"
-                    )
-                coeffs[k] = q
-            sig.append(red._image(value.n, coeffs))
+            image = images.get((value, size, degree))
+            if image is None:
+                coeffs = {}
+                for k, c in value.terms.items():
+                    q, rem = divmod(size * c.numerator, degree * c.denominator)
+                    if rem:
+                        raise ValueError(
+                            f"central character of row {r} is not an algebraic integer"
+                        )
+                    coeffs[k] = q
+                image = images[value, size, degree] = red._image(value.n, coeffs)
+            sig.append(image)
         signatures.setdefault(tuple(sig), []).append(r)
 
     nu_order = nu_p(table.order, p)
@@ -449,7 +460,7 @@ def block_partition(table, p):
         defect = nu_order - vmin
         heights = [v - vmin for v in vals]
         blocks.append(Block(len(blocks), rows, defect, heights))
-    return BlockPartition(p, blocks, len(table.rows))
+    return BlockPartition(red, blocks, len(table.rows))
 
 
 def height_zero_rows(table, p, partition=None):

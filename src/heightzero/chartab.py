@@ -14,6 +14,11 @@ Two independent construction routes:
 All values are exact CycElt at modulus exponent(G); rows are sorted with the
 trivial character first, then by degree and a lexicographic value encoding,
 so tables are reproducible bit-for-bit.
+
+A table holds far fewer distinct values than entries (the default corpus:
+84,544 entries, 3,764 distinct values).  metacyclic_table makes equal values
+one CycElt object, and the row sort, the JSON encoding and the block
+reduction do their per-value work once per distinct value.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ import numpy as np
 from sympy import isprime
 
 from . import modular
-from .cyclotomic import CycElt, _one_at, _prime_powers, _reduce_terms, rational, zero
+from .cyclotomic import CycElt, _one_at, _prime_powers, _reduce_terms, zero
 from .fields import _fixer_scan, unit_generators
 from .groups import ClassData, conjugacy_classes
 
@@ -54,7 +59,7 @@ class CharacterTable:
             raise ValueError("row count != class count")
         if sum(d * d for d in self.degrees) != order:
             raise ValueError("sum of squared degrees != group order")
-        if any(v != rational(1, v.n) for v in self.rows[0]):
+        if any(v != _one_at(v.n) for v in self.rows[0]):
             raise ValueError("row 0 is not the trivial character")
 
     @property
@@ -167,13 +172,36 @@ def _lane_width(bound):
 
 
 def _sort_rows(rows):
+    """Rows sorted trivial first, then by degree and by the values' keys.
+
+    Each distinct value object is keyed once, and rows compare the
+    order-preserving ranks of those keys.  Ranks come from keys, not from
+    value equality: equal values at different moduli have different keys."""
+    rows = list(rows)
+    keys = _per_object(rows, CycElt.key)
+    rank = {k: i for i, k in enumerate(sorted(set(keys.values())))}
+    rank = {i: rank[k] for i, k in keys.items()}
+    degrees = {}
+
     def key(row):
-        deg = row[0].to_rational()
-        enc = tuple(v.key() for v in row)
-        trivial = all(v == rational(1, v.n) for v in row)
-        return (not trivial, deg, enc)
+        head = id(row[0])
+        if head not in degrees:
+            degrees[head] = row[0].to_rational()
+        trivial = all(v == _one_at(v.n) for v in row)
+        return (not trivial, degrees[head], tuple(rank[id(v)] for v in row))
 
     return sorted(rows, key=key)
+
+
+def _per_object(rows, f):
+    """f(v) for each distinct value object v of the rows, keyed by id(v); a
+    table from metacyclic_table has one object per distinct value."""
+    out = {}
+    for row in rows:
+        for v in row:
+            if id(v) not in out:
+                out[id(v)] = f(v)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -377,33 +405,43 @@ def metacyclic_table(group, cd=None):
         orbits.append(orb)
     orbits.sort(key=lambda o: o[0])
 
+    # each orbit sum is built once per (raw exponent tuple, shift) and then
+    # interned by value, so equal values of the table are one object
+    nought = zero(e)
+    values = {v: v for v in (nought, _one_at(e))}
+    raw_ids = {}
+    sums = {}
     rows = []
     for orb in orbits:
         j0 = orb[0]
         stab = tuple(h for h in H if (h * j0) % n == j0)
         mus = _subgroup_characters(n, stab, e)
         stab_set = set(stab)
-        # raw orbit-sum exponents at modulus e, per class rep
-        oexps = []
-        for (c, h) in reps:
-            if h in stab_set:
-                oexps.append([(jp * c % n) * (e // n) if n > 1 else 0 for jp in orb])
-            else:
-                oexps.append(None)
+        # raw orbit-sum exponents at modulus e per class rep, and a small id
+        # for each distinct tuple of them
+        raws = [
+            tuple(jp * c % n * (e // n) for jp in orb) if h in stab_set else None
+            for c, h in reps
+        ]
+        ids = [None if raw is None else raw_ids.setdefault(raw, len(raw_ids)) for raw in raws]
         for mu in mus:
             row = []
-            for (cidx, (c, h)) in enumerate(reps):
-                if oexps[cidx] is None:
-                    row.append(zero(e))
-                else:
+            for raw, i, (c, h) in zip(raws, ids, reps):
+                if raw is None:
+                    row.append(nought)
+                    continue
+                shift = mu[h]
+                v = sums.get((i, shift))
+                if v is None:
                     # fold the stabilizer-character root into the raw sum so
-                    # reduction happens once per entry
-                    shift = mu[h]
+                    # reduction happens once per distinct sum
                     terms = {}
-                    for ex in oexps[cidx]:
-                        key = (ex + shift) % e
-                        terms[key] = terms.get(key, 0) + 1
-                    row.append(CycElt(e, terms))
+                    for ex in raw:
+                        k = (ex + shift) % e
+                        terms[k] = terms.get(k, 0) + 1
+                    v = CycElt(e, terms)
+                    v = sums[i, shift] = values.setdefault(v, v)
+                row.append(v)
             rows.append(tuple(row))
 
     if len(rows) != cd.num_classes:
@@ -466,7 +504,9 @@ def cyc_from_json(obj, e):
 
 
 def table_to_json(table):
+    """The table as JSON; each distinct value object is encoded once."""
     cd = table.classes
+    encoded = _per_object(table.rows, cyc_to_json)
     return {
         "name": table.name,
         "order": table.order,
@@ -479,7 +519,7 @@ def table_to_json(table):
             }
             for j in range(cd.num_classes)
         ],
-        "irr": [[cyc_to_json(v) for v in row] for row in table.rows],
+        "irr": [[encoded[id(v)] for v in row] for row in table.rows],
     }
 
 
@@ -514,10 +554,13 @@ def _check_ingest(order, cd, rows):
     ones = [j for j in range(k) if orders[j] == 1]
     if len(ones) != 1:
         raise ValueError("there must be exactly one class of element order 1")
+    # CharacterTable reads every degree from class 0
+    if ones[0] != 0:
+        raise ValueError(f"the class of element order 1 must come first, not at index {ones[0]}")
     for j in range(k):
         if any(not 0 <= c < k for c in pm[j]):
             raise ValueError(f"power map of class {j} names a class out of range")
-        if pm[j][0] != ones[0] or pm[j][1 % e] != j:
+        if pm[j][0] != 0 or pm[j][1 % e] != j:
             raise ValueError(f"power map of class {j} must send 0 to the identity and 1 to {j}")
         o = orders[j]
         if any(orders[c] != o // gcd(o, a) for a, c in enumerate(pm[j])):

@@ -67,13 +67,15 @@ def cmd_blocks(args):
 
 def _timings():
     """A sweep progress hook writing one JSON line per group to stderr, with
-    the seconds since the previous group finished (or since the sweep began)."""
+    the seconds since the previous group finished (or since the sweep began)
+    and the sweep's run facts for that group."""
     last = time.perf_counter()
 
-    def progress(entry):
+    def progress(entry, facts):
         nonlocal last
         now = time.perf_counter()
         line = {key: entry[key] for key in ("group", "order", "height_zero_rows")}
+        line.update(facts)
         line["seconds"] = round(now - last, 6)
         print(json.dumps(line, sort_keys=True), file=sys.stderr, flush=True)
         last = now

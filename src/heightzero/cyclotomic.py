@@ -249,15 +249,20 @@ class CycElt:
     def to_rational(self):
         """The rational r with self = r.  The basis representation is unique,
         so self is rational exactly when it equals r * (canonical form of 1
-        at this modulus), with r read off one basis coefficient of 1."""
-        if not self.terms:
+        at this modulus), with r read off one basis coefficient of 1.  Every
+        coefficient c of that form is +-1, so r = a / c = a * c for the
+        coefficient a of self at the same exponent."""
+        terms = self.terms
+        if not terms:
             return Fraction(0)
-        one = _one_at(self.n)
-        j, c = next(iter(one.terms.items()))
-        r = Fraction(self.terms.get(j, 0)) / c
-        if self.terms != {i: r * d for i, d in one.terms.items()}:
+        one = _one_at(self.n).terms
+        if len(terms) != len(one):
             raise ValueError("element is not rational")
-        return r
+        j, c = next(iter(one.items()))
+        r = terms.get(j, 0) * c
+        if any(terms.get(i) != r * d for i, d in one.items()):
+            raise ValueError("element is not rational")
+        return Fraction(r)
 
     # -- dunder glue -------------------------------------------------------
 

@@ -169,13 +169,20 @@ def build_table(group, method="auto"):
     if isinstance(group, str):
         group = parse_group_spec(group)
     cd = conjugacy_classes(group)
-    if method == "direct" or (method == "auto" and group.meta_params is not None):
+    if method == "auto":
+        method = _auto_route(group)
+    if method == "direct":
         if group.meta_params is None:
             raise ValueError(f"no direct construction for group {group.name}")
         return metacyclic_table(group, cd)
-    if method in ("dixon", "auto"):
+    if method == "dixon":
         return dixon_table(group, cd)
     raise ValueError(f"unknown method {method!r}")
+
+
+def _auto_route(group):
+    """The route build_table takes by default: direct wherever it exists."""
+    return "direct" if group.meta_params is not None else "dixon"
 
 
 # ---------------------------------------------------------------------------
@@ -257,14 +264,18 @@ def verify_theorem_A(table, p, partition=None):
 def sweep_theorem_A(specs, p, progress=None):
     """Run verify_theorem_A over many group specs; returns a summary dict.
 
-    progress, when given, is called with each group's summary entry as soon
-    as that group is done."""
+    progress, when given, is called as soon as each group is done, with its
+    summary entry and a dict of run facts that stay out of the summary: the
+    table's route ('direct' or 'dixon'), the residue-field degree f and the
+    number of distinct table values."""
     groups_out = []
     total_rows = 0
     total_violations = 0
     for spec in specs:
-        table = build_table(spec)
-        reports, violations = verify_theorem_A(table, p)
+        group = parse_group_spec(spec)
+        table = build_table(group)
+        partition = block_partition(table, p)
+        reports, violations = verify_theorem_A(table, p, partition)
         total_rows += len(reports)
         total_violations += len(violations)
         groups_out.append(
@@ -277,7 +288,12 @@ def sweep_theorem_A(specs, p, progress=None):
             }
         )
         if progress is not None:
-            progress(groups_out[-1])
+            facts = {
+                "route": _auto_route(group),
+                "f": partition.f,
+                "values": len({v for row in table.rows for v in row}),
+            }
+            progress(groups_out[-1], facts)
     return {
         "p": p,
         "groups": groups_out,

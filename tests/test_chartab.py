@@ -343,6 +343,31 @@ def test_direct_route_matches_dixon_on_spec(spec):
     assert direct == table_to_json(build_table(spec, "dixon"))
 
 
+@pytest.mark.parametrize("group", [semidirect_cn_h(37, [2], name="meta:37:2"), dihedral(200)],
+                         ids=lambda g: g.name)
+def test_equal_values_are_one_object(group):
+    t = metacyclic_table(group)
+    values = [v for row in t.rows for v in row]
+    assert len({id(v) for v in values}) == len(set(values)) < len(values)
+
+
+def test_metacyclic_table_builds_each_value_once(monkeypatch):
+    group = cyclic(1000)
+    calls = []
+    init = CycElt.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CycElt, "__init__", counted)
+    t = metacyclic_table(group)
+    monkeypatch.undo()
+    distinct = len({v for row in t.rows for v in row})
+    assert distinct == 1000
+    assert len(calls) <= distinct + 3
+
+
 @pytest.mark.parametrize("factor", [1, 6])
 def test_subgroup_characters_are_the_dual_group(factor):
     # every subgroup S of (Z/n)*, n <= 60: |S| distinct homomorphisms

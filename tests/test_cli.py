@@ -1,6 +1,7 @@
 """CLI subcommands: outputs, exit codes, determinism, ingest path."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -38,6 +39,15 @@ def test_table_method_flag(tmp_path, capsys):
         assert main(["table", "--group", group, "--method", "dixon", "--out", str(p1)]) == 0
         assert main(["table", "--group", group, "--method", "direct", "--out", str(p2)]) == 0
         assert p1.read_bytes() == p2.read_bytes(), group
+
+
+def test_table_bytes_are_unchanged(tmp_path):
+    # a byte-identity gate on the direct route (order 1,332): value sharing,
+    # the row sort and the JSON encoding must not move a byte
+    out = tmp_path / "meta37.json"
+    assert main(["table", "--group", "meta:37:2", "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "745b2fa7822949f316cafb4a0b9123196444684bdba4a7ba5eef050fda8b63d6"
 
 
 def test_blocks_report(capsys):
@@ -370,6 +380,25 @@ def test_ingest_rejects_a_negated_row(tmp_path, capsys, check, p):
     assert err.startswith("error: ") and "row 2 has degree -2" in err
 
 
+def test_ingest_requires_the_identity_class_first(tmp_path, capsys):
+    # a genuine S3 table with its classes listed in the order 2, 0, 1 (power
+    # maps and rows relabelled with them) used to fail as "row 2 has degree -1"
+    obj = _table_json(tmp_path, "sym:3")
+    order = [2, 0, 1]
+    new_index = {old: new for new, old in enumerate(order)}
+    classes = [obj["classes"][old] for old in order]
+    for cls in classes:
+        cls["powermap"] = {a: new_index[c] for a, c in cls["powermap"].items()}
+    obj["classes"] = classes
+    obj["irr"] = [[row[old] for old in order] for row in obj["irr"]]
+    path = tmp_path / "relabelled.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(["ingest", "--file", str(path), "--p", "2", "--check", "a"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: the class of element order 1 must come first, not at index 1\n"
+
+
 _FUZZ_GROUPS = ("sym:3", "dihedral:8", "quaternion:8")
 _FUZZ_CHECKS = (("a", "2"), ("sigma", "2"), ("blocks", "3"))
 
@@ -431,6 +460,11 @@ def test_verify_a_timings_stay_out_of_the_result(tmp_path, capsys):
     assert timed.read_bytes() == plain.read_bytes()
     lines = [json.loads(ln) for ln in err.splitlines() if ln.startswith("{")]
     assert [ln["group"] for ln in lines] == ["sym:3", "meta:12:11"]
+    keys = {"group", "order", "height_zero_rows", "seconds", "route", "f", "values"}
     for ln, order in zip(lines, (6, 24)):
-        assert set(ln) == {"group", "order", "height_zero_rows", "seconds"}
+        assert set(ln) == keys
         assert ln["order"] == order and ln["height_zero_rows"] > 0 and ln["seconds"] >= 0
+    # S3: values 1, -1, 2, 0; exponent 6 and 12 both have 2'-part 3, and 2
+    # has order 2 mod 3
+    assert [(ln["route"], ln["f"]) for ln in lines] == [("dixon", 2), ("direct", 2)]
+    assert lines[0]["values"] == 4

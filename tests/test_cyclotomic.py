@@ -142,6 +142,65 @@ def test_non_rational_raises():
         root_of_unity(5).to_rational()
 
 
+def _to_rational_oracle(x):
+    """The Fraction-division definition: r is read off one basis coefficient
+    of the canonical 1, and x must be r times that form."""
+    if not x.terms:
+        return Fraction(0)
+    one = rational(1, x.n)
+    j, c = next(iter(one.terms.items()))
+    r = Fraction(x.terms.get(j, 0)) / c
+    if x.terms != {i: r * d for i, d in one.terms.items()}:
+        raise ValueError("element is not rational")
+    return r
+
+
+def _oracle_verdict(f, x):
+    try:
+        return f(x)
+    except ValueError:
+        return "raises"
+
+
+def _off_support(n):
+    """The basis exponents of Q(zeta_n) where the canonical 1 is 0."""
+    return [i for i in zumbroich_exponents(n) if i not in rational(1, n).terms]
+
+
+# moduli where the canonical 1 has many terms: all 8 basis elements at 30
+# (coefficient 1), all 48 at 105 (coefficient -1), 8 of 16 at 60 and 8 of 32
+# at 120
+_RATIONAL_MODULI = (30, 60, 105, 120)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    r=st.fractions(max_denominator=50).filter(bool),
+    edit=st.integers(0, 3),
+    data=st.data(),
+)
+def test_to_rational_agrees_with_the_fraction_oracle(r, edit, data):
+    # edit 1 changes one coefficient on 1's support, 2 adds one term off that
+    # support (so n is 60 or 120), 3 adds a random element of Q(zeta_n)
+    n = data.draw(st.sampled_from([m for m in _RATIONAL_MODULI if edit != 2 or _off_support(m)]))
+    one = rational(1, n)
+    assert len(one.terms) > 1 and {abs(c) for c in one.terms.values()} == {1}
+    x = rational(r, n)
+    if edit == 1:
+        j = data.draw(st.sampled_from(sorted(one.terms)))
+        x = CycElt(n, {**x.terms, j: x.terms[j] + data.draw(st.fractions().filter(bool))})
+    elif edit == 2:
+        x = CycElt(n, {**x.terms, data.draw(st.sampled_from(_off_support(n))): 1}, reduced=True)
+    elif edit == 3:
+        x = x + CycElt(n, {i: data.draw(st.integers(-2, 2)) for i in range(n)})
+    got = _oracle_verdict(CycElt.to_rational, x)
+    assert got == _oracle_verdict(_to_rational_oracle, x)
+    if edit in (1, 2):
+        assert got == "raises"
+    elif edit == 0:
+        assert got == r and isinstance(got, Fraction)
+
+
 # ---------------------------------------------------------------------------
 # conductor: main route vs divisor-scan oracle
 
