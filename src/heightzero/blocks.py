@@ -417,8 +417,8 @@ def block_partition(table, p):
 
     The exact division and the reduction run once per distinct (value, class
     size, degree) of the table, not once per entry: in a table from
-    metacyclic_table equal values are one object, and a value repeats about
-    22 times per table over the default corpus.
+    metacyclic_table or dixon_table equal values are one object, and a value
+    repeats about 22 times per table over the default corpus.
     """
     from sympy import isprime
 

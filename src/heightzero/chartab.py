@@ -5,7 +5,7 @@ Two independent construction routes:
 * dixon_table: the Dixon-Schneider modular method (class matrices over F_q,
   built one at a time from the class members, common eigenspace splitting,
   discrete-Fourier lift of the values back to the cyclotomic field of the
-  group exponent);
+  group exponent, once per rational class);
 * metacyclic_table: a direct Clifford-theoretic construction for C_n x| H
   with H <= (Z/n)*, the route for every group that carries meta_params
   (cyclic, dihedral, semidihedral, meta and the realizer's groups); dixon
@@ -16,9 +16,9 @@ trivial character first, then by degree and a lexicographic value encoding,
 so tables are reproducible bit-for-bit.
 
 A table holds far fewer distinct values than entries (the default corpus:
-84,544 entries, 3,764 distinct values).  metacyclic_table makes equal values
-one CycElt object, and the row sort, the JSON encoding and the block
-reduction do their per-value work once per distinct value.
+84,544 entries, 3,764 distinct values).  Both routes make equal values one
+CycElt object, and the row sort, the JSON encoding and the block reduction
+do their per-value work once per distinct value.
 """
 
 from __future__ import annotations
@@ -195,7 +195,7 @@ def _sort_rows(rows):
 
 def _per_object(rows, f):
     """f(v) for each distinct value object v of the rows, keyed by id(v); a
-    table from metacyclic_table has one object per distinct value."""
+    built table has one object per distinct value."""
     out = {}
     for row in rows:
         for v in row:
@@ -290,7 +290,21 @@ def _split_eigenspaces(group, cd, q):
 
 
 def dixon_table(group, cd=None):
-    """Character table via the Dixon-Schneider modular method."""
+    """Character table via the Dixon-Schneider modular method.
+
+    The common eigenvectors of the class matrices mod q give every value
+    mod q.  A value chi(g) for g of order o is sum_t m_t zeta_o^t, with m_t
+    the multiplicity of the eigenvalue zeta_o^t of g in a representation
+    affording chi, and the m_t are read off chi(g^l) mod q by a discrete
+    Fourier transform over l < o.  That lift runs once per rational class:
+    for a unit u mod o, chi(g^u) = sigma_u(chi(g)) has m'_{t u mod o} = m_t
+    (Schneider, J. Symb. Comput. 9, 1990), so the classes power_map[j][u] are
+    filled from class j's multiplicities.  Every filled class is checked:
+    its power map must be the u-th power of class j's, and each of its
+    values must reduce to the modular value from its own eigenvector
+    coordinates.  Each value is built once per distinct raw exponent map and
+    interned, so equal values of the table are one CycElt, as in
+    metacyclic_table."""
     if cd is None:
         cd = conjugacy_classes(group)
     c = cd.num_classes
@@ -323,28 +337,49 @@ def dixon_table(group, cd=None):
     if sum(d * d for d in degrees) != n:
         raise AssertionError("degree recovery failed")
 
-    # values mod q, then a discrete-Fourier lift per class using power maps
+    # values mod q, then a discrete-Fourier lift per rational class
     vals = np.zeros((c, c), dtype=np.int64)
     for r, om in enumerate(omegas):
         vals[r] = (degrees[r] * om * np.array(inv_sizes, dtype=np.int64)) % q
-    # each class's rows x o multiplicity array becomes its column of values
-    # at once, so only one array is alive at a time
-    sinv = pow(s, -1, q)
-    columns = []
+    pm = cd.power_map
+    zeta = np.array([pow(s, k, q) for k in range(e)], dtype=np.int64)  # zeta_e^k mod q
+    # raw exponent map at e -> (its one value object, its image mod q)
+    lifted = {}
+    values = {}
+    columns = [None] * c
     for j in range(c):
+        if columns[j] is not None:
+            continue
         o = cd.element_orders[j]
-        so_inv = pow(sinv, e // o, q)
-        pows = np.array([pow(so_inv, t, q) for t in range(o)], dtype=np.int64)
-        smat = pows[np.outer(np.arange(o), np.arange(o)) % o]
-        v = vals[:, [cd.power_map[j][l] for l in range(o)]]
-        mult = (modular.matmul(v, smat, q) * pow(o, -1, q)) % q  # rows x o
-        column = []
-        for r in range(c):
-            ms = [int(m) for m in mult[r]]
-            if sum(ms) != degrees[r]:
-                raise AssertionError("multiplicity lift inconsistent with degree")
-            column.append(CycElt(e, {u * (e // o): Fraction(m) for u, m in enumerate(ms) if m}))
-        columns.append(column)
+        step = e // o
+        powers = pm[j][:o]
+        if powers[1 % o] != j:
+            raise AssertionError(f"power map of class {j} does not send 1 to {j}")
+        smat = zeta[-step * np.outer(np.arange(o), np.arange(o)) % e]  # zeta_o^(-l t)
+        mult = (modular.matmul(vals[:, powers], smat, q) * pow(o, -1, q)) % q  # rows x o
+        if (mult.sum(axis=1) != degrees).any():
+            raise AssertionError("multiplicity lift inconsistent with degree")
+        support = [[] for _ in range(c)]
+        for r, t in zip(*np.nonzero(mult)):
+            support[r].append((int(t), int(mult[r, t])))
+        for u in range(o):
+            ju = powers[u]
+            if gcd(u, o) != 1 or columns[ju] is not None:
+                continue
+            if pm[ju][:o] != [powers[u * w % o] for w in range(o)]:
+                raise AssertionError(f"power map of class {ju} is not power {u} of class {j}")
+            column = []
+            for sup, want in zip(support, vals[:, ju].tolist()):
+                raw = tuple(sorted((t * u % o * step, m) for t, m in sup))
+                hit = lifted.get(raw)
+                if hit is None:
+                    v = CycElt(e, dict(raw))
+                    image = sum(m * pow(s, k, q) for k, m in raw) % q
+                    hit = lifted[raw] = (values.setdefault(v, v), image)
+                if hit[1] != want:
+                    raise AssertionError(f"lifted value at class {ju} disagrees with its value mod q")
+                column.append(hit[0])
+            columns[ju] = column
 
     rows = _sort_rows(zip(*columns))
     return CharacterTable(group.name, n, cd, rows)

@@ -18,27 +18,28 @@ def matmul(a, b, q):
 
 
 def rref(a, q):
-    """Reduced row echelon form mod q; returns (R, pivot_columns)."""
-    m = as_mod(np.array(a, dtype=np.int64, copy=True), q)
+    """Reduced row echelon form mod q; returns (R, pivot_columns).
+
+    Each pivot column is cleared in one step, m - f m[r] with f the column
+    and f[r] = 0; entries stay below q, so the products stay below q^2."""
+    m = as_mod(a, q)
     rows, cols = m.shape
     pivots = []
     r = 0
     for c in range(cols):
         if r >= rows:
             break
-        sel = None
-        for rr in range(r, rows):
-            if m[rr, c]:
-                sel = rr
-                break
-        if sel is None:
+        nz = m[r:, c].nonzero()[0]
+        if not len(nz):
             continue
+        sel = r + int(nz[0])
         if sel != r:
             m[[r, sel]] = m[[sel, r]]
         m[r] = (m[r] * pow(int(m[r, c]), -1, q)) % q
-        for rr in range(rows):
-            if rr != r and m[rr, c]:
-                m[rr] = (m[rr] - m[rr, c] * m[r]) % q
+        f = m[:, c].copy()
+        f[r] = 0
+        m -= f[:, None] * m[r]
+        m %= q
         pivots.append(c)
         r += 1
     return m[:r], pivots

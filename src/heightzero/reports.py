@@ -42,7 +42,7 @@ from .groups import (
     sl2,
     symmetric,
 )
-from .chartab import dixon_table, induce_linear, metacyclic_table
+from .chartab import _dixon_prime, dixon_table, induce_linear, metacyclic_table
 from .blocks import block_partition, height_zero_rows
 
 __all__ = [
@@ -266,8 +266,9 @@ def sweep_theorem_A(specs, p, progress=None):
 
     progress, when given, is called as soon as each group is done, with its
     summary entry and a dict of run facts that stay out of the summary: the
-    table's route ('direct' or 'dixon'), the residue-field degree f and the
-    number of distinct table values."""
+    table's route ('direct' or 'dixon'), the Dixon prime q (None on the direct
+    route), the residue-field degree f and the number of distinct table
+    values."""
     groups_out = []
     total_rows = 0
     total_violations = 0
@@ -288,8 +289,11 @@ def sweep_theorem_A(specs, p, progress=None):
             }
         )
         if progress is not None:
+            route = _auto_route(group)
             facts = {
-                "route": _auto_route(group),
+                "route": route,
+                "q": _dixon_prime(table.classes.exponent, table.order, table.num_classes)
+                if route == "dixon" else None,
                 "f": partition.f,
                 "values": len({v for row in table.rows for v in row}),
             }

@@ -4,7 +4,7 @@ import copy
 import json
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -343,16 +343,21 @@ def test_direct_route_matches_dixon_on_spec(spec):
     assert direct == table_to_json(build_table(spec, "dixon"))
 
 
-@pytest.mark.parametrize("group", [semidirect_cn_h(37, [2], name="meta:37:2"), dihedral(200)],
-                         ids=lambda g: g.name)
-def test_equal_values_are_one_object(group):
-    t = metacyclic_table(group)
+@pytest.mark.parametrize(
+    "build,group",
+    [pytest.param(metacyclic_table, g, id=g.name)
+     for g in (semidirect_cn_h(37, [2], name="meta:37:2"), dihedral(200))]
+    + [pytest.param(dixon_table, g, id=f"dixon-{g.name}")
+       for g in (symmetric(5), sl2(5), generalized_quaternion(64), cyclic(37))],
+)
+def test_equal_values_are_one_object(build, group):
+    t = build(group)
     values = [v for row in t.rows for v in row]
     assert len({id(v) for v in values}) == len(set(values)) < len(values)
 
 
-def test_metacyclic_table_builds_each_value_once(monkeypatch):
-    group = cyclic(1000)
+def _count_builds(monkeypatch, build, group):
+    """The table, and the number of CycElt.__init__ calls made building it."""
     calls = []
     init = CycElt.__init__
 
@@ -361,11 +366,52 @@ def test_metacyclic_table_builds_each_value_once(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(CycElt, "__init__", counted)
-    t = metacyclic_table(group)
+    t = build(group)
     monkeypatch.undo()
+    return t, len(calls)
+
+
+def test_metacyclic_table_builds_each_value_once(monkeypatch):
+    t, calls = _count_builds(monkeypatch, metacyclic_table, cyclic(1000))
     distinct = len({v for row in t.rows for v in row})
     assert distinct == 1000
-    assert len(calls) <= distinct + 3
+    assert calls <= distinct + 3
+
+
+def test_dixon_table_builds_each_value_once(monkeypatch):
+    # one CycElt per entry would be 37 * 37 = 1,369
+    t, calls = _count_builds(monkeypatch, dixon_table, cyclic(37))
+    distinct = len({v for row in t.rows for v in row})
+    assert distinct == 37
+    assert calls <= distinct + 3
+
+
+def _wrong_conjugates(cd):
+    """(class, unit, class) for each way to send one power-map entry of a unit
+    to another class of the same Galois orbit."""
+    for j, o in enumerate(cd.element_orders):
+        units = [u for u in range(o) if gcd(u, o) == 1]
+        orbit = sorted({cd.power_map[j][u] for u in units})
+        for u in units:
+            for wrong in orbit:
+                if wrong != cd.power_map[j][u]:
+                    yield j, u, wrong
+
+
+@pytest.mark.parametrize("group", [sl2(5), generalized_quaternion(32), semidirect_cn_h(7, [2])],
+                         ids=lambda g: g.name)
+def test_dixon_table_rejects_a_power_map_sent_to_a_wrong_conjugate(group):
+    # the lift reads one power map per rational class; every other class is
+    # filled by the Galois action, and each filled class must show that its
+    # own power map and its own modular values agree with the fill
+    cd = conjugacy_classes(group)
+    cases = list(_wrong_conjugates(cd))
+    assert len({j for j, _, _ in cases}) > 2
+    for j, u, wrong in cases:
+        bad = copy.deepcopy(cd)
+        bad.power_map[j][u] = wrong
+        with pytest.raises(AssertionError):
+            dixon_table(group, bad)
 
 
 @pytest.mark.parametrize("factor", [1, 6])

@@ -50,6 +50,21 @@ def test_table_bytes_are_unchanged(tmp_path):
     assert digest == "745b2fa7822949f316cafb4a0b9123196444684bdba4a7ba5eef050fda8b63d6"
 
 
+@pytest.mark.parametrize(
+    "spec,digest",
+    [
+        ("sl2:5", "188bfeedd78e31af57a65ca8e3b69c7bedd1cb88b4e7b24c80ab74d05da695d5"),
+        ("quaternion:64", "85f6e16a1447b3ccbc91c78d9e8538b3c9fb2a045d1a7810fa9d66ba77534d8a"),
+    ],
+)
+def test_dixon_table_bytes_are_unchanged(tmp_path, spec, digest):
+    # the same gate on the Dixon route: the lift per rational class, value
+    # sharing and the mod-q elimination must not move a byte
+    out = tmp_path / "dixon.json"
+    assert main(["table", "--group", spec, "--method", "dixon", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_blocks_report(capsys):
     code, out, _ = run(["blocks", "--group", "sym:4", "--p", "2"], capsys)
     assert code == 0
@@ -460,11 +475,13 @@ def test_verify_a_timings_stay_out_of_the_result(tmp_path, capsys):
     assert timed.read_bytes() == plain.read_bytes()
     lines = [json.loads(ln) for ln in err.splitlines() if ln.startswith("{")]
     assert [ln["group"] for ln in lines] == ["sym:3", "meta:12:11"]
-    keys = {"group", "order", "height_zero_rows", "seconds", "route", "f", "values"}
+    keys = {"group", "order", "height_zero_rows", "seconds", "route", "q", "f", "values"}
     for ln, order in zip(lines, (6, 24)):
         assert set(ln) == keys
         assert ln["order"] == order and ln["height_zero_rows"] > 0 and ln["seconds"] >= 0
     # S3: values 1, -1, 2, 0; exponent 6 and 12 both have 2'-part 3, and 2
     # has order 2 mod 3
     assert [(ln["route"], ln["f"]) for ln in lines] == [("dixon", 2), ("direct", 2)]
+    # the least prime q = 1 mod 6 above 2 (isqrt(6) + 1) = 6; none on the direct route
+    assert [ln["q"] for ln in lines] == [7, None]
     assert lines[0]["values"] == 4
