@@ -7,11 +7,14 @@ ideal above p lands them in a finite field GF(p^f); two rows lie in the same
 p-block exactly when their reduced central characters agree on every class.
 Defect and heights then come from p-valuations of the group order and the
 row degrees.
+
+Residue fields at every p run in one ring, `_KroneckerRing`, where a
+polynomial over F_p is one int with a lane of bits per coefficient; a reduced
+value is the ring's canonical packed int, so block signatures are int tuples.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -24,7 +27,6 @@ __all__ = [
     "BlockPartition",
     "block_partition",
     "height_zero_rows",
-    "central_character_value",
     "nu_p",
     "block_report_json",
 ]
@@ -45,53 +47,11 @@ def nu_p(n, p):
 # polynomials over F_p packed into one int
 
 
-class _PackedRing:
-    """F_p[x] / (g) for a monic g, elements packed into Python ints.  The
-    packed 1 is the int 1 and the packed 0 is the int 0 in both layouts."""
-
-    def pow(self, x, k):
-        out = 1
-        while k:
-            if k & 1:
-                out = self.mul(out, x)
-            k >>= 1
-            if k:
-                x = self.mul(x, x)
-        return out
-
-
-class _CarrylessRing(_PackedRing):
-    """F_2[x] / (g): bit i holds the coefficient of x^i, addition is XOR and
-    multiplication is carry-less."""
-
-    def __init__(self, modulus):
-        self.f = len(modulus) - 1
-        self.modulus = self.pack(modulus)
-
-    @staticmethod
-    def pack(coeffs):
-        return sum(c << i for i, c in enumerate(coeffs))
-
-    def unpack(self, x):
-        return tuple(x >> i & 1 for i in range(self.f))
-
-    def mul(self, a, b):
-        prod = 0
-        while a:
-            low = a & -a
-            prod ^= b << low.bit_length() - 1
-            a ^= low
-        f, mod = self.f, self.modulus
-        for sh in range(prod.bit_length() - f - 1, -1, -1):
-            if prod >> (f + sh) & 1:
-                prod ^= mod << sh
-        return prod
-
-
-class _KroneckerRing(_PackedRing):
+class _KroneckerRing:
     """F_p[x] / (g) by Kronecker substitution: the coefficient of x^i sits in
     lane i, bits [w*i, w*(i + 1)), so integer + and * of packed ints add and
-    multiply the polynomials over Z while no lane overflows.
+    multiply the polynomials over Z while no lane overflows.  1 and 0 pack
+    as the ints 1 and 0.
 
     Lanes start in [0, p), and a lane collects at most S products of two
     residues before `canon` reduces it, so it stays below 2**k with k the bit
@@ -151,6 +111,16 @@ class _KroneckerRing(_PackedRing):
             x = (x & low) + hi * tail
             hi = x >> fbits
         return self.canon(x)
+
+    def pow(self, x, k):
+        out = 1
+        while k:
+            if k & 1:
+                out = self.mul(out, x)
+            k >>= 1
+            if k:
+                x = self.mul(x, x)
+        return out
 
     def coprime(self, b):
         """Whether b (lanes in [0, p), degree < f) is prime to the modulus in
@@ -221,7 +191,7 @@ def _gf_irreducible_poly(p, f):
 class GF:
     """Arithmetic in GF(p^f) = F_p[x] / (m(x)); elements are tuples of f
     residues (constant coefficient first).  Products are computed on packed
-    ints: carry-less for p = 2, Kronecker lanes for odd p."""
+    ints in Kronecker lanes, at every p."""
 
     def __init__(self, p, f):
         self.p = p
@@ -229,10 +199,7 @@ class GF:
         self.modulus = _gf_irreducible_poly(p, f)
         self.zero = (0,) * f
         self.one = (1,) + (0,) * (f - 1)
-        if p == 2:
-            self._ring = _CarrylessRing(self.modulus)
-        else:
-            self._ring = _KroneckerRing(p, self.modulus)
+        self._ring = _KroneckerRing(p, self.modulus)
 
     @property
     def order(self):
@@ -309,10 +276,7 @@ class IdealReduction:
         self.u = self.gf.root_of_order(eprime) if eprime > 1 else self.gf.one
         # u^k for k in [0, eprime), packed: every image is a sum of these with
         # at most one term per k, so the lanes hold eprime summands
-        if p == 2:
-            self._ring = self.gf._ring
-        else:
-            self._ring = _KroneckerRing(p, self.gf.modulus, summands=eprime)
+        self._ring = _KroneckerRing(p, self.gf.modulus, summands=eprime)
         x = self._ring.pack(self.u)
         self._upow = [1]
         for _ in range(eprime - 1):
@@ -327,11 +291,11 @@ class IdealReduction:
             if c.denominator % p == 0:
                 raise ValueError("value is not p-integral")
             coeffs[j] = c.numerator * pow(c.denominator, -1, p)
-        return self._image(x.n, coeffs)
+        return self._ring.unpack(self._image(x.n, coeffs))
 
     def _image(self, n, coeffs):
-        """Image of sum c_j zeta_n^j for the map coeffs: j -> integer c_j; an
-        int of bits for p = 2, a tuple of f residues for odd p."""
+        """Image of sum c_j zeta_n^j for the map coeffs: j -> integer c_j, as
+        the ring's canonical packed int: equal images are equal ints."""
         p, ep = self.p, self.eprime
         a = nu_p(n, p) if n > 1 else 0
         nprime = n // p**a
@@ -343,12 +307,6 @@ class IdealReduction:
         # zeta_{p^a} |-> 1, so only the n'-component survives (step 0 if n' = 1)
         step = ep // nprime * pow(p**a, -1, nprime)
         upow = self._upow
-        if p == 2:
-            out = 0
-            for j, c in coeffs.items():
-                if c & 1:
-                    out ^= upow[j * step % ep]
-            return out
         by_power = {}
         for j, c in coeffs.items():
             k = j * step % ep
@@ -356,14 +314,7 @@ class IdealReduction:
         out = 0
         for k, c in by_power.items():
             out += c % p * upow[k]
-        return self._ring.unpack(out)
-
-
-def central_character_value(table, r, j):
-    """omega_chi(K_j) = |K_j| chi(g_j) / chi(1) for row r; exact CycElt."""
-    chi = table.rows[r]
-    size = table.classes.class_sizes[j]
-    return chi[j].scalar_mul(Fraction(size, table.degrees[r]))
+        return self._ring.canon(out)
 
 
 # ---------------------------------------------------------------------------

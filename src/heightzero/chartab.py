@@ -30,8 +30,8 @@ from operator import mul
 import numpy as np
 from sympy import isprime
 
-from . import modular
-from .cyclotomic import CycElt, _one_at, _prime_powers, _reduce_terms, zero
+from . import blocks, modular
+from .cyclotomic import CycElt, _one_at, _reduce_terms, zero
 from .fields import _fixer_scan, unit_generators
 from .groups import ClassData, conjugacy_classes
 
@@ -239,18 +239,6 @@ def _dixon_prime(e, order, nclasses):
             raise RuntimeError("no suitable Dixon prime found")
 
 
-def _unit_of_order(q, e):
-    """An element of order e in F_q^* (e divides q - 1): the least generator
-    of F_q^*, raised to (q - 1) / e."""
-    fac = [p for p, _ in _prime_powers(q - 1)]
-    g = 2
-    while True:
-        if all(pow(g, (q - 1) // p, q) != 1 for p in fac):
-            break
-        g += 1
-    return pow(g, (q - 1) // e, q)
-
-
 def _split_eigenspaces(group, cd, q):
     """The common eigenvectors of the class matrices mod q, one per row.
 
@@ -304,14 +292,18 @@ def dixon_table(group, cd=None):
     values must reduce to the modular value from its own eigenvector
     coordinates.  Each value is built once per distinct raw exponent map and
     interned, so equal values of the table are one CycElt, as in
-    metacyclic_table."""
+    metacyclic_table.
+
+    zeta_e maps to s = GF(q, 1).root_of_order(e).  Any primitive e-th root
+    gives the same table: s^k (k prime to e) lifts each row to sigma_k(chi),
+    and Irr(G) is Galois-stable, so the sorted rows do not change."""
     if cd is None:
         cd = conjugacy_classes(group)
     c = cd.num_classes
     n = group.order
     e = cd.exponent
     q = _dixon_prime(e, n, c)
-    s = _unit_of_order(q, e)
+    s = blocks._cached_gf(q, 1).root_of_order(e)[0]
 
     lines = _split_eigenspaces(group, cd, q)
 
@@ -518,8 +510,9 @@ def cyc_to_json(x):
 
 
 def cyc_from_json(obj, e):
-    """One value of a table of exponent e; its modulus must divide e, so the
-    value lies in Q(zeta_e), where the Galois action of (Z/e)* is defined."""
+    """One value of a table of exponent e, rewritten at modulus e.  Its
+    modulus must divide e, so the value lies in Q(zeta_e), where the Galois
+    action of (Z/e)* is defined; at one modulus, equal values hash alike."""
     from .cyclotomic import zumbroich_exponents
 
     n = _int(obj["n"], "modulus")
@@ -535,7 +528,7 @@ def cyc_from_json(obj, e):
             raise ValueError(f"basis exponent {j} repeats at modulus {n}")
         num, den = frac.split("/")
         terms[j] = Fraction(int(num), int(den))
-    return CycElt(n, terms, reduced=True)
+    return CycElt(n, terms, reduced=True).embed(e)
 
 
 def table_to_json(table):

@@ -7,6 +7,7 @@ library's explicit finite field.  The partitions must coincide.
 """
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,6 @@ from heightzero.blocks import (
     IdealReduction,
     _irreducible,
     block_partition,
-    central_character_value,
     height_zero_rows,
     nu_p,
 )
@@ -62,6 +62,13 @@ def _oracle_reduce(value, p, eprime, factor):
     if factor is not None:
         acc = acc.rem(factor)
     return tuple(acc.all_coeffs())
+
+
+def central_character_value(table, r, j):
+    """omega_chi(K_j) = |K_j| chi(g_j) / chi(1) for row r; exact CycElt."""
+    chi = table.rows[r]
+    size = table.classes.class_sizes[j]
+    return chi[j].scalar_mul(Fraction(size, table.degrees[r]))
 
 
 def oracle_partition(table, p):
@@ -138,6 +145,7 @@ def test_oracle_matches_library_on_sample():
         (dihedral(12), 3),
         (semidirect_cn_h(12, [11]), 2),
         (semidirect_cn_h(31, [2]), 7),  # residue degree f = 60
+        (semidirect_cn_h(23, [22]), 2),  # f = 11
     ]
     for g, p in cases:
         t = dixon_table(g)
@@ -165,8 +173,6 @@ def test_s3_degree2_central_values():
 
 
 def test_corrupt_table_detected_by_integrality():
-    from fractions import Fraction
-
     from heightzero.chartab import CharacterTable
     from heightzero.cyclotomic import rational
 
@@ -383,7 +389,9 @@ def test_root_of_order_scans_from_code_one():
             assert g.root_of_order(m) == first, (p, f, m)
 
 
-@pytest.mark.parametrize("p,f", [(7, 110), (3, 84), (65537, 2), (4294967291, 2)])
+@pytest.mark.parametrize(
+    "p,f", [(2, 11), (2, 110), (7, 110), (3, 84), (65537, 2), (4294967291, 2)]
+)
 def test_gf_mul_matches_sympy(p, f):
     g = GF(p, f)
     if p == 4294967291:
@@ -450,13 +458,15 @@ def test_binomial_skip_keeps_the_lex_least_modulus(p):
 def test_ideal_reduction_is_ring_homomorphism():
     from heightzero.cyclotomic import root_of_unity
 
-    red = IdealReduction(3, 8)
-    xs = [root_of_unity(8, j) for j in range(8)]
-    gf = red.gf
-    for a in xs:
-        for b in xs:
-            assert red.reduce(a * b) == gf.mul(red.reduce(a), red.reduce(b))
-            assert red.reduce(a + b) == gf.add(red.reduce(a), red.reduce(b))
+    # at p = 2 the roots of order 30 include zeta_2, which maps to 1
+    for p, eprime, n in ((3, 8, 8), (2, 15, 30)):
+        red = IdealReduction(p, eprime)
+        xs = [root_of_unity(n, j) for j in range(n)]
+        gf = red.gf
+        for a in xs:
+            for b in xs:
+                assert red.reduce(a * b) == gf.mul(red.reduce(a), red.reduce(b))
+                assert red.reduce(a + b) == gf.add(red.reduce(a), red.reduce(b))
 
 
 def test_ideal_reduction_kills_p_power_roots():

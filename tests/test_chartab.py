@@ -23,7 +23,7 @@ from heightzero.groups import (
     sl2,
     symmetric,
 )
-from heightzero import chartab
+from heightzero import blocks, chartab
 from heightzero.chartab import (
     class_matrix,
     dixon_table,
@@ -386,6 +386,29 @@ def test_dixon_table_builds_each_value_once(monkeypatch):
     assert calls <= distinct + 3
 
 
+@pytest.mark.parametrize("group", [symmetric(5), sl2(5), semidirect_cn_h(12, [11])],
+                         ids=lambda g: g.name)
+def test_dixon_table_is_independent_of_the_root_of_unity(monkeypatch, group):
+    # zeta_e -> s^k in place of s lifts each row to sigma_k(chi); Irr(G) is
+    # Galois-stable, so the sorted table must not move
+    cd = conjugacy_classes(group)
+    want = table_to_json(dixon_table(group, cd))
+    root_of_order = blocks.GF.root_of_order
+    units = [k for k in range(1, cd.exponent) if gcd(k, cd.exponent) == 1]
+    for k in units:
+        used = []
+
+        def power_k(gf, m, k=k):
+            s = pow(root_of_order(gf, m)[0], k, gf.p)
+            used.append(s)
+            return (s,)
+
+        monkeypatch.setattr(blocks.GF, "root_of_order", power_k)
+        assert table_to_json(dixon_table(group, cd)) == want, k
+        assert len(used) == 1
+    assert len(units) > 2
+
+
 def _wrong_conjugates(cd):
     """(class, unit, class) for each way to send one power-map entry of a unit
     to another class of the same Galois orbit."""
@@ -519,6 +542,18 @@ def test_table_json_roundtrip():
     assert t2.rows == t.rows
     assert t2.order == t.order
     assert t2.classes.class_sizes == t.classes.class_sizes
+
+
+def test_ingest_puts_every_value_at_the_exponent():
+    # row 0's 1s written at modulus 1 equal the 1s of the other rows, which
+    # sit at the exponent; they must be one value, with one hash
+    t = _table(symmetric(3))
+    obj = table_to_json(t)
+    obj["irr"][0] = [{"n": 1, "terms": [[0, "1/1"]]}] * len(obj["irr"][0])
+    t2 = table_from_json(obj)
+    assert all(v.n == t2.classes.exponent for row in t2.rows for v in row)
+    distinct = len({v for row in t.rows for v in row})
+    assert len({v for row in t2.rows for v in row}) == distinct
 
 
 def test_ingest_rejects_corrupt_values():

@@ -65,6 +65,26 @@ def test_dixon_table_bytes_are_unchanged(tmp_path, spec, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "spec,p,digest",
+    [
+        # residue degree f = 110 at p = 2, the largest in the default corpus
+        ("meta:23:1,2,3,4,6,8,9,12,13,16,18", "2",
+         "6e2f901c7530d1ff4bdd20d342249fc8d650dae91d3ea32ef05e78425acdfd26"),
+        # f = 84 at both primes
+        ("meta:29:1,7,16,20,23,24,25", "2",
+         "74a269e4928ecb50943badafaade07b11eaafa20de522384049350aa67cdeaf2"),
+        ("meta:29:1,7,16,20,23,24,25", "3",
+         "48382c3aa942b0254bd1795d60404b13179fbe97ca43abc210126d5035c44807"),
+    ],
+)
+def test_block_reports_are_unchanged(tmp_path, spec, p, digest):
+    # a byte-identity gate on the residue-field ring at large f
+    out = tmp_path / "blocks.json"
+    assert main(["blocks", "--group", spec, "--p", p, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_blocks_report(capsys):
     code, out, _ = run(["blocks", "--group", "sym:4", "--p", "2"], capsys)
     assert code == 0
