@@ -189,9 +189,9 @@ def _gf_irreducible_poly(p, f):
 
 
 class GF:
-    """Arithmetic in GF(p^f) = F_p[x] / (m(x)); elements are tuples of f
-    residues (constant coefficient first).  Products are computed on packed
-    ints in Kronecker lanes, at every p."""
+    """GF(p^f) = F_p[x] / (m(x)) with m the least irreducible modulus;
+    elements are tuples of f residues (constant coefficient first), and
+    arithmetic runs on their packed ints in the Kronecker ring _ring."""
 
     def __init__(self, p, f):
         self.p = p
@@ -204,20 +204,6 @@ class GF:
     @property
     def order(self):
         return self.p**self.f
-
-    def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def mul(self, a, b):
-        r = self._ring
-        return r.unpack(r.mul(r.pack(a), r.pack(b)))
-
-    def pow(self, a, k):
-        if k < 0:
-            raise ValueError("negative exponent")
-        r = self._ring
-        return r.unpack(r.pow(r.pack(a), k))
 
     def root_of_order(self, m):
         """An element of exact multiplicative order m, which must divide
@@ -281,17 +267,6 @@ class IdealReduction:
         self._upow = [1]
         for _ in range(eprime - 1):
             self._upow.append(self._ring.mul(self._upow[-1], x))
-
-    def reduce(self, x):
-        """Image of the CycElt x in GF(p^f); x must be p-integral and the
-        p'-part of its modulus must divide eprime."""
-        p = self.p
-        coeffs = {}
-        for j, c in x.terms.items():
-            if c.denominator % p == 0:
-                raise ValueError("value is not p-integral")
-            coeffs[j] = c.numerator * pow(c.denominator, -1, p)
-        return self._ring.unpack(self._image(x.n, coeffs))
 
     def _image(self, n, coeffs):
         """Image of sum c_j zeta_n^j for the map coeffs: j -> integer c_j, as

@@ -3,13 +3,14 @@
 Groups are Cayley-style: every element is materialized and indexed (index 0 is
 the identity).  Element representations are hashable opaque values; products
 go through a representation-level multiply plus an index lookup.  Orders stay
-small enough (cap 20000) that exhaustive enumeration is the cheapest route to
-the class data the character-table and block machinery needs.
+small (cap 20000).  The class data of C_n x| H is read off in closed form from
+the element layout of semidirect_cn_h, with no group product; permutation and
+matrix groups get it by orbits under conjugation by the generators.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 
 from .cyclotomic import _prime_powers
 
@@ -52,7 +53,8 @@ class FiniteGroup:
 
     gens are element values; gen_indices holds their indices without the
     identity, or [0] for the trivial group.  meta_params is (n, H) for
-    C_n x| H, whose table chartab.metacyclic_table builds directly."""
+    C_n x| H, whose class data conjugacy_classes and whose table
+    chartab.metacyclic_table build directly."""
 
     meta_params = None
 
@@ -114,8 +116,9 @@ class ClassData:
     """Conjugacy-class data: sizes, element orders and power maps, where
     power_map[ci][k] is the class of the k-th power of class ci for k in
     [0, exponent).  Built from a group by conjugacy_classes, which also sets
-    the reps, members and element-to-class map; an ingested table carries
-    only the class-level data (chartab.table_from_json)."""
+    the reps (least member of each class), the sorted members and the
+    element-to-class map; an ingested table carries only the class-level data
+    (chartab.table_from_json)."""
 
     def __init__(self, class_sizes, element_orders, power_map, exponent,
                  class_reps=None, members=None, class_of=None):
@@ -137,8 +140,17 @@ class ClassData:
 
 
 def conjugacy_classes(group):
-    """Classes as orbits under conjugation by the group generators, in a
-    deterministic order: (element order, size, minimal member index)."""
+    """ClassData of the group, classes sorted by (element order, size, least
+    member index).  C_n x| H (group.meta_params set) takes the closed form,
+    every other group the orbits under conjugation by its generators."""
+    if group.meta_params is not None:
+        return _metacyclic_classes(*group.meta_params)
+    return _orbit_classes(group)
+
+
+def _orbit_classes(group):
+    """Classes as orbits under conjugation by the group generators, powers by
+    group products."""
     n = group.order
     gens = group.gen_indices
     ginvs = [group.inv(g) for g in gens]
@@ -214,7 +226,9 @@ def from_permutation_generators(gens, name=None):
 
 
 def semidirect_cn_h(n, hgens, name=None):
-    """C_n x| H with H = <hgens> <= (Z/n)* acting by multiplication."""
+    """C_n x| H with H = <hgens> <= (Z/n)* acting by multiplication.  The
+    element (c, h) has index pos(h)*n + c, pos(h) the place of h in the
+    sorted H (h = 1 first); _metacyclic_classes reads the classes off it."""
     if n < 1:
         raise ValueError("n must be positive")
     from .fields import subgroup_closure
@@ -237,6 +251,52 @@ def semidirect_cn_h(n, hgens, name=None):
     grp = FiniteGroup(elements, mul, name or f"meta:{n}:{','.join(map(str, hgens))}", gens)
     grp.meta_params = (n, H)
     return grp
+
+
+def _metacyclic_classes(n, H):
+    """ClassData of C_n x| H on the element layout of semidirect_cn_h, where
+    (c, h) has index pos(h)*n + c, pos(h) its place in the sorted H.
+
+    Conjugation gives (x, k)(c, h)(x, k)^-1 = (k*c + (1 - h)*x, h), so with
+    d = gcd(1 - h, n) the classes over h are the H-orbits on Z/d, each lifted
+    by dZ/n.  Powers are (c, h)^a = (c*(1 + h + ... + h^(a-1)), h^a), so
+    (c, h) has order o_h*n / gcd(n, c*s_h), with o_h the order of h mod n and
+    s_h = 1 + h + ... + h^(o_h - 1)."""
+    one = 1 % n
+    pos = {h: i for i, h in enumerate(H)}
+    keyed = []
+    for i, h in enumerate(H):
+        base, d = i * n, gcd(1 - h, n)
+        o_h, s_h, hk = 1, one, h
+        while hk != one:
+            o_h, s_h, hk = o_h + 1, s_h + hk, hk * h % n
+        seen = set()
+        for r in range(d):
+            if r in seen:
+                continue
+            orbit = sorted({k * r % d for k in H})
+            seen.update(orbit)
+            members = [base + t + x for t in range(0, n, d) for x in orbit]
+            keyed.append((o_h * n // gcd(n, r * s_h), len(members), base + r, members))
+    keyed.sort(key=lambda t: t[:3])
+    class_of = [None] * (n * len(H))
+    for ci, t in enumerate(keyed):
+        for x in t[3]:
+            class_of[x] = ci
+    orders = [t[0] for t in keyed]
+    exponent = lcm(*orders)
+    # the powers of a class repeat with period its element order
+    power_map = []
+    for o, _, rep, _ in keyed:
+        c, h = rep % n, H[rep // n]
+        row, x, y = [], 0, one
+        for _ in range(o):
+            row.append(class_of[pos[y] * n + x])
+            x, y = (x + y * c) % n, y * h % n
+        power_map.append(row * (exponent // o))
+    return ClassData([t[1] for t in keyed], orders, power_map, exponent,
+                     class_reps=[t[2] for t in keyed],
+                     members=[t[3] for t in keyed], class_of=class_of)
 
 
 def cyclic(n, name=None):

@@ -53,6 +53,21 @@ def test_table_bytes_are_unchanged(tmp_path):
 @pytest.mark.parametrize(
     "spec,digest",
     [
+        ("dihedral:200", "9457c99764905fe57e6a7b780fe6e0b879b65371cb0cc4ec258ee5e6c42fb815"),
+        ("semidihedral:64", "2de96ae1d30d2531e5e3f7437b5523ef6c22b03698ef0e7566c4493ad8490d3f"),
+        ("meta:63:2,8", "e900284db75e78b87e181d238e26336f9306ce956ace37014e8a5ccf7ea5d1e2"),
+    ],
+)
+def test_direct_table_bytes_per_family(tmp_path, spec, digest):
+    # the same gate on the dihedral, semidihedral and two-generator H families
+    out = tmp_path / "table.json"
+    assert main(["table", "--group", spec, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "spec,digest",
+    [
         ("sl2:5", "188bfeedd78e31af57a65ca8e3b69c7bedd1cb88b4e7b24c80ab74d05da695d5"),
         ("quaternion:64", "85f6e16a1447b3ccbc91c78d9e8538b3c9fb2a045d1a7810fa9d66ba77534d8a"),
     ],

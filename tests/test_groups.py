@@ -3,7 +3,9 @@ helpers of the tests."""
 
 import pytest
 
+from heightzero import groups
 from heightzero.groups import (
+    FiniteGroup,
     GroupTooLarge,
     alternating,
     conjugacy_classes,
@@ -16,6 +18,7 @@ from heightzero.groups import (
     sl2,
     symmetric,
 )
+from heightzero.reports import default_corpus, parse_group_spec
 from subgroups import center, derived_subgroup, subgroup_elements
 
 
@@ -78,8 +81,13 @@ def test_class_order_is_deterministic():
     assert cd.class_reps[0] == 0
 
 
-def test_power_map_consistency():
-    g = dihedral(12)
+# both walk group products, so they check either route to the class data
+WALKED = ["dihedral:12", "cyclic:5", "semidihedral:32", "meta:63:2,8", "cyclic:30", "meta:21:2"]
+
+
+@pytest.mark.parametrize("spec", WALKED)
+def test_power_map_consistency(spec):
+    g = parse_group_spec(spec)
     cd = conjugacy_classes(g)
     for ci, rep in enumerate(cd.class_reps):
         cur = 0
@@ -88,11 +96,48 @@ def test_power_map_consistency():
             cur = g.mul(cur, rep)
 
 
-def test_inverse_class():
-    g = cyclic(5)
+@pytest.mark.parametrize("spec", WALKED)
+def test_inverse_class(spec):
+    g = parse_group_spec(spec)
     cd = conjugacy_classes(g)
     for ci, rep in enumerate(cd.class_reps):
         assert cd.inverse_class[ci] == cd.class_of[g.inv(rep)]
+
+
+CLASS_FIELDS = ("class_sizes", "element_orders", "power_map", "exponent",
+                "class_reps", "members", "class_of", "inverse_class")
+
+
+def test_metacyclic_classes_match_the_orbit_routine():
+    # the closed form against conjugation orbits and group products, on every
+    # C_n x| H of the default corpus and the edge cases n = 1, 2
+    specs = default_corpus() + ["cyclic:1", "cyclic:2", "dihedral:6", "semidihedral:16",
+                                "meta:63:2,8"]
+    checked = 0
+    for spec in specs:
+        g = parse_group_spec(spec)
+        if g.meta_params is None:
+            continue
+        n, H = g.meta_params
+        # the layout the closed form reads: (c, h) at pos(h)*n + c
+        layout = {(c, h): i * n + c for i, h in enumerate(H) for c in range(n)}
+        assert g.index == layout, spec
+        got, want = conjugacy_classes(g), groups._orbit_classes(g)
+        for field in CLASS_FIELDS:
+            assert getattr(got, field) == getattr(want, field), (spec, field)
+        checked += 1
+    assert checked == 197 + 5
+
+
+def test_metacyclic_classes_need_no_group_product(monkeypatch):
+    def refuse(self, i, j):
+        raise AssertionError("group product in the closed form")
+
+    monkeypatch.setattr(FiniteGroup, "mul", refuse)
+    # H = (Z/37)*: 2 classes over h = 1 and one over each other h.  D200:
+    # {0}, {50} and 49 pairs {c, -c} over h = 1, and c mod 2 over h = -1
+    for g, classes in ((semidirect_cn_h(37, [2]), 2 + 35), (dihedral(200), 51 + 2)):
+        assert conjugacy_classes(g).num_classes == classes
 
 
 def test_quaternion_has_unique_involution():
