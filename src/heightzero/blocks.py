@@ -396,9 +396,9 @@ def height_zero_rows(table, p, partition=None):
     return [r for r, h in enumerate(partition.height) if h == 0]
 
 
-def block_report_json(table, p, partition=None):
+def block_report_json(table, p):
     """JSON-ready block report for a table at the prime p."""
-    blocks = partition if partition is not None else block_partition(table, p)
+    blocks = block_partition(table, p)
     return {
         "p": p,
         "group": table.name,

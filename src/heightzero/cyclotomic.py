@@ -4,7 +4,7 @@ Elements of Q(zeta_n) are stored as sparse integer-exponent -> Fraction maps
 over the Zumbroich basis of Z[zeta_n].  The representation is unique, so
 structural equality is mathematical equality at a fixed modulus.  Mixed-modulus
 arithmetic embeds both operands into the lcm modulus first; results are never
-auto-descended (use conductor_of_element for explicit descent).
+auto-descended.
 """
 
 from __future__ import annotations
@@ -16,10 +16,7 @@ from math import gcd, lcm
 __all__ = [
     "CycElt",
     "root_of_unity",
-    "rational",
     "zero",
-    "conductor_of_element",
-    "sigma_e",
     "sigma_unit",
     "zumbroich_exponents",
 ]
@@ -241,9 +238,6 @@ class CycElt:
             return self
         return CycElt(self.n, {(j * k) % self.n: c for j, c in self.terms.items()})
 
-    def conjugate(self):
-        return self.galois(-1)
-
     # -- rationality -------------------------------------------------------
 
     def to_rational(self):
@@ -304,11 +298,6 @@ def _coerce(v, n=1):
     raise TypeError(f"cannot coerce {v!r} to CycElt")
 
 
-def rational(v, n=1):
-    """The rational number v as a CycElt at modulus n."""
-    return _coerce(Fraction(v), n)
-
-
 def zero(n=1):
     return CycElt(n, {}, reduced=True)
 
@@ -335,16 +324,12 @@ def _euler_phi(n):
 
 
 def sigma_unit(n, e):
-    """The unit k with sigma_e(x) = x.galois(k) at modulus n: k = 1 mod the
-    odd part of n and k = 1 + 2^e mod its 2-part."""
+    """The unit k for which x -> x.galois(k) is sigma_e at modulus n, the
+    automorphism fixing odd-order roots of unity and raising 2-power roots
+    to the (1+2^e)-th power: k = 1 mod the odd part of n and k = 1 + 2^e
+    mod its 2-part."""
     n2 = n & -n
     return _crt(1, n // n2, (1 + (1 << e)) % n2, n2)
-
-
-def sigma_e(x, e):
-    """Galois map fixing odd-order roots of unity and raising 2-power roots
-    to the (1+2^e)-th power, restricted to the modulus of x."""
-    return x.galois(sigma_unit(x.n, e))
 
 
 def _crt(a1, m1, a2, m2):
@@ -372,58 +357,3 @@ def _conductor(n, fixes):
                 break
         else:
             return m
-
-
-def conductor_of_element(x):
-    """Smallest m | n with x in Q(zeta_m), plus x rewritten at modulus m."""
-    m = _conductor(x.n, lambda k: x.galois(k) == x)
-    return m, _descend(x, m)
-
-
-def _descend(x, m):
-    """Rewrite x (known to lie in Q(zeta_m)) at modulus m by exact solve."""
-    if m == x.n:
-        return x
-    basis_m = zumbroich_exponents(m)
-    basis_n = zumbroich_exponents(x.n)
-    idx = {j: i for i, j in enumerate(basis_n)}
-    # columns: embedded images of the Q(zeta_m) basis; solve M a = v.
-    cols = []
-    for b in basis_m:
-        emb = root_of_unity(m, b).embed(x.n)
-        col = [Fraction(0)] * len(basis_n)
-        for j, c in emb.terms.items():
-            col[idx[j]] = Fraction(c)
-        cols.append(col)
-    v = [Fraction(0)] * len(basis_n)
-    for j, c in x.terms.items():
-        v[idx[j]] = Fraction(c)
-    coeffs = _solve_exact(cols, v)
-    return CycElt(m, {b: c for b, c in zip(basis_m, coeffs) if c}, reduced=True)
-
-
-def _solve_exact(cols, v):
-    """Solve sum_i a_i * cols[i] = v over Q; raises if inconsistent."""
-    ncols = len(cols)
-    nrows = len(v)
-    # augmented matrix, row-major
-    mat = [[cols[c][r] for c in range(ncols)] + [v[r]] for r in range(nrows)]
-    piv_of_col = {}
-    row = 0
-    for col in range(ncols):
-        sel = next((r for r in range(row, nrows) if mat[r][col]), None)
-        if sel is None:
-            continue
-        mat[row], mat[sel] = mat[sel], mat[row]
-        inv = 1 / mat[row][col]
-        mat[row] = [e * inv for e in mat[row]]
-        for r in range(nrows):
-            if r != row and mat[r][col]:
-                f = mat[r][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[row])]
-        piv_of_col[col] = row
-        row += 1
-    for r in range(row, nrows):
-        if mat[r][ncols]:
-            raise ValueError("inconsistent descent system")
-    return [mat[piv_of_col[c]][ncols] if c in piv_of_col else Fraction(0) for c in range(ncols)]

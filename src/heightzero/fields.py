@@ -2,7 +2,7 @@
 
 A field is stored conductor-normalized: the modulus n is the conductor, so
 equality is structural.  Subgroups store their full element sets; desk-scale
-phi(n) keeps composita and preimages cheap as plain set operations, and an
+phi(n) keeps preimages and subfield tests cheap as plain set operations, and an
 index over a cyclotomic subfield a count of fixer elements.
 """
 
@@ -22,14 +22,12 @@ __all__ = [
     "cyclotomic_field",
     "rational_field",
     "field_from_values",
-    "compositum",
     "quadratic_field",
     "cyclotomic_index",
     "in_class_Fp",
     "conductor_parts",
     "subgroup_closure",
     "unit_generators",
-    "all_subgroups",
 ]
 
 
@@ -171,14 +169,6 @@ def _fixer_scan(n, fixes):
     return AbelianField(n, fixer)
 
 
-def compositum(f1, f2):
-    big = lcm(f1.n, f2.n)
-    if big == 1:
-        return rational_field()
-    fixer = f1.preimage_fixer(big) & f2.preimage_fixer(big)
-    return AbelianField(big, fixer)
-
-
 def conductor_parts(field, p):
     """(a, m) with conductor = p^a * m and p not dividing m."""
     n = field.n
@@ -235,19 +225,3 @@ def quadratic_field(d):
         if (k % mod in ker) == (prod(_legendre(k, p) for p in odd) == 1)
     ]
     return AbelianField(disc, fixer)
-
-
-def all_subgroups(n):
-    """Every subgroup of (Z/n)*, as sorted tuples, deterministically ordered."""
-    trivial = subgroup_closure(n, [])
-    seen = {trivial}
-    frontier = [trivial]
-    while frontier:
-        s = frontier.pop()
-        for g in _units(n):
-            if g not in s:
-                t = subgroup_closure(n, [*s, g])
-                if t not in seen:
-                    seen.add(t)
-                    frontier.append(t)
-    return sorted((tuple(sorted(s)) for s in seen), key=lambda s: (len(s), s))

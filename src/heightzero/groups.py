@@ -299,11 +299,11 @@ def _metacyclic_classes(n, H):
                      members=[t[3] for t in keyed], class_of=class_of)
 
 
-def cyclic(n, name=None):
-    return semidirect_cn_h(n, [], name=name or f"cyclic:{n}")
+def cyclic(n):
+    return semidirect_cn_h(n, [], name=f"cyclic:{n}")
 
 
-def dihedral(order, name=None):
+def dihedral(order):
     """Dihedral group of the given even order 2n, n >= 1: C_n x| {1, -1}.
 
     For n <= 2 the group is C_n x C_2, abelian, and -1 = 1 in Z/n, so it is
@@ -311,21 +311,21 @@ def dihedral(order, name=None):
     if order % 2 or order < 2:
         raise ValueError("dihedral order must be even and >= 2")
     n = order // 2
-    name = name or f"dihedral:{order}"
+    name = f"dihedral:{order}"
     if n <= 2:
         return from_permutation_generators([(1, 0)] + [(0, 1, 3, 2)] * (n - 1), name=name)
     return semidirect_cn_h(n, [n - 1], name=name)
 
 
-def semidihedral(order, name=None):
+def semidihedral(order):
     """Semidihedral group of order 2^k, k >= 4: C_{2^(k-1)} x| {1, 2^(k-2) - 1}."""
     k = order.bit_length() - 1
     if order != 1 << k or k < 4:
         raise ValueError("semidihedral order must be 2^k with k >= 4")
-    return semidirect_cn_h(order // 2, [order // 4 - 1], name=name or f"semidihedral:{order}")
+    return semidirect_cn_h(order // 2, [order // 4 - 1], name=f"semidihedral:{order}")
 
 
-def generalized_quaternion(order, name=None):
+def generalized_quaternion(order):
     """Generalized quaternion group of order 2^k, k >= 3."""
     k = order.bit_length() - 1
     if order != 1 << k or k < 3:
@@ -342,37 +342,37 @@ def generalized_quaternion(order, name=None):
     elements = [(i, e) for e in (0, 1) for i in range(m)]
     elements.remove((0, 0))
     elements.insert(0, (0, 0))
-    return FiniteGroup(elements, mul, name or f"quaternion:{order}", [(1, 0), (0, 1)])
+    return FiniteGroup(elements, mul, f"quaternion:{order}", [(1, 0), (0, 1)])
 
 
-def symmetric(n, name=None):
+def symmetric(n):
     if n < 1:
         raise ValueError("symmetric(n) needs n >= 1")
     _capped_product(range(2, n + 1), f"S{n}")
     if n == 1:
-        return from_permutation_generators([], name=name or "sym:1")
+        return from_permutation_generators([], name="sym:1")
     gens = [(1, 0) + tuple(range(2, n))]
     if n > 2:
         gens.append(tuple(range(1, n)) + (0,))
-    return from_permutation_generators(gens, name=name or f"sym:{n}")
+    return from_permutation_generators(gens, name=f"sym:{n}")
 
 
-def alternating(n, name=None):
+def alternating(n):
     if n < 1:
         raise ValueError("alternating(n) needs n >= 1")
     _capped_product(range(3, n + 1), f"A{n}")  # n!/2
     if n <= 2:
-        return from_permutation_generators([], name=name or f"alt:{n}")
+        return from_permutation_generators([], name=f"alt:{n}")
     gens = [(1, 2, 0) + tuple(range(3, n))]
     if n > 3:
         if n % 2:
             gens.append(tuple(range(1, n)) + (0,))  # n-cycle, even for odd n
         else:
             gens.append((1, 0) + tuple(range(3, n)) + (2,))  # (0 1)(2 3 ... n-1)
-    return from_permutation_generators(gens, name=name or f"alt:{n}")
+    return from_permutation_generators(gens, name=f"alt:{n}")
 
 
-def sl2(q, name=None):
+def sl2(q):
     """SL(2, q) for a prime q: matrices (a, b, c, d) = [[a, b], [c, d]] mod q."""
     if q < 2:
         raise ValueError(f"sl2(q) needs a prime q, got {q}")
@@ -385,4 +385,4 @@ def sl2(q, name=None):
         e, f, g, h = y
         return ((a * e + b * g) % q, (a * f + b * h) % q, (c * e + d * g) % q, (c * f + d * h) % q)
 
-    return _closure([(1, 1, 0, 1), (0, q - 1, 1, 0)], mul, (1, 0, 0, 1), name or f"sl2:{q}")
+    return _closure([(1, 1, 0, 1), (0, q - 1, 1, 0)], mul, (1, 0, 0, 1), f"sl2:{q}")

@@ -68,31 +68,35 @@ __all__ = [
 
 
 def _parse_perm_spec(body):
-    """Generators as products of cycles, 1-based: (1,2)(3,4);(1,2,3)."""
+    """Generators as products of disjoint cycles, 1-based: (1,2)(3,4);(1,2,3).
+
+    No point may occur twice in one generator, and no point may be above
+    ORDER_CAP, checked before the permutation is allocated."""
     gens = []
     for part in body.split(";"):
         part = part.strip()
         if not re.fullmatch(r"(\s*\([^()]*\))*\s*", part):
             raise ValueError(f"permutation is not a product of cycles: {part!r}")
-        cycles = re.findall(r"\(([^()]*)\)", part)
-        pts = []
-        parsed = []
-        for cyc in cycles:
-            entries = [int(t) for t in cyc.replace(" ", "").split(",") if t]
-            parsed.append(entries)
-            pts.extend(entries)
+        cycles = [
+            [int(t) for t in cyc.replace(" ", "").split(",") if t]
+            for cyc in re.findall(r"\(([^()]*)\)", part)
+        ]
+        pts = [x for cyc in cycles for x in cyc]
         if not pts:
             raise ValueError(f"empty permutation in spec: {part!r}")
         if min(pts) < 1:
             raise ValueError("permutation points are 1-based positive integers")
-        deg = max(pts)
-        perm = list(range(deg))
-        for entries in parsed:
-            zero_based = [x - 1 for x in entries]
-            if len(set(zero_based)) != len(zero_based):
-                raise ValueError(f"repeated point in cycle: {entries}")
-            for i, x in enumerate(zero_based):
-                perm[x] = zero_based[(i + 1) % len(zero_based)]
+        if max(pts) > ORDER_CAP:
+            raise ValueError(f"permutation point {max(pts)} is above the cap {ORDER_CAP}")
+        seen = set()
+        for x in pts:
+            if x in seen:
+                raise ValueError(f"point {x} occurs twice in {part!r}")
+            seen.add(x)
+        perm = list(range(max(pts)))
+        for cyc in cycles:
+            for i, x in enumerate(cyc):
+                perm[x - 1] = cyc[(i + 1) % len(cyc)] - 1
         gens.append(tuple(perm))
     return gens
 
@@ -311,10 +315,13 @@ def sweep_theorem_A(specs, p, progress=None):
 
 
 class RealizerCertificate:
-    """Witness that a field is the field of values of a height-zero row."""
+    """Witness that a field is the field of values of a height-zero row.
+
+    dixon_checked starts False; realize_field sets it once an independent
+    Dixon table agrees."""
 
     def __init__(self, field, p, n, subgroup, group_spec, row, degree,
-                 verified_field, verified_height_zero, dixon_checked=False):
+                 verified_field, verified_height_zero):
         self.field = field
         self.p = p
         self.n = n
@@ -324,7 +331,7 @@ class RealizerCertificate:
         self.degree = degree
         self.verified_field = verified_field
         self.verified_height_zero = verified_height_zero
-        self.dixon_checked = dixon_checked
+        self.dixon_checked = False
 
     @property
     def valid(self):
@@ -412,6 +419,8 @@ def corollary_c_sweep(dmax):
     quadratic-field classification at p = 2 holds."""
     if dmax < 2:
         raise ValueError("dmax must be at least 2")
+    if dmax > ORDER_CAP:
+        raise ValueError(f"dmax = {dmax} is above the cap {ORDER_CAP}")
     out = []
     for d in range(-dmax, dmax + 1):
         if d in (0, 1) or any(q != p for p, q in _prime_powers(abs(d))):
@@ -425,7 +434,7 @@ def corollary_c_sweep(dmax):
 # sigma_1 fixedness
 
 
-def sigma_check(table, partition=None):
+def sigma_check(table):
     """Per-row: (height at p=2, fixed by sigma_1, 2-rational).
 
     For height-zero rows the last two booleans must coincide; rows of
@@ -433,8 +442,7 @@ def sigma_check(table, partition=None):
     exactly when its unit at the conductor of the row's field lies in the
     fixer of that field.
     """
-    if partition is None:
-        partition = block_partition(table, 2)
+    partition = block_partition(table, 2)
     out = []
     for r in range(len(table.rows)):
         field = table.row_field(r)

@@ -68,7 +68,7 @@ def inner_product(v1, v2, cd, order):
     """[v1, v2] = (1/|G|) sum_j |K_j| v1(j) conj(v2(j)); exact CycElt."""
     acc = zero(1)
     for j, sz in enumerate(cd.class_sizes):
-        acc = acc + v1[j] * v2[j].conjugate() * sz
+        acc = acc + v1[j] * v2[j].galois(-1) * sz
     return acc.scalar_mul(Fraction(1, order))
 
 

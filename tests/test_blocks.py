@@ -174,7 +174,7 @@ def test_s3_degree2_central_values():
 
 def test_corrupt_table_detected_by_integrality():
     from heightzero.chartab import CharacterTable
-    from heightzero.cyclotomic import rational
+    from oracles import rational
 
     t = dixon_table(symmetric(3))
     # make the degree-2 row fail the central-character integrality check while

@@ -217,7 +217,10 @@ def test_blocks_on_groups_past_the_old_limits(spec, capsys):
     dixon_table(parse_group_spec(spec)).check_orthogonality()
 
 
-@pytest.mark.parametrize("spec", ["sl2:4", "sl2:1", "sym:8", "meta:1000000007:2"])
+@pytest.mark.parametrize(
+    "spec",
+    ["sl2:4", "sl2:1", "sym:8", "meta:1000000007:2", "perm:(1,2)(1,2)", "perm:(1,20001)"],
+)
 def test_blocks_rejects_bad_or_oversized_groups(spec, capsys):
     code, _, err = run(["blocks", "--group", spec, "--p", "2"], capsys)
     assert code == 1
@@ -240,6 +243,13 @@ def test_corollary_c_large_max_is_fast():
     assert header == "d,in_F2,expected"
     assert len(rows) == 1215  # the squarefree d with |d| <= 1000, other than 1
     assert all(row.split(",")[1] == row.split(",")[2] for row in rows)
+
+
+def test_corollary_c_max_above_the_cap_fails_fast():
+    proc = _run_cli_process(["corollary-c", "--max", "20001"], timeout=10)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error:") and "above the cap 20000" in proc.stderr
 
 
 def test_sigma_report(capsys):
@@ -294,7 +304,8 @@ def test_output_is_deterministic(tmp_path):
 
 def _generated_corpus():
     """The rule the packaged corpus file was written from; it pins the file."""
-    from heightzero.fields import AbelianField, all_subgroups, in_class_Fp
+    from heightzero.fields import AbelianField, in_class_Fp
+    from oracles import all_subgroups
 
     specs = [f"cyclic:{n}" for n in range(1, 49)]
     specs += [f"dihedral:{m}" for m in range(4, 65, 2)]

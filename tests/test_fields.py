@@ -8,11 +8,9 @@ from math import gcd, lcm
 import pytest
 from sympy import factorint, legendre_symbol
 
-from heightzero.cyclotomic import CycElt, rational, root_of_unity
+from heightzero.cyclotomic import CycElt, root_of_unity
 from heightzero.fields import (
     AbelianField,
-    all_subgroups,
-    compositum,
     conductor_parts,
     cyclotomic_field,
     field_from_values,
@@ -23,6 +21,7 @@ from heightzero.fields import (
     subgroup_closure,
     unit_generators,
 )
+from oracles import all_subgroups, compositum, rational
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,12 @@
   counts as a use.
 * Every private module-level function or class is referenced from src/
   outside its own definition; otherwise it is dead, or reached only by tests.
+* So is every public module-level function or class, and every public
+  method of a public class, except the names in UNREFERENCED_PUBLIC.  Code
+  that only tests reach belongs in tests/ (oracles.py, subgroups.py).
+* Every defaulted parameter is passed by at least one call in src/; a
+  default no caller overrides is a constant, not a parameter.  Only the
+  console-script entry point cli.main is exempt.
 * The only sympy name the package uses is isprime; the rest of sympy is the
   tests' reference.
 """
@@ -80,6 +86,12 @@ def _references(trees):
                 yield node.attr, node
 
 
+def _referenced_outside(node, refs):
+    """Whether some reference names the definition outside its own body."""
+    inside = {id(n) for n in ast.walk(node)}
+    return any(name == node.name and id(n) not in inside for name, n in refs)
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_private_definition_is_referenced(path):
     refs = list(_references(ast.parse(p.read_text()) for p in SOURCES))
@@ -89,10 +101,113 @@ def test_every_private_definition_is_referenced(path):
             continue
         if not node.name.startswith("_") or node.name.startswith("__"):
             continue
-        inside = {id(n) for n in ast.walk(node)}
-        if not any(name == node.name and id(n) not in inside for name, n in refs):
+        if not _referenced_outside(node, refs):
             unreferenced.append(f"{node.name} (line {node.lineno})")
     assert not unreferenced, f"{path.name}: private names unreferenced in src/ {unreferenced}"
+
+
+# public names that nothing in src/ references, each kept for a reason
+UNREFERENCED_PUBLIC = {
+    "fields.field_from_values": "perfbench/tracing.py reports it by name (NAMED); "
+    "without it in __all__ every traced run raises KeyError in Tracer.metrics",
+    "fields.AbelianField.is_subfield_of": "tests/test_acceptance.py calls it as a "
+    "method, and that gate changes only in its imports",
+}
+
+
+def _public_definitions(tree):
+    """(qualified name, node) for each public module-level function or class
+    and each public method of a public class."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_public_definition_is_referenced(path):
+    refs = list(_references(ast.parse(p.read_text()) for p in SOURCES))
+    unreferenced = {
+        f"{path.stem}.{qualname}": node.lineno
+        for qualname, node in _public_definitions(ast.parse(path.read_text()))
+        if not _referenced_outside(node, refs)
+    }
+    allowed = {name for name in UNREFERENCED_PUBLIC if name.startswith(f"{path.stem}.")}
+    unexpected = sorted(f"{name} (line {unreferenced[name]})" for name in unreferenced.keys() - allowed)
+    assert not unexpected, f"public names unreferenced in src/ {unexpected}"
+    stale = sorted(allowed - unreferenced.keys())
+    assert not stale, f"UNREFERENCED_PUBLIC names referenced or gone: {stale}"
+
+
+# functions whose defaults no call in src/ needs to pass
+ENTRY_POINTS = {
+    "cli.main": "the console-script entry point, called with no arguments",
+}
+
+
+def _defaulted(tree):
+    """(qualified name, callee name, parameter, position, line) for each
+    defaulted parameter of a function in the tree.  The callee name is what a
+    call writes: the class for __init__.  The position counts the arguments a
+    call passes, so it skips a method's self; it is None for keyword-only
+    parameters."""
+    owner = {
+        id(item): node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        cls = owner.get(id(node))
+        qualname = f"{cls}.{node.name}" if cls else node.name
+        callee = cls if node.name == "__init__" else node.name
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list)
+        skip = 1 if cls and not static else 0
+        positional = node.args.posonlyargs + node.args.args
+        for i in range(len(positional) - len(node.args.defaults), len(positional)):
+            yield qualname, callee, positional[i].arg, i - skip, node.lineno
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield qualname, callee, arg.arg, None, node.lineno
+
+
+def _passes(call, param, position):
+    """Whether the call may set the parameter: by keyword, through **kwargs,
+    or by position."""
+    if any(kw.arg in (param, None) for kw in call.keywords):
+        return True
+    if position is None:
+        return False
+    return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args)
+
+
+def _calls(trees):
+    """(callee name, call) for every call of a name or an attribute."""
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                if isinstance(node.func, ast.Name):
+                    yield node.func.id, node
+                elif isinstance(node.func, ast.Attribute):
+                    yield node.func.attr, node
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_default_is_passed_by_some_call(path):
+    calls = list(_calls(ast.parse(p.read_text()) for p in SOURCES))
+    unset = [
+        f"{qualname}({param}=) (line {line})"
+        for qualname, callee, param, position, line in _defaulted(ast.parse(path.read_text()))
+        if f"{path.stem}.{qualname}" not in ENTRY_POINTS
+        and not any(name == callee and _passes(call, param, position) for name, call in calls)
+    ]
+    assert not unset, f"{path.name}: defaults no call in src/ passes {unset}"
 
 
 def _sympy_names(tree):

@@ -2,10 +2,9 @@
 
 import pytest
 
-from heightzero.cyclotomic import root_of_unity, sigma_e
+from heightzero.cyclotomic import root_of_unity
 from heightzero.fields import (
     AbelianField,
-    compositum,
     cyclotomic_field,
     field_from_values,
     in_class_Fp,
@@ -13,6 +12,7 @@ from heightzero.fields import (
     rational_field,
 )
 from heightzero.blocks import block_partition, height_zero_rows
+from heightzero.groups import ORDER_CAP
 from heightzero.reports import (
     build_table,
     char_field_report,
@@ -25,6 +25,7 @@ from heightzero.reports import (
     sweep_theorem_A,
     verify_theorem_A,
 )
+from oracles import compositum, sigma_e
 
 
 # ---------------------------------------------------------------------------
@@ -49,9 +50,18 @@ def test_parse_group_spec_rejects_garbage():
         "perm:()",
         "perm:(1,2)(3",
         "perm:(1,2)junk(3,4)",
+        "perm:(1,2)(1,2)",
+        "perm:(1,2,3)(3,2,1)",
     ):
         with pytest.raises(ValueError):
             parse_group_spec(bad)
+
+
+def test_perm_spec_points_are_capped():
+    # the degree is checked before the permutation of range(degree) is built
+    assert parse_group_spec(f"perm:(1,{ORDER_CAP})").order == 2
+    with pytest.raises(ValueError, match=f"point {ORDER_CAP + 1} is above the cap {ORDER_CAP}"):
+        parse_group_spec(f"perm:(1,{ORDER_CAP + 1})")
 
 
 def test_parse_field_specs():
