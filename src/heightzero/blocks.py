@@ -83,15 +83,19 @@ class _KroneckerRing:
         self.w = w = -(-(2 * k + 1) // 8) * 8
         self._shift = k + p.bit_length()
         self._magic = -(-(1 << self._shift) // p)
-        self._qmask = self.pack([(1 << w - self._shift) - 1] * (f + 1))
+        # the quotient mask (1 << w - shift) - 1 in each of the f + 1 lanes
+        lanes = ((1 << (f + 1) * w) - 1) // ((1 << w) - 1)
+        self._qmask = ((1 << w - self._shift) - 1) * lanes
         self._tail = self.pack(tail)
         self._fbits = f * w
         self._low = (1 << f * w) - 1
         self.modulus = self.pack(modulus)
 
     def pack(self, coeffs):
-        nb = self.w // 8
-        return int.from_bytes(b"".join(c.to_bytes(nb, "little") for c in coeffs), "little")
+        """The int with coeffs[i] (in [0, 2**w)) in lane i; zero lanes cost
+        nothing, so a sparse modulus packs in a few shifts."""
+        w = self.w
+        return sum(c << i * w for i, c in enumerate(coeffs) if c)
 
     def unpack(self, x):
         """The f coefficients of x (of degree < f) reduced mod p."""
@@ -113,10 +117,11 @@ class _KroneckerRing:
         return self.canon(x)
 
     def pow(self, x, k):
+        """x**k for a canonical x (lanes in [0, p), degree < f)."""
         out = 1
         while k:
             if k & 1:
-                out = self.mul(out, x)
+                out = x if out == 1 else self.mul(out, x)
             k >>= 1
             if k:
                 x = self.mul(x, x)
@@ -146,25 +151,48 @@ class _KroneckerRing:
 
 def _irreducible(p, poly):
     """Ben-Or's test: the monic poly (low-to-high coefficients) of degree f is
-    irreducible over F_p iff gcd(poly, x^(p^i) - x) = 1 for i = 1 .. f // 2."""
-    ring = _KroneckerRing(p, poly)
-    x = 1 << ring.w
-    minus_x = (p - 1) << ring.w
-    h = x
-    for _ in range(ring.f // 2):
-        h = ring.pow(h, p)
-        if not ring.coprime(ring.canon(h + minus_x)):
+    irreducible over F_p iff gcd(poly, x^(p^i) - x) = 1 for i = 1 .. f // 2.
+
+    Step 1 asks whether poly has a root in F_p.  When p <= f, that is
+    answered by evaluating the nonzero terms at the p residues, before any
+    ring is built, and the gcds start at i = 2; when p > f, p evaluations
+    would cost more than one gcd, so step 1 stays a gcd.  (At f = 1 there is
+    no step, and x + c stays irreducible.)  Steps i <= 3, where most
+    reducible candidates fail, take one gcd each.  Later steps multiply up to
+    four factors x^(p^i) - x mod poly and take one gcd per product, which is
+    exact as gcd(g, ab) = 1 iff gcd(g, a) = gcd(g, b) = 1; a product that
+    reaches 0 is not coprime to poly, and `coprime(0)` is False."""
+    f = len(poly) - 1
+    sieve = p <= f
+    if sieve:
+        terms = [(i, c) for i, c in enumerate(poly) if c]
+        if any(sum(c * pow(r, i, p) for i, c in terms) % p == 0 for r in range(p)):
             return False
+    ring = _KroneckerRing(p, poly)
+    minus_x = (p - 1) << ring.w
+    h = 1 << ring.w
+    product = 1
+    for i in range(1, f // 2 + 1):
+        h = ring.pow(h, p)
+        if i == 1 and sieve:
+            continue
+        factor = ring.canon(h + minus_x)
+        product = factor if product == 1 else ring.mul(product, factor)
+        if i <= 3 or i % 4 == 3 or i == f // 2:
+            if not ring.coprime(product):
+                return False
+            product = 1
     return True
 
 
 def _digits(code, p, f):
-    """The f base-p digits of code, least significant first."""
+    """The f base-p digits of code (0 <= code < p**f), least significant
+    first."""
     out = []
-    for _ in range(f):
+    while code:
         code, d = divmod(code, p)
         out.append(d)
-    return out
+    return out + [0] * (f - len(out))
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +202,10 @@ def _digits(code, p, f):
 def _gf_irreducible_poly(p, f):
     """Lexicographically least monic irreducible polynomial of degree f over
     F_p, as low-to-high coefficients (length f + 1, leading 1).  Candidates
-    run in constant-first lexicographic order, each through Ben-Or's test.
+    run in constant-first lexicographic order, each through Ben-Or's test
+    in `_irreducible`, which sieves roots in F_p when p <= f and batches its
+    later gcds; both only make a test cheaper, so the candidate order and
+    the modulus are those of the one-gcd-per-step test.
 
     Codes below p are the binomials x^f + c.  Some binomial of degree f is
     irreducible over F_p iff every prime factor of f divides p - 1 and, when

@@ -8,13 +8,22 @@ library's explicit finite field.  The partitions must coincide.
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Poly, Symbol, cyclotomic_poly, factorint
 from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import gf_irred_p_ben_or, gf_irreducible_p, gf_mul, gf_rem
+from sympy.polys.galoistools import (
+    gf_irred_p_ben_or,
+    gf_irred_p_rabin,
+    gf_irreducible_p,
+    gf_mul,
+    gf_pow_mod,
+    gf_rem,
+    gf_sub,
+)
 
 from heightzero import blocks
 from heightzero.blocks import (
@@ -484,6 +493,133 @@ def test_binomial_skip_keeps_the_lex_least_modulus(p):
             if _irreducible(p, cand)
         )
         assert blocks._gf_irreducible_poly(p, f) == tuple(want), f
+
+
+# Lex-least modulus codes (sum of c_i p^i over the coefficients below the
+# leading 1) of every residue field GF(p^f) the default corpus needs at
+# p = 2, 3, 5 and 7, recorded from the one-gcd-per-step Ben-Or search.
+_CORPUS_MODULUS_CODES = {
+    2: {1: 0, 2: 3, 3: 3, 4: 3, 5: 5, 6: 3, 8: 27, 10: 9, 11: 5, 12: 9, 14: 33,
+        18: 9, 20: 9, 23: 33, 28: 3, 36: 53, 84: 33, 110: 83},
+    3: {1: 0, 2: 1, 3: 7, 4: 5, 5: 7, 6: 5, 8: 11, 10: 19, 11: 11, 12: 11,
+        16: 37, 18: 34, 20: 34, 23: 31, 28: 11, 30: 5, 42: 34, 55: 71, 60: 11,
+        84: 385},
+    5: {1: 0, 2: 2, 3: 6, 4: 2, 5: 21, 6: 7, 8: 2, 9: 38, 10: 33, 14: 77, 16: 2,
+        18: 6, 20: 31, 22: 6, 36: 142, 42: 102, 46: 84, 110: 204},
+    7: {1: 0, 2: 1, 3: 2, 4: 8, 6: 2, 7: 43, 9: 2, 10: 17, 12: 58, 14: 11,
+        15: 69, 16: 17, 18: 2, 20: 101, 22: 53, 23: 159, 40: 17, 60: 155,
+        110: 562},  # x^110 + x^3 + 4x^2 + 3x + 2, the field of meta:23
+}
+
+
+@pytest.mark.parametrize("p", sorted(_CORPUS_MODULUS_CODES))
+def test_corpus_moduli_are_pinned(p):
+    for f, code in _CORPUS_MODULUS_CODES[p].items():
+        assert GF(p, f).modulus == _digits(code, p, f) + (1,), f
+
+
+def _poly_mul(p, a, b):
+    """Product over F_p of low-to-high coefficient lists, by sympy."""
+    out = gf_mul(_sympy_poly(a), _sympy_poly(b), p, ZZ)
+    return [int(c) for c in reversed(out)]
+
+
+@lru_cache(maxsize=None)
+def _least_irreducibles(p, k, count):
+    """The first `count` monic irreducibles of degree k over F_p in
+    constant-first lex order, found with sympy's Rabin test."""
+    found = []
+    for code in range(p**k):
+        cand = list(_digits(code, p, k)) + [1]
+        if gf_irred_p_rabin(_sympy_poly(cand), p, ZZ):
+            found.append(cand)
+            if len(found) == count:
+                return found
+    raise AssertionError("too few irreducibles")
+
+
+def _agrees_with_sympy(p, poly):
+    want = gf_irred_p_ben_or(_sympy_poly(poly), p, ZZ)
+    assert _irreducible(p, poly) == want, (p, poly)
+    return want
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 11])
+def test_irreducibility_matches_sympy_at_large_degree(p):
+    # candidates of the modulus search are sparse: a few low terms under x^f
+    rng = random.Random(p)
+    for f in range(10, 65):
+        tail = [0] * f
+        for i in rng.sample(range(min(f, 12)), rng.randint(1, 5)):
+            tail[i] = rng.randrange(p)
+        _agrees_with_sympy(p, tail + [1])
+    for f in range(10, 17):
+        _agrees_with_sympy(p, [rng.randrange(p) for _ in range(f)] + [1])
+    # the search's own answers are irreducible at every degree
+    for f in (10, 23, 40, 64):
+        assert _agrees_with_sympy(p, list(blocks._gf_irreducible_poly(p, f)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 11])
+def test_ben_or_batches_find_factors_of_equal_degree(p):
+    # m1 * m2 of equal degree k has its first nontrivial gcd at i = k, the
+    # last step; times an irreducible of degree k + 2 instead, step k falls
+    # inside a batch of the product of x^(p^i) - x
+    for k in range(5, 31) if p < 7 else (5, 6, 9, 12, 17):
+        m1, m2 = _least_irreducibles(p, k, 2)
+        (m3,) = _least_irreducibles(p, k + 2, 1)
+        assert not _agrees_with_sympy(p, _poly_mul(p, m1, m2)), k
+        assert not _agrees_with_sympy(p, _poly_mul(p, m1, m3)), k
+        assert not _agrees_with_sympy(p, _poly_mul(p, m1, m1)), k
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 11])
+def test_ben_or_product_that_vanishes(p):
+    # q1 * q2 divides x^(p^2) - x, so that step's factor is 0 mod the
+    # candidate; at p = 2, x^2 + x + 1 is the only irreducible quadratic
+    if p > 2:
+        assert not _agrees_with_sympy(p, _poly_mul(p, *_least_irreducibles(p, 2, 2)))
+    # m4 * m5 * m5' of degree 14 divides the product over the batch i = 4..7
+    (m4,) = _least_irreducibles(p, 4, 1)
+    m5, m5b = _least_irreducibles(p, 5, 2)
+    g = _poly_mul(p, _poly_mul(p, m4, m5), m5b)
+    x, modulus, product = [ZZ(1), ZZ(0)], _sympy_poly(g), [ZZ(1)]
+    for i in range(4, 8):
+        h = gf_sub(gf_pow_mod(x, p**i, modulus, p, ZZ), x, p, ZZ)
+        product = gf_rem(gf_mul(product, h, p, ZZ), modulus, p, ZZ)
+    assert product == []
+    assert not _agrees_with_sympy(p, g)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, 11])
+def test_linear_factor_on_both_sides_of_the_root_sieve(p):
+    # roots are found by evaluation when p <= f, by a gcd when p > f
+    for f in (p, p - 1, p + 1):
+        if f < 2:
+            continue
+        (m,) = _least_irreducibles(p, f - 1, 1)
+        for a in {0, 1, p - 1}:
+            assert not _agrees_with_sympy(p, _poly_mul(p, [a, 1], m)), (f, a)
+        assert _agrees_with_sympy(p, _least_irreducibles(p, f, 1)[0]), f
+    # f = 1: every x + c is irreducible, though it has the root -c
+    for c in {0, 1, p - 1}:
+        assert _agrees_with_sympy(p, [c, 1])
+
+
+def test_pack_and_quotient_mask_keep_the_byte_layout():
+    # lane i holds bytes [i*w/8, (i+1)*w/8) of the little-endian int
+    def by_bytes(coeffs, nb):
+        return int.from_bytes(b"".join(c.to_bytes(nb, "little") for c in coeffs), "little")
+
+    rng = random.Random(5)
+    for p, f in ((2, 110), (7, 110), (3, 1), (65537, 4), (4294967291, 2)):
+        ring = GF(p, f)._ring
+        nb = ring.w // 8
+        for _ in range(5):
+            coeffs = [rng.randrange(p) if rng.random() < 0.3 else 0 for _ in range(f)]
+            assert ring.pack(coeffs) == by_bytes(coeffs, nb)
+        q = (1 << ring.w - ring._shift) - 1
+        assert ring._qmask == by_bytes([q] * (f + 1), nb)
 
 
 def test_ideal_reduction_is_ring_homomorphism():
