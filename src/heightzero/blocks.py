@@ -16,12 +16,10 @@ value is the ring's canonical packed int, so block signatures are int tuples.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
 
 from .cyclotomic import _prime_powers
 
 __all__ = [
-    "GF",
     "IdealReduction",
     "Block",
     "BlockPartition",
@@ -96,12 +94,6 @@ class _KroneckerRing:
         nothing, so a sparse modulus packs in a few shifts."""
         w = self.w
         return sum(c << i * w for i, c in enumerate(coeffs) if c)
-
-    def unpack(self, x):
-        """The f coefficients of x (of degree < f) reduced mod p."""
-        nb, p = self.w // 8, self.p
-        raw = x.to_bytes(self.f * nb, "little")
-        return tuple(int.from_bytes(raw[i : i + nb], "little") % p for i in range(0, len(raw), nb))
 
     def canon(self, x):
         """x with every lane (at most f + 1 of them) reduced mod p."""
@@ -196,9 +188,10 @@ def _digits(code, p, f):
 
 
 # ---------------------------------------------------------------------------
-# finite fields GF(p^f), elements as coefficient tuples of length f
+# reduction of cyclotomic integers modulo a maximal ideal above p
 
 
+@lru_cache(maxsize=None)
 def _gf_irreducible_poly(p, f):
     """Lexicographically least monic irreducible polynomial of degree f over
     F_p, as low-to-high coefficients (length f + 1, leading 1).  Candidates
@@ -219,108 +212,59 @@ def _gf_irreducible_poly(p, f):
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
-class GF:
-    """GF(p^f) = F_p[x] / (m(x)) with m the least irreducible modulus;
-    elements are tuples of f residues (constant coefficient first), and
-    arithmetic runs on their packed ints in the Kronecker ring _ring."""
-
-    def __init__(self, p, f):
-        self.p = p
-        self.f = f
-        self.modulus = _gf_irreducible_poly(p, f)
-        self.zero = (0,) * f
-        self.one = (1,) + (0,) * (f - 1)
-        self._ring = _KroneckerRing(p, self.modulus)
-
-    @property
-    def order(self):
-        return self.p**self.f
-
-    def root_of_order(self, m):
-        """An element of exact multiplicative order m, which must divide
-        p^f - 1: c^((p^f - 1) / m) for the first c in code order for which
-        that power has order m.  Avoids factoring p^f - 1: only the prime
-        factors of m itself are needed to certify the order."""
-        if (self.order - 1) % m:
-            raise ValueError(f"{m} does not divide {self.order - 1}")
-        if m == 1:
-            return self.one
-        p, r = self.p, self._ring
-        cofactor = (self.order - 1) // m
-        prime_factors = [q for q, _ in _prime_powers(m)]
-        # codes 1 .. p - 1 are the constants c, and c^cofactor lies in the
-        # subgroup of F_p^* of order (p - 1) / gcd(p - 1, cofactor); when m
-        # does not divide that order, the scan starts at code p, the element x
-        first = 1 if (p - 1) // gcd(p - 1, cofactor) % m == 0 else p
-        for code in range(first, self.order):
-            u = r.pow(r.pack(_digits(code, p, self.f)), cofactor)
-            if u and all(r.pow(u, m // q) != 1 for q in prime_factors):
-                return r.unpack(u)
-        raise AssertionError("no element of the requested order")  # unreachable
-
-
-# ---------------------------------------------------------------------------
-# reduction of cyclotomic integers modulo a maximal ideal above p
-
-
-@lru_cache(maxsize=None)
-def _cached_gf(p, f):
-    return GF(p, f)
-
-
 class IdealReduction:
-    """Reduction map Z[zeta_n] -> GF(p^f) for all n whose p'-part divides
-    eprime (p does not divide eprime).
+    """Reduction map Z[zeta_n] -> GF(p^f) for every n dividing the exponent
+    e, modulo a fixed maximal ideal above p.
 
-    f is the multiplicative order of p mod eprime; the map fixes a root u of
-    exact order eprime and sends zeta_{p^a} to 1 and zeta_{n'} to
-    u^(eprime / n') for n' | eprime.
+    With e' the p'-part of e and f the multiplicative order of p mod e',
+    GF(p^f) = F_p[x] / (m) for the lex-least modulus m of
+    `_gf_irreducible_poly`, and its elements are the canonical packed ints of
+    one `_KroneckerRing`: equal images are equal ints, and at f = 1 they are
+    the residues mod p.  The map fixes a root u of exact order e' and sends
+    zeta_{p^a} to 1 and zeta_{n'} to u^(e' / n') for n' | e'.
     """
 
-    def __init__(self, p, eprime):
-        if eprime % p == 0 and eprime > 1 or eprime < 1:
-            raise ValueError("eprime must be a positive integer prime to p")
-        self.p = p
-        self.eprime = eprime
+    def __init__(self, p, e):
+        ep = e // p ** nu_p(e, p)
         f = 1
-        if eprime > 1:
-            acc = p % eprime
-            while acc != 1:
-                acc = (acc * p) % eprime
-                f += 1
-        self.f = f
-        self.gf = _cached_gf(p, f)
-        self.u = self.gf.root_of_order(eprime) if eprime > 1 else self.gf.one
-        # u^k for k in [0, eprime), packed: every image is a sum of these with
-        # at most one term per k, so the lanes hold eprime summands
-        self._ring = _KroneckerRing(p, self.gf.modulus, summands=eprime)
-        x = self._ring.pack(self.u)
-        self._upow = [1]
-        for _ in range(eprime - 1):
-            self._upow.append(self._ring.mul(self._upow[-1], x))
+        while (p**f - 1) % ep:
+            f += 1
+        self.p, self.eprime, self.f = p, ep, f
+        # every image is a sum of the powers of u with at most one term per
+        # power, so the lanes hold e' summands
+        ring = self._ring = _KroneckerRing(p, _gf_irreducible_poly(p, f), summands=ep)
+        # u = c^((p^f - 1) / e') for the first code c for which that power has
+        # order e', certified by the prime factors of e' alone, so p^f - 1 is
+        # never factored.  Codes 1 .. p - 1 are the constants, whose powers lie
+        # in F_p^*; it has an element of order e' only when f = 1, so for f > 1
+        # the scan starts at code p, the element x
+        cofactor = (p**f - 1) // ep
+        primes = [r for r, _ in _prime_powers(ep)]
+        for code in range(1 if f == 1 else p, p**f):
+            u = ring.pow(ring.pack(_digits(code, p, f)), cofactor)
+            if u and all(ring.pow(u, ep // r) != 1 for r in primes):
+                break
+        self.powers = [1]
+        for _ in range(ep - 1):
+            self.powers.append(ring.mul(self.powers[-1], u))
 
-    def _image(self, n, coeffs):
+    def image(self, n, coeffs):
         """Image of sum c_j zeta_n^j for the map coeffs: j -> integer c_j, as
-        the ring's canonical packed int: equal images are equal ints."""
+        the ring's canonical packed int."""
         p, ep = self.p, self.eprime
-        a = nu_p(n, p) if n > 1 else 0
+        a = nu_p(n, p)
         nprime = n // p**a
         if ep % nprime:
-            raise ValueError(
-                f"modulus {n} has p'-part {nprime}, not dividing {self.eprime}"
-            )
+            raise ValueError(f"modulus {n} has p'-part {nprime}, not dividing {ep}")
         # zeta_n = zeta_{p^a}^alpha * zeta_{n'}^beta with the CRT exponents;
         # zeta_{p^a} |-> 1, so only the n'-component survives (step 0 if n' = 1)
         step = ep // nprime * pow(p**a, -1, nprime)
-        upow = self._upow
+        powers = self.powers
         by_power = {}
         for j, c in coeffs.items():
             k = j * step % ep
             by_power[k] = by_power.get(k, 0) + c
-        out = 0
-        for k, c in by_power.items():
-            out += c % p * upow[k]
-        return self._ring.canon(out)
+        return self._ring.canon(sum(c % p * powers[k] for k, c in by_power.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +325,7 @@ def block_partition(table, p):
 
     if not isprime(p):
         raise ValueError(f"{p} is not prime")
-    exponent = table.classes.exponent
-    eprime = exponent // p ** nu_p(exponent, p) if exponent > 1 else 1
-    red = IdealReduction(p, eprime)
+    red = IdealReduction(p, table.classes.exponent)
 
     # omega_chi(K_j) = |K_j| chi(g_j) / chi(1), divided out exactly on each
     # Zumbroich coefficient of chi(g_j); the basis is integral, so the value
@@ -404,7 +346,7 @@ def block_partition(table, p):
                             f"central character of row {r} is not an algebraic integer"
                         )
                     coeffs[k] = q
-                image = images[value, size, degree] = red._image(value.n, coeffs)
+                image = images[value, size, degree] = red.image(value.n, coeffs)
             sig.append(image)
         signatures.setdefault(tuple(sig), []).append(r)
 
@@ -420,10 +362,8 @@ def block_partition(table, p):
     return BlockPartition(red, blocks, len(table.rows))
 
 
-def height_zero_rows(table, p, partition=None):
+def height_zero_rows(partition):
     """Indices of the rows of p-height zero, in table order."""
-    if partition is None:
-        partition = block_partition(table, p)
     return [r for r, h in enumerate(partition.height) if h == 0]
 
 

@@ -33,7 +33,7 @@ from sympy import isprime
 from . import blocks, modular
 from .cyclotomic import CycElt, _one_at, _reduce_terms, zero
 from .fields import _fixer_scan, unit_generators
-from .groups import ClassData, conjugacy_classes
+from .groups import ClassData
 
 __all__ = [
     "CharacterTable",
@@ -277,7 +277,7 @@ def _split_eigenspaces(group, cd, q):
     return [u[0] for u, _ in spaces]
 
 
-def dixon_table(group, cd=None):
+def dixon_table(group, cd):
     """Character table via the Dixon-Schneider modular method.
 
     The common eigenvectors of the class matrices mod q give every value
@@ -294,16 +294,16 @@ def dixon_table(group, cd=None):
     interned, so equal values of the table are one CycElt, as in
     metacyclic_table.
 
-    zeta_e maps to s = GF(q, 1).root_of_order(e).  Any primitive e-th root
-    gives the same table: s^k (k prime to e) lifts each row to sigma_k(chi),
-    and Irr(G) is Galois-stable, so the sorted rows do not change."""
-    if cd is None:
-        cd = conjugacy_classes(group)
+    Values mod q are reduced by blocks.IdealReduction(q, e), the map the
+    block partition uses; q = 1 mod e, so its residue field is F_q and zeta_e
+    maps to its root s of order e.  Any primitive e-th root gives the same
+    table: s^k (k prime to e) lifts each row to sigma_k(chi), and Irr(G) is
+    Galois-stable, so the sorted rows do not change."""
     c = cd.num_classes
     n = group.order
     e = cd.exponent
     q = _dixon_prime(e, n, c)
-    s = blocks._cached_gf(q, 1).root_of_order(e)[0]
+    red = blocks.IdealReduction(q, e)
 
     lines = _split_eigenspaces(group, cd, q)
 
@@ -334,7 +334,7 @@ def dixon_table(group, cd=None):
     for r, om in enumerate(omegas):
         vals[r] = (degrees[r] * om * np.array(inv_sizes, dtype=np.int64)) % q
     pm = cd.power_map
-    zeta = np.array([pow(s, k, q) for k in range(e)], dtype=np.int64)  # zeta_e^k mod q
+    zeta = np.array(red.powers, dtype=np.int64)  # zeta_e^k mod q
     # raw exponent map at e -> (its one value object, its image mod q)
     lifted = {}
     values = {}
@@ -365,9 +365,9 @@ def dixon_table(group, cd=None):
                 raw = tuple(sorted((t * u % o * step, m) for t, m in sup))
                 hit = lifted.get(raw)
                 if hit is None:
-                    v = CycElt(e, dict(raw))
-                    image = sum(m * pow(s, k, q) for k, m in raw) % q
-                    hit = lifted[raw] = (values.setdefault(v, v), image)
+                    terms = dict(raw)
+                    v = CycElt(e, terms)
+                    hit = lifted[raw] = (values.setdefault(v, v), red.image(e, terms))
                 if hit[1] != want:
                     raise AssertionError(f"lifted value at class {ju} disagrees with its value mod q")
                 column.append(hit[0])
@@ -411,12 +411,10 @@ def _subgroup_characters(n, sub, e):
     return chars
 
 
-def metacyclic_table(group, cd=None):
+def metacyclic_table(group, cd):
     """Character table of C_n x| H, with (n, H) = group.meta_params, by orbits
     of H on Irr(C_n) and extensions lambda~(c, h) = zeta_n^{j c} mu(h)
     induced up from the orbit stabilizer."""
-    if cd is None:
-        cd = conjugacy_classes(group)
     n, H = group.meta_params
     e = cd.exponent
     reps = [group.elements[i] for i in cd.class_reps]

@@ -140,7 +140,11 @@ def cmd_sigma(args):
 
 def cmd_ingest(args):
     with open(args.file) as fh:
-        table = table_from_json(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{args.file}: JSON nested too deeply") from None
+    table = table_from_json(obj)
     if args.check == "a":
         reports, violations = verify_theorem_A(table, args.p)
         _dump(

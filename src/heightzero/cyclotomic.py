@@ -298,11 +298,11 @@ def _coerce(v, n=1):
     raise TypeError(f"cannot coerce {v!r} to CycElt")
 
 
-def zero(n=1):
+def zero(n):
     return CycElt(n, {}, reduced=True)
 
 
-def root_of_unity(n, j=1):
+def root_of_unity(n, j):
     """zeta_n^j in canonical form."""
     if n < 1:
         raise ValueError("n must be >= 1")

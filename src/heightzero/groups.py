@@ -214,7 +214,7 @@ def _closure(gens, mul, identity, name):
     return FiniteGroup(elements, mul, name, gens)
 
 
-def from_permutation_generators(gens, name=None):
+def from_permutation_generators(gens, name):
     """The group generated by permutations of range(degree), as a closure."""
     gens = [tuple(g) for g in gens]
     deg = max((len(g) for g in gens), default=1)
@@ -222,7 +222,7 @@ def from_permutation_generators(gens, name=None):
     for g in gens:
         if sorted(g) != list(range(deg)):
             raise ValueError(f"not a permutation: {g}")
-    return _closure(gens, _perm_mul, tuple(range(deg)), name or "perm")
+    return _closure(gens, _perm_mul, tuple(range(deg)), name)
 
 
 def semidirect_cn_h(n, hgens, name=None):

@@ -233,9 +233,7 @@ class CharacterFieldReport:
         }
 
 
-def char_field_report(table, row, p, partition=None):
-    if partition is None:
-        partition = block_partition(table, p)
+def char_field_report(table, row, p, partition):
     field = table.row_field(row)
     return CharacterFieldReport(
         table.name,
@@ -256,7 +254,7 @@ def verify_theorem_A(table, p, partition=None):
         partition = block_partition(table, p)
     reports = []
     violations = []
-    for r in height_zero_rows(table, p, partition):
+    for r in height_zero_rows(partition):
         rep = char_field_report(table, r, p, partition)
         reports.append(rep)
         bad = not rep.theorem_containment if p == 2 else not rep.in_Fp
@@ -265,10 +263,10 @@ def verify_theorem_A(table, p, partition=None):
     return reports, violations
 
 
-def sweep_theorem_A(specs, p, progress=None):
+def sweep_theorem_A(specs, p, progress):
     """Run verify_theorem_A over many group specs; returns a summary dict.
 
-    progress, when given, is called as soon as each group is done, with its
+    progress, unless None, is called as soon as each group is done, with its
     summary entry and a dict of run facts that stay out of the summary: the
     table's route ('direct' or 'dixon'), the Dixon prime q (None on the direct
     route), the residue-field degree f and the number of distinct table
@@ -353,7 +351,7 @@ class RealizerCertificate:
         }
 
 
-def realize_field(field, p, cross_check_dixon=False):
+def realize_field(field, p, cross_check_dixon):
     """Realize `field` as the field of values of a p-height-zero character of
     C_n x| H, where n is the conductor and H the fixer subgroup.
 

@@ -96,7 +96,7 @@ def test_criterion_3_realizer_for_quadratic_fields():
 def test_criterion_4_conductor_not_inherited_s3_c3():
     t = build_table("sym:3")
     r = t.degrees.index(2)
-    rep = char_field_report(t, r, 3)
+    rep = char_field_report(t, r, 3, block_partition(t, 3))
     assert rep.a == 0  # the degree-2 row is 3-rational
     c3 = build_table("cyclic:3")
     constituent_conductors = {
@@ -132,7 +132,7 @@ def test_criterion_5_semidihedral16_counterexample():
 def test_criterion_6_sigma1_fixed_iff_2_rational_on_corpus(corpus_tables):
     checked = 0
     for spec, t, bp in corpus_tables:
-        for r in height_zero_rows(t, 2, bp):
+        for r in height_zero_rows(bp):
             fixed = all(sigma_e(v, 1) == v for v in t.rows[r])
             rational2 = field_from_values(t.rows[r]).conductor % 2 == 1
             assert fixed == rational2, f"{spec} row {r}"

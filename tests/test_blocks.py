@@ -27,7 +27,6 @@ from sympy.polys.galoistools import (
 
 from heightzero import blocks
 from heightzero.blocks import (
-    GF,
     IdealReduction,
     _irreducible,
     block_partition,
@@ -103,6 +102,10 @@ def oracle_partition(table, p):
     return sorted(sigs.values(), key=lambda rs: rs[0])
 
 
+def _dixon(group):
+    return dixon_table(group, conjugacy_classes(group))
+
+
 def _lib_partition_rows(table, p):
     return [b.rows for b in block_partition(table, p)]
 
@@ -112,7 +115,7 @@ def _lib_partition_rows(table, p):
 
 
 def test_s4_p2_single_block_golden():
-    t = dixon_table(symmetric(4))
+    t = _dixon(symmetric(4))
     assert oracle_partition(t, 2) == [[0, 1, 2, 3, 4]]
     bp = block_partition(t, 2)
     assert _lib_partition_rows(t, 2) == [[0, 1, 2, 3, 4]]
@@ -121,7 +124,7 @@ def test_s4_p2_single_block_golden():
 
 
 def test_a5_p2_two_blocks_golden():
-    t = dixon_table(alternating(5))
+    t = _dixon(alternating(5))
     parts = oracle_partition(t, 2)
     assert _lib_partition_rows(t, 2) == parts
     degs = [sorted(t.degrees[r] for r in rows) for rows in parts]
@@ -134,7 +137,7 @@ def test_a5_p2_two_blocks_golden():
 
 
 def test_s3_p3_single_block_golden():
-    t = dixon_table(symmetric(3))
+    t = _dixon(symmetric(3))
     assert oracle_partition(t, 3) == [[0, 1, 2]]
     bp = block_partition(t, 3)
     assert bp.defect == [1]
@@ -157,7 +160,7 @@ def test_oracle_matches_library_on_sample():
         (semidirect_cn_h(23, [22]), 2),  # f = 11
     ]
     for g, p in cases:
-        t = dixon_table(g)
+        t = _dixon(g)
         assert _lib_partition_rows(t, p) == oracle_partition(t, p), (g.name, p)
 
 
@@ -166,13 +169,13 @@ def test_oracle_matches_library_on_sample():
 
 
 def test_central_character_trivial_row_is_class_sizes():
-    t = dixon_table(symmetric(4))
+    t = _dixon(symmetric(4))
     for j in range(t.num_classes):
         assert central_character_value(t, 0, j).to_rational() == t.classes.class_sizes[j]
 
 
 def test_s3_degree2_central_values():
-    t = dixon_table(symmetric(3))
+    t = _dixon(symmetric(3))
     r = t.degrees.index(2)
     cd = t.classes
     by_order = {cd.element_orders[j]: j for j in range(3)}
@@ -185,7 +188,7 @@ def test_corrupt_table_detected_by_integrality():
     from heightzero.chartab import CharacterTable
     from oracles import rational
 
-    t = dixon_table(symmetric(3))
+    t = _dixon(symmetric(3))
     # make the degree-2 row fail the central-character integrality check while
     # keeping row 0 trivial: swap a value on the 3-cycle class
     rows = [list(r) for r in t.rows]
@@ -213,7 +216,7 @@ def test_corrupt_table_detected_by_integrality():
     ],
 )
 def test_partition_axioms(group, p):
-    t = dixon_table(group)
+    t = _dixon(group)
     bp = block_partition(t, p)
     rows = sorted(r for b in bp for r in b.rows)
     assert rows == list(range(len(t.rows)))  # partition
@@ -224,28 +227,28 @@ def test_partition_axioms(group, p):
 
 
 def test_coprime_prime_gives_defect_zero_singletons():
-    t = dixon_table(symmetric(3))
+    t = _dixon(symmetric(3))
     bp = block_partition(t, 5)
     assert len(bp) == t.num_classes
     assert all(b.defect == 0 and len(b.rows) == 1 for b in bp)
 
 
 def test_height_zero_rows_sd16():
-    t = dixon_table(semidihedral(16))
-    hz = height_zero_rows(t, 2)
+    t = _dixon(semidihedral(16))
+    hz = height_zero_rows(block_partition(t, 2))
     assert [t.degrees[r] for r in hz] == [1, 1, 1, 1]
 
 
 def test_abelian_all_height_zero():
-    t = dixon_table(cyclic(8))
-    assert height_zero_rows(t, 2) == list(range(8))
+    t = _dixon(cyclic(8))
+    assert height_zero_rows(block_partition(t, 2)) == list(range(8))
 
 
 def test_degree_coprime_rows_within_height_zero_in_max_defect_blocks():
     # rows with p coprime to the degree are height zero exactly when their
     # block has maximal defect; in general they are a subset of height zero
     for g, p in [(symmetric(4), 2), (sl2(3), 2), (alternating(5), 2)]:
-        t = dixon_table(g)
+        t = _dixon(g)
         bp = block_partition(t, p)
         numax = nu_p(t.order, p)
         for r in range(len(t.rows)):
@@ -261,7 +264,7 @@ def test_partition_invariant_under_ideal_choice():
 
     from heightzero.chartab import CharacterTable
 
-    t = dixon_table(alternating(5))
+    t = _dixon(alternating(5))
     e = t.classes.exponent
     for p in (2, 3, 5):
         pa = p ** nu_p(e, p)
@@ -283,7 +286,7 @@ def test_partition_galois_stable():
 
     from heightzero.chartab import CharacterTable
 
-    t = dixon_table(symmetric(4))
+    t = _dixon(symmetric(4))
     e = t.classes.exponent
     p = 2
     eprime = e // p ** nu_p(e, p)
@@ -316,8 +319,8 @@ def test_height_zero_restricts_to_height_zero_constituents(p):
         sub, embedding = subgroup_as_group(big, nsub)
         sub_cd = conjugacy_classes(sub)
         sub_t = dixon_table(sub, sub_cd)
-        hz_big = set(height_zero_rows(t, p))
-        hz_sub = set(height_zero_rows(sub_t, p))
+        hz_big = set(height_zero_rows(block_partition(t, p)))
+        hz_sub = set(height_zero_rows(block_partition(sub_t, p)))
         for r in hz_big:
             vals = restrict(t.rows[r], cd, sub_cd, embedding)
             mults = decompose(vals, sub_t)
@@ -339,8 +342,56 @@ def _digits(code, p, f):
     return tuple(out)
 
 
-# GF(p^f) arithmetic on coefficient tuples through the field's packed ring;
-# the library itself works on the packed ints
+# GF(p^f) arithmetic on coefficient tuples through the packed ring of an
+# IdealReduction; the library itself works on the packed ints
+
+
+def lanes(ring, x, count):
+    """The first `count` lanes of the packed x, reduced mod p."""
+    nb = ring.w // 8
+    raw = x.to_bytes(count * nb, "little")
+    return tuple(int.from_bytes(raw[i : i + nb], "little") % ring.p for i in range(0, len(raw), nb))
+
+
+def unpack(ring, x):
+    """The f coefficients of the packed x (of degree < f)."""
+    return lanes(ring, x, ring.f)
+
+
+def modulus(red):
+    """The modulus of red's residue field, low-to-high with its leading 1."""
+    return lanes(red._ring, red._ring.modulus, red.f + 1)
+
+
+def root(red):
+    """red's root u of order e', as a coefficient tuple."""
+    return unpack(red._ring, red.powers[1 % red.eprime])
+
+
+def _order(p, e):
+    """The multiplicative order of p mod e."""
+    f = 1
+    while (p**f - 1) % e:
+        f += 1
+    return f
+
+
+@lru_cache(maxsize=None)
+def reduction_into(p, f):
+    """IdealReduction(p, e') for the least e' prime to p of which p has
+    multiplicative order f: its residue field is GF(p^f)."""
+    e = next(e for e in range(1, p**f) if e % p and _order(p, e) == f)
+    red = IdealReduction(p, e)
+    assert red.f == f
+    return red
+
+
+def gf_zero(g):
+    return (0,) * g.f
+
+
+def gf_one(g):
+    return (1,) + (0,) * (g.f - 1)
 
 
 def gf_sum(g, a, b):
@@ -349,12 +400,12 @@ def gf_sum(g, a, b):
 
 def gf_product(g, a, b):
     r = g._ring
-    return r.unpack(r.mul(r.pack(a), r.pack(b)))
+    return unpack(r, r.mul(r.pack(a), r.pack(b)))
 
 
 def gf_power(g, a, k):
     r = g._ring
-    return r.unpack(r.pow(r.pack(a), k))
+    return unpack(r, r.pow(r.pack(a), k))
 
 
 def reduce_value(red, x):
@@ -365,14 +416,14 @@ def reduce_value(red, x):
     for j, c in x.terms.items():
         assert c.denominator % p, "value is not p-integral"
         coeffs[j] = c.numerator * pow(c.denominator, -1, p)
-    return red._ring.unpack(red._image(x.n, coeffs))
+    return unpack(red._ring, red.image(x.n, coeffs))
 
 
 def element_order(g, a):
-    if a == g.zero:
+    if a == gf_zero(g):
         raise ValueError("zero has no multiplicative order")
     o, cur = 1, a
-    while cur != g.one:
+    while cur != gf_one(g):
         cur = gf_product(g, cur, a)
         o += 1
     return o
@@ -380,11 +431,11 @@ def element_order(g, a):
 
 def multiplicative_generator(g):
     """Least generator of the cyclic group GF(p^f)^* in code order."""
-    n = g.order - 1
+    n = g.p**g.f - 1
     primes = list(factorint(n))
-    for code in range(1, g.order):
+    for code in range(1, n + 1):
         a = _digits(code, g.p, g.f)
-        if all(gf_power(g, a, n // q) != g.one for q in primes):
+        if all(gf_power(g, a, n // q) != gf_one(g) for q in primes):
             return a
     raise AssertionError("no generator found")
 
@@ -395,7 +446,7 @@ def _sympy_poly(coeffs):
 
 
 def test_gf_axioms_odd_p():
-    g = GF(3, 4)
+    g = reduction_into(3, 4)
     rng = random.Random(11)
     els = [tuple(rng.randint(0, 2) for _ in range(4)) for _ in range(40)]
     for a, b, c in zip(els, els[1:], els[2:]):
@@ -408,35 +459,42 @@ def test_gf_axioms_odd_p():
 
 
 def test_gf_root_of_order():
-    g = GF(2, 10)
+    # the reduction's root u has order e' in GF(2^f), f the order of 2 mod e'
+    # (f = 10 but for m = 3 and 31), and its list of powers is u^0 .. u^(e'-1)
     for m in (3, 11, 31, 33, 93, 341, 1023):
-        assert element_order(g, g.root_of_order(m)) == m
+        g = IdealReduction(2, m)
+        assert g.f == _order(2, m)
+        u = root(g)
+        assert element_order(g, u) == m
+        assert [unpack(g._ring, x) for x in g.powers] == [gf_power(g, u, k) for k in range(m)]
 
 
 def test_root_of_order_scans_from_code_one():
-    # root_of_order(m) is c^((p^f - 1) / m) for the first code c whose power
-    # has order m; skipping the constants c < p must not change it.  In
-    # GF(7, 2) and GF(13, 2) some orders m dividing p - 1 come from constants
+    # the root of order m is c^((p^f' - 1) / m) for the first code c whose
+    # power has order m, in GF(p^f') with f' the order of p mod m; skipping
+    # the constants c < p for f' > 1 must not change it.  Orders m dividing
+    # p - 1 reduce into F_p, where the constants are the whole field
     for p, f in ((7, 2), (5, 2), (3, 4), (13, 2)):
-        g = GF(p, f)
-        n = g.order - 1
+        n = p**f - 1
         for m in (d for d in range(2, n + 1) if n % d == 0):
+            g = IdealReduction(p, m)
+            size = p**g.f
             first = next(
                 u
-                for u in (gf_power(g, _digits(c, p, f), n // m) for c in range(1, g.order))
-                if u != g.zero and element_order(g, u) == m
+                for u in (gf_power(g, _digits(c, p, g.f), (size - 1) // m) for c in range(1, size))
+                if u != gf_zero(g) and element_order(g, u) == m
             )
-            assert g.root_of_order(m) == first, (p, f, m)
+            assert root(g) == first, (p, f, m)
 
 
 @pytest.mark.parametrize(
     "p,f", [(2, 11), (2, 110), (7, 110), (3, 84), (65537, 2), (4294967291, 2)]
 )
 def test_gf_mul_matches_sympy(p, f):
-    g = GF(p, f)
+    g = reduction_into(p, f)
     if p == 4294967291:
         assert g._ring.w > 64  # a lane holds sums of products of 32-bit residues
-    m = _sympy_poly(g.modulus)
+    m = _sympy_poly(modulus(g))
     rng = random.Random(p * f)
     for _ in range(10):
         a = tuple(rng.randrange(p) for _ in range(f))
@@ -464,7 +522,7 @@ def test_gf_modulus_is_sympy_lex_least(p, f):
         for cand in (_digits(code, p, f) + (1,) for code in range(p**f))
         if gf_irreducible_p(_sympy_poly(cand), p, ZZ)
     )
-    assert GF(p, f).modulus == want
+    assert modulus(reduction_into(p, f)) == want
 
 
 def test_modulus_search_skips_impossible_binomials(monkeypatch):
@@ -515,7 +573,7 @@ _CORPUS_MODULUS_CODES = {
 @pytest.mark.parametrize("p", sorted(_CORPUS_MODULUS_CODES))
 def test_corpus_moduli_are_pinned(p):
     for f, code in _CORPUS_MODULUS_CODES[p].items():
-        assert GF(p, f).modulus == _digits(code, p, f) + (1,), f
+        assert modulus(reduction_into(p, f)) == _digits(code, p, f) + (1,), f
 
 
 def _poly_mul(p, a, b):
@@ -613,7 +671,7 @@ def test_pack_and_quotient_mask_keep_the_byte_layout():
 
     rng = random.Random(5)
     for p, f in ((2, 110), (7, 110), (3, 1), (65537, 4), (4294967291, 2)):
-        ring = GF(p, f)._ring
+        ring = reduction_into(p, f)._ring
         nb = ring.w // 8
         for _ in range(5):
             coeffs = [rng.randrange(p) if rng.random() < 0.3 else 0 for _ in range(f)]
@@ -629,16 +687,34 @@ def test_ideal_reduction_is_ring_homomorphism():
     for p, eprime, n in ((3, 8, 8), (2, 15, 30)):
         red = IdealReduction(p, eprime)
         xs = [root_of_unity(n, j) for j in range(n)]
-        gf = red.gf
         for a in xs:
             for b in xs:
                 ra, rb = reduce_value(red, a), reduce_value(red, b)
-                assert reduce_value(red, a * b) == gf_product(gf, ra, rb)
-                assert reduce_value(red, a + b) == gf_sum(gf, ra, rb)
+                assert reduce_value(red, a * b) == gf_product(red, ra, rb)
+                assert reduce_value(red, a + b) == gf_sum(red, ra, rb)
 
 
 def test_ideal_reduction_kills_p_power_roots():
     from heightzero.cyclotomic import root_of_unity
 
     red = IdealReduction(2, 1)
-    assert reduce_value(red, root_of_unity(8)) == reduce_value(red, root_of_unity(8, 0))
+    assert reduce_value(red, root_of_unity(8, 1)) == reduce_value(red, root_of_unity(8, 0))
+
+
+def test_ideal_reduction_builds_one_ring(monkeypatch):
+    # the root search, the powers and the images share one ring; the modulus
+    # search builds its own rings only on a cold (p, f)
+    built = []
+    init = blocks._KroneckerRing.__init__
+
+    def counted(ring, *args, **kwargs):
+        built.append(args)
+        init(ring, *args, **kwargs)
+
+    for p, e in ((2, 1), (3, 8), (7, 23 * 11), (10007, 6)):
+        IdealReduction(p, e)  # fills the modulus cache
+        monkeypatch.setattr(blocks._KroneckerRing, "__init__", counted)
+        built.clear()
+        IdealReduction(p, e)
+        assert len(built) == 1, (p, e)
+        monkeypatch.undo()

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -77,7 +78,7 @@ def test_dixon_table_allocates_no_cube(monkeypatch):
 
     monkeypatch.setattr(chartab.np, "zeros", recording_zeros)
     for group in (symmetric(4), dihedral(40)):
-        dixon_table(group)
+        _table(group)
     assert shapes
     assert all(len(s) <= 2 for s in shapes), shapes
 
@@ -175,7 +176,7 @@ def _edits(e):
     CycElt -> CycElt in a table of exponent e."""
     divisors = [d for d in range(1, e) if e % d == 0]
     small = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
-    third = root_of_unity(e).scalar_mul(Fraction(1, 3))
+    third = root_of_unity(e, 1).scalar_mul(Fraction(1, 3))
     return st.one_of(
         small.map(lambda q: lambda v: v + q),
         st.just(lambda v: v + third),
@@ -352,7 +353,7 @@ def test_direct_route_matches_dixon_on_spec(spec):
        for g in (symmetric(5), sl2(5), generalized_quaternion(64), cyclic(37))],
 )
 def test_equal_values_are_one_object(build, group):
-    t = build(group)
+    t = build(group, conjugacy_classes(group))
     values = [v for row in t.rows for v in row]
     assert len({id(v) for v in values}) == len(set(values)) < len(values)
 
@@ -367,7 +368,7 @@ def _count_builds(monkeypatch, build, group):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(CycElt, "__init__", counted)
-    t = build(group)
+    t = build(group, conjugacy_classes(group))
     monkeypatch.undo()
     return t, len(calls)
 
@@ -394,20 +395,78 @@ def test_dixon_table_is_independent_of_the_root_of_unity(monkeypatch, group):
     # Galois-stable, so the sorted table must not move
     cd = conjugacy_classes(group)
     want = table_to_json(dixon_table(group, cd))
-    root_of_order = blocks.GF.root_of_order
+    init = blocks.IdealReduction.__init__
     units = [k for k in range(1, cd.exponent) if gcd(k, cd.exponent) == 1]
     for k in units:
         used = []
 
-        def power_k(gf, m, k=k):
-            s = pow(root_of_order(gf, m)[0], k, gf.p)
-            used.append(s)
-            return (s,)
+        def power_k(red, p, e, k=k):
+            init(red, p, e)
+            red.powers = [red.powers[i * k % red.eprime] for i in range(red.eprime)]
+            used.append(red.powers[1])
 
-        monkeypatch.setattr(blocks.GF, "root_of_order", power_k)
+        monkeypatch.setattr(blocks.IdealReduction, "__init__", power_k)
         assert table_to_json(dixon_table(group, cd)) == want, k
         assert len(used) == 1
     assert len(units) > 2
+
+
+def _first_root(q, e):
+    """c^((q - 1) / e) for the first c in 1 .. q - 1 for which that power has
+    order e, by a scan over all its powers."""
+    for c in range(1, q):
+        s = pow(c, (q - 1) // e, q)
+        if len({pow(s, k, q) for k in range(e)}) == e:
+            return s
+    raise AssertionError("no root of order e")
+
+
+@pytest.mark.parametrize("group", [symmetric(5), sl2(5), semidirect_cn_h(12, [11]), dihedral(40)],
+                         ids=lambda g: g.name)
+def test_dixon_reduction_is_the_power_sum_at_the_root(group):
+    # at the Dixon prime q = 1 mod e the reduction's residue field is F_q:
+    # its powers are s^k mod q and the image of a raw exponent map {k: m_k}
+    # is sum m_k s^k mod q, for the root s of order e that Dixon used alone
+    cd = conjugacy_classes(group)
+    e = cd.exponent
+    q = chartab._dixon_prime(e, group.order, cd.num_classes)
+    s = _first_root(q, e)
+    red = blocks.IdealReduction(q, e)
+    assert (red.f, red.eprime) == (1, e)
+    assert red.powers == [pow(s, k, q) for k in range(e)]
+    rng = random.Random(e)
+    for _ in range(200):
+        raw = {k: rng.randrange(-3 * q, 3 * q) for k in rng.sample(range(e), rng.randint(1, e))}
+        assert red.image(e, raw) == sum(m * pow(s, k, q) for k, m in raw.items()) % q
+
+
+@pytest.mark.parametrize("group", [symmetric(5), semidirect_cn_h(12, [11])], ids=lambda g: g.name)
+def test_dixon_table_checks_every_lifted_value_through_the_reduction(monkeypatch, group):
+    # a reduction that is off by one on a single lifted value must fail the
+    # check of that value against its own eigenvector coordinates
+    cd = conjugacy_classes(group)
+    image = blocks.IdealReduction.image
+    calls = []
+
+    def counted(red, n, coeffs):
+        calls.append(n)
+        return image(red, n, coeffs)
+
+    monkeypatch.setattr(blocks.IdealReduction, "image", counted)
+    dixon_table(group, cd)
+    total = len(calls)
+    assert total > 2
+    for wrong in (0, total // 2, total - 1):
+        calls.clear()
+
+        def off_by_one(red, n, coeffs, wrong=wrong):
+            calls.append(n)
+            out = image(red, n, coeffs)
+            return (out + 1) % red.p if len(calls) == wrong + 1 else out
+
+        monkeypatch.setattr(blocks.IdealReduction, "image", off_by_one)
+        with pytest.raises(AssertionError, match="disagrees with its value mod q"):
+            dixon_table(group, cd)
 
 
 def _wrong_conjugates(cd):
@@ -456,7 +515,8 @@ def test_subgroup_characters_are_the_dual_group(factor):
 
 
 def test_cyclic_table_is_fourier_matrix():
-    t = metacyclic_table(cyclic(5))
+    g = cyclic(5)
+    t = metacyclic_table(g, conjugacy_classes(g))
     # every row is determined by a k with row value zeta_5^k at a generator,
     # and all five k occur
     pm = t.classes.power_map[1]  # powers of a generator, as class indices

@@ -209,12 +209,14 @@ def test_blocks_at_a_large_prime(capsys):
 @pytest.mark.parametrize("spec", ["sym:7", "alt:7", "sl2:7"])
 def test_blocks_on_groups_past_the_old_limits(spec, capsys):
     from heightzero.chartab import dixon_table
+    from heightzero.groups import conjugacy_classes
     from heightzero.reports import parse_group_spec
 
     code, out, _ = run(["blocks", "--group", spec, "--p", "2"], capsys)
     assert code == 0
     assert json.loads(out)["group"] == spec
-    dixon_table(parse_group_spec(spec)).check_orthogonality()
+    group = parse_group_spec(spec)
+    dixon_table(group, conjugacy_classes(group)).check_orthogonality()
 
 
 @pytest.mark.parametrize(
@@ -410,6 +412,19 @@ def test_ingest_rejects_malformed_json(tmp_path, capsys, mutate):
     assert code == 1
     assert err.startswith("error: ")
     assert out == ""
+
+
+@pytest.mark.parametrize("open_,close", [("[", "]"), ('{"irr": ', "}")], ids=["array", "object"])
+def test_ingest_rejects_deeply_nested_json(tmp_path, open_, close):
+    # json.load recurses once per level and hits the recursion limit well
+    # below 5,000 levels
+    path = tmp_path / "deep.json"
+    path.write_text(open_ * 5000 + "0" + close * 5000)
+    proc = _run_cli_process(["ingest", "--file", str(path), "--p", "2", "--check", "a"], timeout=60)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "nested too deeply" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout == ""
 
 
 def test_ingest_rejects_corrupt_power_map(tmp_path, capsys):

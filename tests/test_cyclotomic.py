@@ -30,13 +30,13 @@ def test_basis_sizes_are_euler_phi():
 
 def test_zeta12_reduces_out_of_basis():
     # zeta_12 itself is not a basis element: zeta_12 = -zeta_12^7
-    x = root_of_unity(12)
+    x = root_of_unity(12, 1)
     assert set(x.terms) == {7}
     assert x.terms[7] == -1
 
 
 def test_no_zero_coefficients_stored():
-    x = root_of_unity(5) - root_of_unity(5)
+    x = root_of_unity(5, 1) - root_of_unity(5, 1)
     assert x.terms == {}
 
 
@@ -51,14 +51,14 @@ def test_root_of_unity_trivial_cases():
 
 def test_zeta6_descends_to_modulus_3():
     # zeta_6 = -zeta_3^2, so its conductor is 3
-    x = root_of_unity(6)
+    x = root_of_unity(6, 1)
     m, d = conductor_of_element(x)
     assert m == 3
     assert d == -root_of_unity(3, 2)
 
 
 def test_i_plus_minus_i_is_zero():
-    assert root_of_unity(4) + root_of_unity(4, 3) == zero(4)
+    assert root_of_unity(4, 1) + root_of_unity(4, 3) == zero(4)
 
 
 def test_sum_of_primitive_fifth_roots():
@@ -67,18 +67,18 @@ def test_sum_of_primitive_fifth_roots():
 
 
 def test_sqrt_minus_two_squares():
-    x = root_of_unity(8) + root_of_unity(8, 3)
+    x = root_of_unity(8, 1) + root_of_unity(8, 3)
     assert (x * x).to_rational() == -2
 
 
 def test_power_operator():
-    z = root_of_unity(7)
+    z = root_of_unity(7, 1)
     assert z**7 == rational(1, 7)
     assert z**3 == root_of_unity(7, 3)
 
 
 def test_moduli_auto_unify():
-    x = root_of_unity(4) + root_of_unity(6)
+    x = root_of_unity(4, 1) + root_of_unity(6, 1)
     assert x.n == 12
 
 
@@ -87,33 +87,33 @@ def test_moduli_auto_unify():
 
 
 def test_galois_fixes_sqrt_minus_two():
-    x = root_of_unity(8) + root_of_unity(8, 3)
+    x = root_of_unity(8, 1) + root_of_unity(8, 3)
     assert x.galois(3) == x
 
 
 def test_galois_identity_and_composition():
-    x = root_of_unity(15) + 2 * root_of_unity(15, 2)
+    x = root_of_unity(15, 1) + 2 * root_of_unity(15, 2)
     assert x.galois(1) == x
     assert x.galois(2).galois(4) == x.galois(8)
 
 
 def test_galois_rejects_non_coprime():
     with pytest.raises(ValueError):
-        root_of_unity(6).galois(2)
+        root_of_unity(6, 1).galois(2)
 
 
 def test_conjugate_of_root():
-    z = root_of_unity(5)
+    z = root_of_unity(5, 1)
     assert z.galois(-1) == root_of_unity(5, 4)
 
 
 def test_sigma_e_fixes_odd_roots_and_twists_two_part():
-    z3 = root_of_unity(3)
+    z3 = root_of_unity(3, 1)
     assert sigma_e(z3, 1) == z3
-    z8 = root_of_unity(8)
+    z8 = root_of_unity(8, 1)
     assert sigma_e(z8, 1) == root_of_unity(8, 3)
     # on zeta_24 = zeta_3 * zeta_8 component-wise
-    z24 = root_of_unity(24)
+    z24 = root_of_unity(24, 1)
     k = None
     for c in range(24):
         if c % 3 == 1 and c % 8 == 3:
@@ -132,7 +132,7 @@ def test_rational_roundtrip():
 
 def test_non_rational_raises():
     with pytest.raises(ValueError):
-        root_of_unity(5).to_rational()
+        root_of_unity(5, 1).to_rational()
 
 
 def _to_rational_oracle(x):
@@ -264,7 +264,7 @@ def test_ring_axioms(x, y, z):
     assert x * y == y * x
     assert (x * y) * z == x * (y * z)
     assert x * (y + z) == x * y + x * z
-    assert x + zero() == x
+    assert x + zero(1) == x
     assert x * rational(1) == x
 
 

@@ -71,11 +71,11 @@ def sqrt_cyc(d):
             radicand *= p if p % 4 == 1 else -p
     u = d // radicand
     if u == -1:
-        x = x * root_of_unity(4)
+        x = x * root_of_unity(4, 1)
     elif u == 2:
-        x = x * (root_of_unity(8) + root_of_unity(8, 7))
+        x = x * (root_of_unity(8, 1) + root_of_unity(8, 7))
     elif u == -2:
-        x = x * (root_of_unity(8) + root_of_unity(8, 3))
+        x = x * (root_of_unity(8, 1) + root_of_unity(8, 3))
     return x
 
 
@@ -123,7 +123,7 @@ def test_subfield_relation():
 
 
 def test_field_from_values():
-    assert field_from_values([root_of_unity(8) + root_of_unity(8, 3)]) == quadratic_field(-2)
+    assert field_from_values([root_of_unity(8, 1) + root_of_unity(8, 3)]) == quadratic_field(-2)
     assert field_from_values([]) == rational_field()
 
 

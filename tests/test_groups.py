@@ -43,7 +43,7 @@ def test_alternating_is_even_permutations_only():
 def test_order_cap_enforced():
     # S10 has no order formula to check first: its closure stops at the cap
     with pytest.raises(GroupTooLarge):
-        from_permutation_generators([tuple(range(1, 10)) + (0,), (1, 0) + tuple(range(2, 10))])
+        from_permutation_generators([tuple(range(1, 10)) + (0,), (1, 0) + tuple(range(2, 10))], "perm")
     # S8, A8 and SL(2, 29) are the first of their families past the cap of 20000
     for build, arg in ((symmetric, 8), (alternating, 8), (sl2, 29), (dihedral, 20002)):
         with pytest.raises(GroupTooLarge):
@@ -177,7 +177,7 @@ def _sl2_on_vectors(q):
         a, b, c, d = m
         return tuple(vidx[((a * x + b * y) % q, (c * x + d * y) % q)] for x, y in vecs)
 
-    return act, from_permutation_generators([act((1, 1, 0, 1)), act((0, q - 1, 1, 0))])
+    return act, from_permutation_generators([act((1, 1, 0, 1)), act((0, q - 1, 1, 0))], "perm")
 
 
 @pytest.mark.parametrize("q", [2, 3, 5, 7, 13])

@@ -12,6 +12,9 @@
 * Every defaulted parameter is passed by at least one call in src/; a
   default no caller overrides is a constant, not a parameter.  Only the
   console-script entry point cli.main is exempt.
+* Every defaulted parameter is also left unset by at least one call in src/;
+  a default every caller overrides is never used, and the parameter is
+  required.
 * The only sympy name the package uses is isprime; the rest of sympy is the
   tests' reference.
 """
@@ -208,6 +211,18 @@ def test_every_default_is_passed_by_some_call(path):
         and not any(name == callee and _passes(call, param, position) for name, call in calls)
     ]
     assert not unset, f"{path.name}: defaults no call in src/ passes {unset}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_default_is_left_unset_by_some_call(path):
+    calls = list(_calls(ast.parse(p.read_text()) for p in SOURCES))
+    always = [
+        f"{qualname}({param}=) (line {line})"
+        for qualname, callee, param, position, line in _defaulted(ast.parse(path.read_text()))
+        if f"{path.stem}.{qualname}" not in ENTRY_POINTS
+        and not any(name == callee and not _passes(call, param, position) for name, call in calls)
+    ]
+    assert not always, f"{path.name}: defaults every call in src/ passes {always}"
 
 
 def _sympy_names(tree):

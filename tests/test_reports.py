@@ -89,7 +89,7 @@ def test_s3_p3_conductor_split():
     # conductor 3: the p-part of the conductor is not inherited by inductions
     t = build_table("sym:3")
     r = t.degrees.index(2)
-    rep = char_field_report(t, r, 3)
+    rep = char_field_report(t, r, 3, block_partition(t, 3))
     assert rep.a == 0 and rep.p_rational and rep.theorem_containment
     c3 = build_table("cyclic:3")
     nontrivial = [field_from_values(row).conductor for row in c3.rows[1:]]
@@ -98,7 +98,7 @@ def test_s3_p3_conductor_split():
 
 def test_c3_nontrivial_row_report():
     t = build_table("cyclic:3")
-    rep = char_field_report(t, 1, 3)
+    rep = char_field_report(t, 1, 3, block_partition(t, 3))
     assert (rep.conductor, rep.a, rep.m) == (3, 1, 1)
     assert rep.field == cyclotomic_field(3)
 
@@ -106,7 +106,7 @@ def test_c3_nontrivial_row_report():
 def test_cyclic4_faithful_row_report():
     t = build_table("cyclic:4")
     r = next(r for r in range(4) if field_from_values(t.rows[r]).conductor == 4)
-    rep = char_field_report(t, r, 2)
+    rep = char_field_report(t, r, 2, block_partition(t, 2))
     assert (rep.a, rep.m) == (2, 1)
     assert rep.field == cyclotomic_field(4)
     assert rep.theorem_containment
@@ -159,7 +159,7 @@ def test_meta_12_11_sqrt3_row():
 
 
 def test_sweep_structure():
-    summary = sweep_theorem_A(["sym:3", "cyclic:4"], 2)
+    summary = sweep_theorem_A(["sym:3", "cyclic:4"], 2, None)
     assert summary["p"] == 2
     assert summary["total_violations"] == 0
     assert [g["group"] for g in summary["groups"]] == ["sym:3", "cyclic:4"]
@@ -168,7 +168,7 @@ def test_sweep_structure():
 def test_odd_p_sweep_reports_findings_not_failures():
     # odd-p mode flags rows whose field is outside the conductor class;
     # on these groups there are none, and the call never raises
-    summary = sweep_theorem_A(["sym:3", "cyclic:9", "meta:7:6"], 3)
+    summary = sweep_theorem_A(["sym:3", "cyclic:9", "meta:7:6"], 3, None)
     assert summary["total_violations"] == 0
 
 
@@ -177,12 +177,12 @@ def test_odd_p_sweep_reports_findings_not_failures():
 
 
 def test_realize_rational_field():
-    cert = realize_field(rational_field(), 2)
+    cert = realize_field(rational_field(), 2, False)
     assert cert.valid and cert.n == 1 and cert.degree == 1
 
 
 def test_realize_qi():
-    cert = realize_field(cyclotomic_field(4), 2)
+    cert = realize_field(cyclotomic_field(4), 2, False)
     assert cert.valid
     assert cert.n == 4 and cert.degree == 1
 
@@ -204,11 +204,11 @@ def test_realize_sqrt_minus5():
 def test_realize_rejects_excluded_fields():
     for d in (2, -2):
         with pytest.raises(ValueError):
-            realize_field(quadratic_field(d), 2)
+            realize_field(quadratic_field(d), 2, False)
 
 
 def test_realized_row_is_verified_not_assumed():
-    cert = realize_field(quadratic_field(-7), 2)
+    cert = realize_field(quadratic_field(-7), 2, False)
     t = build_table(cert.group_spec)
     assert field_from_values(t.rows[cert.row]) == quadratic_field(-7)
     assert block_partition(t, 2).height[cert.row] == 0
@@ -218,7 +218,7 @@ def test_realize_odd_prime():
     # conductor class at p = 3: Q(zeta_9) has a = 2, m = 1 and passes
     f = cyclotomic_field(9)
     assert in_class_Fp(f, 3)
-    cert = realize_field(f, 3)
+    cert = realize_field(f, 3, False)
     assert cert.valid
 
 
@@ -310,7 +310,7 @@ def test_two_step_containment_lemma():
         while nodd % 2 == 0:
             nodd //= 2
         bp = block_partition(t, 2)
-        for r in height_zero_rows(t, 2, bp):
+        for r in height_zero_rows(bp):
             rep = char_field_report(t, r, 2, bp)
             if rep.a >= 2:
                 big = compositum(cyclotomic_field(2 * nodd), rep.field)
@@ -337,7 +337,7 @@ def test_two_rational_height_zero_restricts_two_rational():
         sub_cd = conjugacy_classes(sub)
         sub_t = dixon_table(sub, sub_cd)
         bp = block_partition(t, 2)
-        for r in height_zero_rows(t, 2, bp):
+        for r in height_zero_rows(bp):
             if field_from_values(t.rows[r]).conductor % 2 == 1:
                 vals = restrict(t.rows[r], cd, sub_cd, embedding)
                 mults = decompose(vals, sub_t)
