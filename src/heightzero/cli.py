@@ -17,9 +17,12 @@ constraint violation.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 
 from .blocks import block_report_json
 from .chartab import table_from_json, table_to_json
@@ -37,13 +40,68 @@ from .reports import (
 )
 
 
+# the JSON text of each scalar type the CLI emits; exact types, so a float,
+# a set or any other object raises TypeError in _scalar
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+}
+
+
+def _scalar(obj):
+    try:
+        encode = _SCALARS[type(obj)]
+    except KeyError:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable") from None
+    return encode(obj)
+
+
+def _chunks(obj, out, pad):
+    """Append to the list out the text json.dumps(obj, indent=2,
+    sort_keys=True) gives obj, for obj on a line indented by pad.  Each
+    scalar is one chunk with the separator and key before it.  A key that is
+    not a str raises TypeError in encode_basestring_ascii."""
+    kind = type(obj)
+    keyed = kind is dict
+    if keyed:
+        items = sorted(obj.items())
+        opening, closing = "{", "}"
+    elif kind is list or kind is tuple:
+        items = zip(repeat(None), obj)
+        opening, closing = "[", "]"
+    else:
+        out.append(_scalar(obj))
+        return
+    if not obj:
+        out.append(opening + closing)
+        return
+    inner = pad + "  "
+    sep = opening + "\n" + inner
+    for key, value in items:
+        head = sep + encode_basestring_ascii(key) + ": " if keyed else sep
+        kind = type(value)
+        if kind is dict or kind is list or kind is tuple:
+            out.append(head)
+            _chunks(value, out, inner)
+        else:
+            out.append(head + _scalar(value))
+        sep = ",\n" + inner
+    out.append("\n" + pad + closing)
+
+
 def _dump(obj, path):
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    # the whole text is encoded before the output opens, so a TypeError
+    # leaves no partial file
+    chunks = []
+    _chunks(obj, chunks, "")
+    chunks.append("\n")
     if path in (None, "-"):
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
 
 
 def _corpus_specs(arg):
@@ -186,7 +244,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser():
+    """The parser, built once per process: parse_args returns a fresh
+    Namespace on each call, so nothing carries over between calls."""
     ap = _Parser(
         prog="heightzero",
         description="Exact workbench for fields of values, blocks, and "
@@ -249,7 +310,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

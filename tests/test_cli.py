@@ -15,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heightzero
-from heightzero.cli import main
+from heightzero import cli
+from heightzero.cli import _dump, build_parser, main
 
 
 def run(argv, capsys):
@@ -172,9 +173,12 @@ def test_realize_invalid_field_errors(capsys):
 def _run_cli_process(argv, timeout):
     """The CLI in a child process, killed (and the test failed) past timeout."""
     env = dict(os.environ, PYTHONPATH=str(Path(heightzero.__file__).resolve().parent.parent))
-    code = "import sys; from heightzero.cli import main; sys.exit(main(sys.argv[1:]))"
     return subprocess.run(
-        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=timeout
+        [sys.executable, "-m", "heightzero.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=timeout,
     )
 
 
@@ -292,6 +296,24 @@ def test_ingest_rejects_corrupt_table(tmp_path, capsys):
     )
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "p,digest",
+    [
+        ("2", "4b28dafd81c6859c787fe0ea2832e6088392ea1ea52e3784900fd69f56a5d322"),
+        ("7", "02228849c3f21d30343d6c32a90e8b241f7a17659291adb928189a0da2d27b12"),
+    ],
+)
+def test_verify_a_corpus_bytes_are_unchanged(tmp_path, capsys, p, digest):
+    # a byte-identity gate on the north-star output, the full default-corpus
+    # sweep, written to a file and to stdout
+    out = tmp_path / "sweep.json"
+    assert main(["verify-a", "--p", p, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    capsys.readouterr()
+    assert main(["verify-a", "--p", p, "--out", "-"]) == 0
+    assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
 def test_output_is_deterministic(tmp_path):
@@ -546,3 +568,122 @@ def test_verify_a_timings_stay_out_of_the_result(tmp_path, capsys):
     # the least prime q = 1 mod 6 above 2 (isqrt(6) + 1) = 6; none on the direct route
     assert [ln["q"] for ln in lines] == [7, None]
     assert lines[0]["values"] == 4
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer and the parser, against json.dumps and a fresh process
+
+
+def _stdlib_text(obj):
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+_WRITER_CALLS = [
+    ["table", "--group", "meta:12:11"],
+    ["table", "--group", "dihedral:8"],
+    ["table", "--group", "sym:4", "--method", "dixon"],
+    ["table", "--group", "sl2:3", "--method", "dixon"],
+    ["blocks", "--group", "sl2:5", "--p", "2"],
+    ["verify-a", "--p", "3", "--group", "alt:5"],
+    ["realize", "--field", "quad:-5", "--p", "2", "--cross-check"],
+    ["sigma", "--group", "semidihedral:16"],
+]
+
+
+def test_writer_matches_json_dumps_on_every_caller(tmp_path, capsys, monkeypatch):
+    dumped = []
+
+    def recording_dump(obj, path):
+        dumped.append(obj)
+        _dump(obj, path)
+
+    monkeypatch.setattr(cli, "_dump", recording_dump)
+    table = tmp_path / "table.json"
+    assert main(["table", "--group", "alt:5", "--out", str(table)]) == 0
+    (obj,) = dumped
+    assert table.read_bytes() == _stdlib_text(obj).encode()
+    calls = _WRITER_CALLS + [
+        ["ingest", "--file", str(table), "--p", p, "--check", check]
+        for check, p in (("a", "2"), ("sigma", "2"), ("blocks", "3"))
+    ]
+    out = tmp_path / "out.json"
+    for argv in calls:
+        dumped.clear()
+        capsys.readouterr()
+        main(argv)
+        (obj,) = dumped
+        assert capsys.readouterr().out == _stdlib_text(obj), argv
+        main(argv + ["--out", str(out)])
+        assert out.read_bytes() == _stdlib_text(obj).encode(), argv
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {},
+        [],
+        (),
+        {"a": {}, "b": [], "c": [[], {}, ()], "d": [{"e": []}]},
+        [{}, [[]], ({},)],
+        (1, (2, 3), [4, (5,)]),
+        [True, 1, False, 0, None, -0],
+        {"t": True, "one": 1, "f": False, "zero": 0, "none": None},
+        [-1, -(2**63), 2**64, -(2**200) - 7, 10**40],
+        ['a "quoted" word', "back\\slash \\n", "/", "", "\x00\x01\x1f\x7f", "\n\t\r\b\f"],
+        ["héllo", "ζ_n ∈ 𝔽_q", "\u2028\u2029", "日本語", "\ud800"],
+        {"\"": 1, "\\": 2, "ключ": 3, "": 4, "\x00": 5, "B": 6, "a": 7, "é": 8},
+        {"rows": [{"field": {"fixer": [1, 5]}, "row": 0}, {"field": {"fixer": []}, "row": 1}]},
+        "top level",
+        -12,
+        None,
+        True,
+    ],
+)
+def test_writer_matches_json_dumps_on_edge_cases(tmp_path, capsys, obj):
+    out = tmp_path / "out.json"
+    _dump(obj, str(out))
+    assert out.read_bytes() == _stdlib_text(obj).encode()
+    _dump(obj, "-")
+    assert capsys.readouterr().out == _stdlib_text(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{"rows": [1, 0.5]}, {"rows": {1, 2}}, {"rows": [{1: "a"}]}, 2.0, {(1,): 0}],
+    ids=["float", "set", "int-key", "top-level-float", "tuple-key"],
+)
+def test_writer_rejects_other_types_before_the_output_opens(tmp_path, obj):
+    out = tmp_path / "out.json"
+    with pytest.raises(TypeError):
+        _dump(obj, str(out))
+    assert not out.exists()
+
+
+def test_one_parser_serves_a_sequence_of_calls(tmp_path, capsys):
+    # each call in one process gives the exit code and output of a fresh one
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("sym:3\ncyclic:4\n")
+    calls = [
+        ["verify-a", "--p", "2", "--group", "alt:5"],
+        ["verify-a", "--p", "2", "--group", "sym:3", "--bogus"],
+        ["verify-a", "--p", "9", "--group", "sym:3"],
+        ["verify-a", "--p", "2", "--corpus", str(corpus)],
+        ["table", "--group", "sym:3"],
+    ]
+    assert build_parser() is build_parser()
+    results = []
+    for argv in calls:
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = _run_cli_process(argv, timeout=60)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+        results.append((code, err.splitlines()[-1] if err else ""))
+    assert [code for code, _ in results] == [0, 1, 1, 0, 0]
+    assert build_parser().parse_args(calls[3]).group is None
+    assert results[1][1] == "error: unrecognized arguments: --bogus"
+    assert results[2][1] == "error: argument --p: 9 is not prime"
+    assert json.loads(out)["order"] == 6
