@@ -31,7 +31,7 @@ import numpy as np
 from sympy import isprime
 
 from . import blocks, modular
-from .cyclotomic import CycElt, _one_at, _reduce_terms, zero
+from .cyclotomic import CycElt, _basis_set, _one_at, _reduce_terms, zero
 from .fields import _fixer_scan, unit_generators
 from .groups import ClassData
 
@@ -211,16 +211,16 @@ def _per_object(rows, f):
 def class_matrix(group, cd, i):
     """Class matrix i: m[j, k] = a_ijk = #{x in K_i : x^-1 z_k in K_j}, the
     structure constant #{(x, y) in K_i x K_j : x y = z_k} for the fixed rep
-    z_k, read off the members of K_i.
+    z_k.  x -> x^-1 maps K_i onto its inverse class, so it is read off the
+    members y of that class as #{y : y z_k in K_j}, |K_i| * c products.
 
     Satisfies sum_k m[j, k] * |K_k| = |K_i| * |K_j|."""
     c = cd.num_classes
     m = np.zeros((c, c), dtype=np.int64)
     cls = cd.class_of
-    for x in cd.members[i]:
-        xinv = group.inv(x)
+    for y in cd.members[cd.inverse_class[i]]:
         for k, z in enumerate(cd.class_reps):
-            m[cls[group.mul(xinv, z)], k] += 1
+            m[cls[group.mul(y, z)], k] += 1
     return m
 
 
@@ -511,12 +511,10 @@ def cyc_from_json(obj, e):
     """One value of a table of exponent e, rewritten at modulus e.  Its
     modulus must divide e, so the value lies in Q(zeta_e), where the Galois
     action of (Z/e)* is defined; at one modulus, equal values hash alike."""
-    from .cyclotomic import zumbroich_exponents
-
     n = _int(obj["n"], "modulus")
     if n < 1 or e % n:
         raise ValueError(f"value modulus {n} does not divide the exponent {e}")
-    basis = set(zumbroich_exponents(n))
+    basis = _basis_set(n)
     terms = {}
     for j, frac in obj["terms"]:
         j = _int(j, "basis exponent")

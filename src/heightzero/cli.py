@@ -108,7 +108,11 @@ def _corpus_specs(arg):
     if arg == "default":
         return default_corpus()
     with open(arg) as fh:
-        return parse_corpus(fh.read())
+        specs = parse_corpus(fh.read())
+    if not specs:
+        # a sweep of no group would report a theorem checked
+        raise ValueError(f"corpus {arg} names no group")
+    return specs
 
 
 def cmd_table(args):

@@ -5,7 +5,8 @@ the identity).  Element representations are hashable opaque values; products
 go through a representation-level multiply plus an index lookup.  Orders stay
 small (cap 20000).  The class data of C_n x| H is read off in closed form from
 the element layout of semidirect_cn_h, with no group product; permutation and
-matrix groups get it by orbits under conjugation by the generators.
+matrix groups get it by orbits under conjugation by the generators, and
+orders, powers and inverses by one power walk per class or generator.
 """
 
 from __future__ import annotations
@@ -66,10 +67,6 @@ class FiniteGroup:
         if len(self.index) != len(self.elements):
             raise ValueError("duplicate elements")
         self.gen_indices = [self.index[g] for g in gens if self.index[g] != 0] or [0]
-        self._inv = None
-
-    def __len__(self):
-        return len(self.elements)
 
     @property
     def order(self):
@@ -77,36 +74,6 @@ class FiniteGroup:
 
     def mul(self, i, j):
         return self.index[self._mul_elems(self.elements[i], self.elements[j])]
-
-    def inv(self, i):
-        if self._inv is None:
-            inv = [None] * len(self.elements)
-            for a in range(len(self.elements)):
-                if inv[a] is not None:
-                    continue
-                b = self._power_to_identity(a)
-                inv[a] = b
-                inv[b] = a
-            self._inv = inv
-        return self._inv[i]
-
-    def _power_to_identity(self, a):
-        # a^(o-1) where o is the order of a
-        prev, cur = 0, a
-        while cur != 0:
-            prev, cur = cur, self.mul(cur, a)
-        return prev
-
-    def element_order(self, i):
-        o, cur = 1, i
-        while cur != 0:
-            cur = self.mul(cur, i)
-            o += 1
-        return o
-
-    def conj(self, i, g, ginv):
-        """g * i * g^-1 by index."""
-        return self.mul(self.mul(g, i), ginv)
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -129,10 +96,8 @@ class ClassData:
         self.class_reps = class_reps
         self.members = members
         self.class_of = class_of
-        self.inverse_class = [
-            self.power_map[ci][(exponent - 1) % exponent] if o > 1 else ci
-            for ci, o in enumerate(self.element_orders)
-        ]
+        # each row has e entries and x^(e-1) = x^-1
+        self.inverse_class = [row[-1] for row in self.power_map]
 
     @property
     def num_classes(self):
@@ -148,45 +113,55 @@ def conjugacy_classes(group):
     return _orbit_classes(group)
 
 
+def _powers(group, a):
+    """The powers a^0, a^1, ..., a^(o-1) of a, o its order: one walk that
+    stops at the identity.  The last is a^-1."""
+    powers, cur = [0], a
+    while cur != 0:
+        powers.append(cur)
+        cur = group.mul(cur, a)
+    return powers
+
+
 def _orbit_classes(group):
-    """Classes as orbits under conjugation by the group generators, powers by
-    group products."""
-    n = group.order
-    gens = group.gen_indices
-    ginvs = [group.inv(g) for g in gens]
-    assigned = [False] * n
+    """Classes as orbits under conjugation by the group generators; each
+    class's order and powers from the power walk of its least member."""
+    mul = group.mul
+    gens = [(g, _powers(group, g)[-1]) for g in group.gen_indices]
+    assigned = [False] * group.order
     keyed = []
-    for start in range(n):
+    for start in range(group.order):
         if assigned[start]:
             continue
         orbit = [start]
         assigned[start] = True
         for x in orbit:
-            for g, gi in zip(gens, ginvs):
-                y = group.conj(x, g, gi)
+            for g, ginv in gens:
+                y = mul(mul(g, x), ginv)
                 if not assigned[y]:
                     assigned[y] = True
                     orbit.append(y)
-        keyed.append((group.element_order(start), len(orbit), start, sorted(orbit)))
+        powers = _powers(group, start)
+        keyed.append((len(powers), len(orbit), start, sorted(orbit), powers))
+    return _class_data(keyed, group.order)
+
+
+def _class_data(keyed, n):
+    """ClassData of a group of order n from one (element order, size, least
+    member, members, powers rep^0 ... rep^(o-1)) per class; classes sorted by
+    the first three.  The powers of a class repeat with period its element
+    order, so each power-map row is that period repeated e/o times."""
     keyed.sort(key=lambda t: t[:3])
-    reps = [t[2] for t in keyed]
-    orders = [t[0] for t in keyed]
-    members = [t[3] for t in keyed]
     class_of = [None] * n
-    for ci, mem in enumerate(members):
-        for x in mem:
+    for ci, t in enumerate(keyed):
+        for x in t[3]:
             class_of[x] = ci
+    orders = [t[0] for t in keyed]
     exponent = lcm(*orders)
-    power_map = []
-    for rep in reps:
-        row = []
-        cur = 0
-        for _ in range(exponent):
-            row.append(class_of[cur])
-            cur = group.mul(cur, rep)
-        power_map.append(row)
+    power_map = [[class_of[x] for x in t[4]] * (exponent // t[0]) for t in keyed]
     return ClassData([t[1] for t in keyed], orders, power_map, exponent,
-                     class_reps=reps, members=members, class_of=class_of)
+                     class_reps=[t[2] for t in keyed],
+                     members=[t[3] for t in keyed], class_of=class_of)
 
 
 # ---------------------------------------------------------------------------
@@ -277,26 +252,13 @@ def _metacyclic_classes(n, H):
             orbit = sorted({k * r % d for k in H})
             seen.update(orbit)
             members = [base + t + x for t in range(0, n, d) for x in orbit]
-            keyed.append((o_h * n // gcd(n, r * s_h), len(members), base + r, members))
-    keyed.sort(key=lambda t: t[:3])
-    class_of = [None] * (n * len(H))
-    for ci, t in enumerate(keyed):
-        for x in t[3]:
-            class_of[x] = ci
-    orders = [t[0] for t in keyed]
-    exponent = lcm(*orders)
-    # the powers of a class repeat with period its element order
-    power_map = []
-    for o, _, rep, _ in keyed:
-        c, h = rep % n, H[rep // n]
-        row, x, y = [], 0, one
-        for _ in range(o):
-            row.append(class_of[pos[y] * n + x])
-            x, y = (x + y * c) % n, y * h % n
-        power_map.append(row * (exponent // o))
-    return ClassData([t[1] for t in keyed], orders, power_map, exponent,
-                     class_reps=[t[2] for t in keyed],
-                     members=[t[3] for t in keyed], class_of=class_of)
+            o = o_h * n // gcd(n, r * s_h)
+            powers, x, y = [], 0, one
+            for _ in range(o):  # (x, y) = (r, h)^a
+                powers.append(pos[y] * n + x)
+                x, y = (x + y * r) % n, y * h % n
+            keyed.append((o, len(members), base + r, members, powers))
+    return _class_data(keyed, n * len(H))
 
 
 def cyclic(n):
@@ -330,7 +292,7 @@ def generalized_quaternion(order):
     k = order.bit_length() - 1
     if order != 1 << k or k < 3:
         raise ValueError("quaternion order must be 2^k with k >= 3")
-    _capped_product((order,), f"Q{order}")
+    _capped_product((order,), f"quaternion:{order}")
     m = order // 2
 
     def mul(a, b):
@@ -348,7 +310,7 @@ def generalized_quaternion(order):
 def symmetric(n):
     if n < 1:
         raise ValueError("symmetric(n) needs n >= 1")
-    _capped_product(range(2, n + 1), f"S{n}")
+    _capped_product(range(2, n + 1), f"sym:{n}")
     if n == 1:
         return from_permutation_generators([], name="sym:1")
     gens = [(1, 0) + tuple(range(2, n))]
@@ -360,7 +322,7 @@ def symmetric(n):
 def alternating(n):
     if n < 1:
         raise ValueError("alternating(n) needs n >= 1")
-    _capped_product(range(3, n + 1), f"A{n}")  # n!/2
+    _capped_product(range(3, n + 1), f"alt:{n}")  # n!/2
     if n <= 2:
         return from_permutation_generators([], name=f"alt:{n}")
     gens = [(1, 2, 0) + tuple(range(3, n))]
@@ -376,7 +338,7 @@ def sl2(q):
     """SL(2, q) for a prime q: matrices (a, b, c, d) = [[a, b], [c, d]] mod q."""
     if q < 2:
         raise ValueError(f"sl2(q) needs a prime q, got {q}")
-    _capped_product((q, q - 1, q + 1), f"SL(2, {q})")
+    _capped_product((q, q - 1, q + 1), f"sl2:{q}")
     if _prime_powers(q) != ((q, q),):
         raise ValueError(f"sl2(q) needs a prime q, got {q}")
 

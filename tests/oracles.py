@@ -1,10 +1,11 @@
-"""Cyclotomic and field functions that only the tests use.
+"""Group, cyclotomic and field functions that only the tests use.
 
 No CLI path descends an element to its conductor, forms a compositum or
 lists the subgroups of (Z/n)*: the pipeline reads a row's field off the
-table's power map.  The tests keep these as references.  conductor_of_element
-rewrites x at its conductor by an exact linear solve, an independent check
-that x lies in Q(zeta_m).
+table's power map.  Nor does it invert an element or take its order one at a
+time: the class data reads both off one power walk per class.  The tests keep
+these as references.  conductor_of_element rewrites x at its conductor by an
+exact linear solve, an independent check that x lies in Q(zeta_m).
 """
 
 from fractions import Fraction
@@ -19,6 +20,20 @@ from heightzero.cyclotomic import (
     zumbroich_exponents,
 )
 from heightzero.fields import AbelianField, _units, rational_field, subgroup_closure
+
+
+def element_order(g, i):
+    """The order of element i of the group g, by repeated products."""
+    o, cur = 1, i
+    while cur != 0:
+        cur = g.mul(cur, i)
+        o += 1
+    return o
+
+
+def inverse(g, i):
+    """The element j of the group g with i j = 1, by search."""
+    return next(j for j in range(g.order) if g.mul(i, j) == 0)
 
 
 def rational(v, n=1):

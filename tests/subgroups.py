@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from heightzero.cyclotomic import zero
 from heightzero.groups import FiniteGroup
+from oracles import inverse
 
 
 def subgroup_elements(group, gen_indices):
@@ -39,10 +40,11 @@ def center(group):
 
 def derived_subgroup(group):
     comms = set()
+    ginvs = [(g, inverse(group, g)) for g in group.gen_indices]
     for a in range(group.order):
-        ai = group.inv(a)
-        for g in group.gen_indices:
-            comms.add(group.mul(group.mul(a, g), group.mul(ai, group.inv(g))))
+        ai = inverse(group, a)
+        for g, gi in ginvs:
+            comms.add(group.mul(group.mul(a, g), group.mul(ai, gi)))
     return subgroup_elements(group, comms)
 
 

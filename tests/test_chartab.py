@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from heightzero.cyclotomic import CycElt, root_of_unity, zero
 from heightzero.fields import field_from_values
 from heightzero.groups import (
+    FiniteGroup,
     alternating,
     conjugacy_classes,
     cyclic,
@@ -65,6 +66,24 @@ def test_class_matrix_counts_products(group):
         for j in range(c):
             total = sum(int(m[j, k]) * cd.class_sizes[k] for k in range(c))
             assert total == cd.class_sizes[i] * cd.class_sizes[j]
+
+
+@pytest.mark.parametrize("group", [sl2(7), symmetric(5), dihedral(12)], ids=lambda g: g.name)
+def test_class_matrix_makes_one_product_per_member_and_rep(group, monkeypatch):
+    # |K_i| * c products each, and no table of inverses on the way
+    cd = conjugacy_classes(group)
+    calls = []
+    mul = FiniteGroup.mul
+
+    def counted(self, i, j):
+        calls.append(None)
+        return mul(self, i, j)
+
+    monkeypatch.setattr(FiniteGroup, "mul", counted)
+    for i in range(cd.num_classes):
+        calls.clear()
+        class_matrix(group, cd, i)
+        assert len(calls) == cd.class_sizes[i] * cd.num_classes
 
 
 def test_dixon_table_allocates_no_cube(monkeypatch):

@@ -156,6 +156,17 @@ def test_verify_a_custom_corpus(tmp_path):
     assert [g["group"] for g in obj["groups"]] == ["sym:3", "cyclic:4"]
 
 
+def test_verify_a_refuses_an_empty_corpus(tmp_path, capsys):
+    # "checked 0 groups" with exit 0 would read as a verified theorem at p = 2
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("# only a comment\n\n   \n")
+    out = tmp_path / "r.json"
+    code, _, err = run(["verify-a", "--p", "2", "--corpus", str(corpus), "--out", str(out)], capsys)
+    assert code == 1
+    assert err == f"error: corpus {corpus} names no group\n"
+    assert not out.exists()
+
+
 def test_realize_certificate(capsys):
     code, out, _ = run(["realize", "--field", "quad:3", "--p", "2"], capsys)
     assert code == 0
@@ -231,6 +242,13 @@ def test_blocks_rejects_bad_or_oversized_groups(spec, capsys):
     code, _, err = run(["blocks", "--group", spec, "--p", "2"], capsys)
     assert code == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("spec", ["quaternion:32768", "sym:8", "alt:9", "sl2:29"])
+def test_cap_errors_name_the_spec(spec, capsys):
+    code, _, err = run(["table", "--group", spec], capsys)
+    assert code == 1
+    assert err == f"error: bad group spec {spec!r}: {spec} has order above the cap 20000\n"
 
 
 def test_corollary_c_csv(capsys):

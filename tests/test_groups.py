@@ -19,6 +19,7 @@ from heightzero.groups import (
     symmetric,
 )
 from heightzero.reports import default_corpus, parse_group_spec
+from oracles import element_order, inverse
 from subgroups import center, derived_subgroup, subgroup_elements
 
 
@@ -52,15 +53,16 @@ def test_order_cap_enforced():
 
 def test_identity_is_index_zero():
     for g in (symmetric(4), dihedral(10), sl2(3)):
-        assert g.element_order(0) == 1
+        assert element_order(g, 0) == 1
         for i in range(g.order):
             assert g.mul(0, i) == i == g.mul(i, 0)
 
 
 def test_inverses():
-    g = symmetric(4)
-    for i in range(g.order):
-        assert g.mul(i, g.inv(i)) == 0
+    # the test-side inverse is two-sided
+    for g in (symmetric(4), sl2(3), generalized_quaternion(16)):
+        for i in range(g.order):
+            assert g.mul(inverse(g, i), i) == 0
 
 
 def test_s4_class_sizes():
@@ -81,8 +83,12 @@ def test_class_order_is_deterministic():
     assert cd.class_reps[0] == 0
 
 
-# both walk group products, so they check either route to the class data
-WALKED = ["dihedral:12", "cyclic:5", "semidihedral:32", "meta:63:2,8", "cyclic:30", "meta:21:2"]
+# both check the class data against group products, for every power k < e
+# and not only the period the routes repeat; the first six take the closed
+# form, the rest the orbit route
+M11 = "perm:(1,2,3,4,5,6,7,8,9,10,11);(3,7,11,8)(4,10,5,6)"
+WALKED = ["dihedral:12", "cyclic:5", "semidihedral:32", "meta:63:2,8", "cyclic:30", "meta:21:2",
+          "sym:5", "alt:5", "sl2:7", "quaternion:16", M11]
 
 
 @pytest.mark.parametrize("spec", WALKED)
@@ -101,7 +107,7 @@ def test_inverse_class(spec):
     g = parse_group_spec(spec)
     cd = conjugacy_classes(g)
     for ci, rep in enumerate(cd.class_reps):
-        assert cd.inverse_class[ci] == cd.class_of[g.inv(rep)]
+        assert cd.inverse_class[ci] == cd.class_of[inverse(g, rep)]
 
 
 CLASS_FIELDS = ("class_sizes", "element_orders", "power_map", "exponent",
@@ -140,9 +146,30 @@ def test_metacyclic_classes_need_no_group_product(monkeypatch):
         assert conjugacy_classes(g).num_classes == classes
 
 
+def test_orbit_classes_walk_each_power_once(monkeypatch):
+    # one power walk per class and per generator, and two products per
+    # conjugation: no walk of c * e powers and no table of all inverses
+    g = sl2(23)
+    calls = []
+    mul = FiniteGroup.mul
+
+    def counted(self, i, j):
+        calls.append(None)
+        return mul(self, i, j)
+
+    monkeypatch.setattr(FiniteGroup, "mul", counted)
+    cd = conjugacy_classes(g)
+    made = len(calls)
+    monkeypatch.setattr(FiniteGroup, "mul", mul)
+    bound = (sum(cd.element_orders) + sum(element_order(g, x) for x in g.gen_indices)
+             + 2 * g.order * len(g.gen_indices))
+    assert made <= bound
+    assert cd.exponent * cd.num_classes > bound  # what a walk of every power would cost
+
+
 def test_quaternion_has_unique_involution():
     g = generalized_quaternion(16)
-    invs = [i for i in range(g.order) if g.element_order(i) == 2]
+    invs = [i for i in range(g.order) if element_order(g, i) == 2]
     assert len(invs) == 1
 
 
@@ -163,7 +190,7 @@ def test_semidihedral_relation():
     g = semidihedral(32)
     s = g.index[(1, 1)]
     r = g.index[(0, 7)]
-    conj = g.mul(g.mul(r, s), g.inv(r))
+    conj = g.mul(g.mul(r, s), inverse(g, r))
     assert g.elements[conj] == (7, 1)
 
 
@@ -214,12 +241,12 @@ def test_semidirect_structure():
     # relation: h c h^-1 = c^11
     c = g.index[(1, 1)]
     h = g.index[(0, 11)]
-    assert g.elements[g.mul(g.mul(h, c), g.inv(h))] == (11, 1)
+    assert g.elements[g.mul(g.mul(h, c), inverse(g, h))] == (11, 1)
 
 
 def test_subgroup_elements():
     g = symmetric(4)
     cd = conjugacy_classes(g)
-    transposition = next(i for i in range(g.order) if g.element_order(i) == 2 and len(cd.members[cd.class_of[i]]) == 6)
+    transposition = next(i for i in range(g.order) if element_order(g, i) == 2 and len(cd.members[cd.class_of[i]]) == 6)
     sub = subgroup_elements(g, [transposition])
     assert len(sub) == 2
