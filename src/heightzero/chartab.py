@@ -214,14 +214,16 @@ def class_matrix(group, cd, i):
     z_k.  x -> x^-1 maps K_i onto its inverse class, so it is read off the
     members y of that class as #{y : y z_k in K_j}, |K_i| * c products.
 
-    Satisfies sum_k m[j, k] * |K_k| = |K_i| * |K_j|."""
+    Satisfies sum_k m[j, k] * |K_k| = |K_i| * |K_j|.  The counts go into
+    Python lists, converted once: a numpy scalar += costs about a third of a
+    group product."""
     c = cd.num_classes
-    m = np.zeros((c, c), dtype=np.int64)
+    m = [[0] * c for _ in range(c)]
     cls = cd.class_of
     for y in cd.members[cd.inverse_class[i]]:
         for k, z in enumerate(cd.class_reps):
-            m[cls[group.mul(y, z)], k] += 1
-    return m
+            m[cls[group.mul(y, z)]][k] += 1
+    return np.array(m, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -240,39 +242,49 @@ def _dixon_prime(e, order, nclasses):
 
 
 def _split_eigenspaces(group, cd, q):
-    """The common eigenvectors of the class matrices mod q, one per row.
+    """The common eigenvectors of the class matrices mod q, one per row, each
+    up to a nonzero scalar.
 
     Class matrix i (i >= 1; matrix 0 is the identity) is built only while
-    some space is still unsplit."""
+    some space is still unsplit.  A space is a basis u (rows) with columns piv
+    where u[:, piv] is the identity; it needs no echelon form.  A space on
+    which the class matrix acts as a scalar cannot split and is kept as it
+    is."""
     c = cd.num_classes
-    spaces = [modular.rref(np.eye(c, dtype=np.int64), q)]
+    spaces = [(np.eye(c, dtype=np.int64), list(range(c)))]
     for i in range(1, c):
-        if all(u.shape[0] == 1 for u, _ in spaces):
+        if all(len(piv) == 1 for _, piv in spaces):
             break
-        bt = class_matrix(group, cd, i).T % q
+        bt = class_matrix(group, cd, i).T
+        # one product for all unsplit spaces, sliced back per space below
+        wide = modular.matmul(np.concatenate([u for u, piv in spaces if len(piv) > 1]), bt, q)
+        top = 0
         nxt = []
         for u, piv in spaces:
-            d = u.shape[0]
+            d = len(piv)
             if d == 1:
                 nxt.append((u, piv))
                 continue
-            w = modular.matmul(u, bt, q)
-            # w == coords @ u with coords = w[:, piv] (u is in rref); the
-            # action on coordinate rows is gamma -> gamma @ coords, so split
-            # with the transpose.
-            act = w[:, piv].T
-            roots = modular.poly_roots(modular.charpoly(act, q), q)
+            # the rows of u map to coords @ u with coords = wide[rows, piv];
+            # the action on coordinate rows is gamma -> gamma @ coords, so
+            # split with the transpose
+            act = wide[top:top + d, piv].T
+            top += d
+            eye = np.eye(d, dtype=np.int64)
+            if (act == act[0, 0] * eye).all():
+                nxt.append((u, piv))
+                continue
             got = 0
-            for lam in roots:
-                ker = modular.kernel((act - lam * np.eye(d, dtype=np.int64)) % q, q)
-                if ker.shape[0] == 0:
-                    continue
-                got += ker.shape[0]
-                nxt.append(modular.rref(modular.matmul(ker, u, q), q))
+            for lam in modular.poly_roots(modular.charpoly(act, q), q):
+                ker, free = modular.kernel((act - lam * eye) % q, q)
+                got += len(free)
+                if free:
+                    # (ker @ u)[:, piv[f] for f in free] == ker[:, free] == I
+                    nxt.append((modular.matmul(ker, u, q), [piv[f] for f in free]))
             if got != d:
                 raise AssertionError("class matrix not diagonalizable mod q")
         spaces = nxt
-    if any(u.shape[0] != 1 for u, _ in spaces):
+    if any(len(piv) != 1 for _, piv in spaces):
         raise AssertionError("common eigenspaces did not split to lines")
     return [u[0] for u, _ in spaces]
 

@@ -10,12 +10,13 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heightzero
-from heightzero import cli
+from heightzero import cli, modular
 from heightzero.cli import _dump, build_parser, main
 
 
@@ -71,14 +72,70 @@ def test_direct_table_bytes_per_family(tmp_path, spec, digest):
     [
         ("sl2:5", "188bfeedd78e31af57a65ca8e3b69c7bedd1cb88b4e7b24c80ab74d05da695d5"),
         ("quaternion:64", "85f6e16a1447b3ccbc91c78d9e8538b3c9fb2a045d1a7810fa9d66ba77534d8a"),
+        ("sym:5", "b575108c317a70af020ed03bf9d063c67d66e6a4684d6eb72976f1cd837ad977"),
+        ("alt:5", "c6e4b86c177b38d43d0ec16cdece783d7179dde27a1062999ebb717d84da9a50"),
+        ("dihedral:16", "c449a554920bc5163aed61bdcaef07b7feb9a6d0a957de5ecf56075acccbb501"),
+        ("meta:12:11", "54840126356110e613073e501b085b3745ac84eb3500d512d6d2eee4dc2c1557"),
     ],
 )
 def test_dixon_table_bytes_are_unchanged(tmp_path, spec, digest):
     # the same gate on the Dixon route: the lift per rational class, value
-    # sharing and the mod-q elimination must not move a byte
+    # sharing, the eigenspace split and the mod-q elimination must not move
+    # a byte
     out = tmp_path / "dixon.json"
     assert main(["table", "--group", spec, "--method", "dixon", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "spec,digest",
+    [
+        ("sym:5", "b575108c317a70af020ed03bf9d063c67d66e6a4684d6eb72976f1cd837ad977"),
+        ("sl2:7", "7db6eb9242f87a0ec75e4dec9998da4513ca2ade5997755c6a1c9fbdb99caef5"),
+        ("quaternion:64", "85f6e16a1447b3ccbc91c78d9e8538b3c9fb2a045d1a7810fa9d66ba77534d8a"),
+        ("dihedral:40", None),  # the direct route's bytes
+    ],
+)
+def test_dixon_split_skips_scalar_actions_and_echelon_lines(tmp_path, monkeypatch, spec, digest):
+    # a space on which a class matrix acts as a scalar cannot split, so it
+    # never reaches charpoly, and a line is kept without an echelon form, so
+    # no one-row matrix reaches rref
+    charpoly, rref = modular.charpoly, modular.rref
+    charpolys, scalar, one_row = [], [], []
+
+    def counted_charpoly(a, q):
+        charpolys.append(a.shape)
+        if (a == a[0, 0] * np.eye(a.shape[0], dtype=np.int64)).all():
+            scalar.append(a.tolist())
+        return charpoly(a, q)
+
+    def counted_rref(a, q):
+        if np.asarray(a).shape[0] == 1:
+            one_row.append(np.asarray(a).tolist())
+        return rref(a, q)
+
+    monkeypatch.setattr(modular, "charpoly", counted_charpoly)
+    monkeypatch.setattr(modular, "rref", counted_rref)
+    out = tmp_path / "dixon.json"
+    assert main(["table", "--group", spec, "--method", "dixon", "--out", str(out)]) == 0
+    assert charpolys and not scalar and not one_row
+    if digest is None:
+        direct = tmp_path / "direct.json"
+        assert main(["table", "--group", spec, "--method", "direct", "--out", str(direct)]) == 0
+        assert out.read_bytes() == direct.read_bytes()
+    else:
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_verify_a_on_c2_to_the_8_is_fast_and_unchanged(tmp_path):
+    # C_2^8 has 256 classes, all on the Dixon route; most class matrices act
+    # as scalars on the spaces left to split
+    spec = "perm:" + ";".join(f"({2 * i + 1},{2 * i + 2})" for i in range(8))
+    out = tmp_path / "c2_8.json"
+    proc = _run_cli_process(["verify-a", "--group", spec, "--p", "2", "--out", str(out)], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "15d7debba24e8ba2db22eb9a18a74408b52404fe78e1ca0d5883349f0429d371"
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,9 @@
-"""Linear algebra mod q: rref against the row-by-row loop, kernel, charpoly."""
+"""Linear algebra mod q: rref against the row-by-row loop, kernel, charpoly
+against Faddeev-LeVerrier, and the exactness of the float64 product."""
 
 import numpy as np
 import pytest
+from sympy import prevprime
 
 from heightzero import modular
 
@@ -29,6 +31,21 @@ def _rref_by_rows(a, q):
         pivots.append(c)
         r += 1
     return m[:r], pivots
+
+
+def _charpoly_faddeev(a, q):
+    """The reference: Faddeev-LeVerrier, n matrix products; needs q > n."""
+    a = np.array(a, dtype=np.int64) % q
+    n = a.shape[0]
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    m = np.zeros((n, n), dtype=np.int64)
+    c = 1
+    for k in range(1, n + 1):
+        m = modular.matmul(a, (m + c * np.eye(n, dtype=np.int64)) % q, q)
+        c = (-int(np.trace(m)) * pow(k, -1, q)) % q
+        coeffs[n - k] = c
+    return coeffs
 
 
 def _matrices(q, seed):
@@ -75,9 +92,10 @@ def test_rref_of_a_full_rank_square_matrix_is_the_identity():
 @pytest.mark.parametrize("q", PRIMES)
 def test_kernel_is_annihilated_and_has_the_right_dimension(q):
     for a in _matrices(q, q + 1):
-        basis = modular.kernel(a, q)
+        basis, free = modular.kernel(a, q)
         rank = len(modular.rref(a, q)[1])
         assert basis.shape == (a.shape[1] - rank, a.shape[1])
+        assert basis[:, free].tolist() == np.eye(len(free), dtype=np.int64).tolist()
         assert not modular.matmul(a, basis.T, q).any()
         # the basis vectors are independent
         assert len(modular.rref(basis, q)[1]) == basis.shape[0]
@@ -101,3 +119,62 @@ def test_charpoly_satisfies_cayley_hamilton(q):
 def test_charpoly_needs_q_above_the_dimension():
     with pytest.raises(ValueError, match="q > matrix dimension"):
         modular.charpoly(np.eye(3, dtype=np.int64), 3)
+
+
+def _structured_square_matrices(q):
+    """Zero, scalar, nilpotent Jordan and companion matrices, and matrices
+    whose first subdiagonal entry is 0 with a nonzero entry below it, which
+    forces the Hessenberg row and column swap."""
+    rng = np.random.default_rng(q + 2)
+    out = []
+    for n in range(1, 8):
+        out.append(np.zeros((n, n), dtype=np.int64))
+        out.append(5 * np.eye(n, dtype=np.int64))
+        out.append(np.eye(n, k=1, dtype=np.int64))  # one nilpotent Jordan block
+        companion = np.eye(n, k=-1, dtype=np.int64)
+        companion[:, -1] = rng.integers(0, q, size=n)
+        out.append(companion)
+        if n >= 3:
+            swap = rng.integers(0, q, size=(n, n))
+            swap[1, 0] = 0
+            swap[2, 0] = 1 + int(rng.integers(0, q - 1))
+            out.append(swap)
+            # and a zero subdiagonal that survives: block upper triangular
+            split = rng.integers(0, q, size=(n, n))
+            split[2:, :2] = 0
+            out.append(split)
+    return out
+
+
+@pytest.mark.parametrize("q", PRIMES)
+def test_charpoly_agrees_with_faddeev_leverrier(q):
+    square = [a for a in _matrices(q, q + 2) if a.shape[0] == a.shape[1]]
+    for a in square + _structured_square_matrices(q):
+        if q <= a.shape[0]:
+            continue
+        before = a.copy()
+        assert modular.charpoly(a, q) == _charpoly_faddeev(a, q), a.tolist()
+        assert (a == before).all()
+
+
+# the largest prime below 10^7 is the ceiling of the Dixon prime
+@pytest.mark.parametrize("q", [999983, prevprime(10**7)])
+def test_matmul_is_exact_across_blocks(q):
+    # the float64 product is summed over blocks of (2^53 - 1) // (q - 1)^2
+    # inner indices; compare against Python integers at, below and past
+    # one block, with entries at q - 1, near it, and outside [0, q)
+    block = (2**53 - 1) // (q - 1) ** 2
+    rng = np.random.default_rng(q)
+    for inner in (1, block, block + 1, 3 * block):
+        for a, b in [
+            (np.full((2, inner), q - 1), np.full((inner, 3), q - 1)),
+            (rng.integers(q - 1000, q, size=(2, inner)), rng.integers(q - 1000, q, size=(inner, 3))),
+            (rng.integers(-3 * q, 3 * q, size=(2, inner)), rng.integers(-3 * q, 3 * q, size=(inner, 3))),
+        ]:
+            want = (a.astype(object) @ b.astype(object)) % q
+            got = modular.matmul(a, b, q)
+            assert got.dtype == np.int64
+            assert got.tolist() == want.tolist(), inner
+            # a vector on either side
+            assert modular.matmul(a[0], b, q).tolist() == want[0].tolist()
+            assert modular.matmul(a, b[:, 0], q).tolist() == want[:, 0].tolist()
