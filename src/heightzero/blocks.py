@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cyclotomic import _prime_powers
+from .cyclotomic import _prime_powers, isprime
 
 __all__ = [
     "IdealReduction",
@@ -321,8 +321,6 @@ def block_partition(table, p):
     metacyclic_table or dixon_table equal values are one object, and a value
     repeats about 22 times per table over the default corpus.
     """
-    from sympy import isprime
-
     if not isprime(p):
         raise ValueError(f"{p} is not prime")
     red = IdealReduction(p, table.classes.exponent)

@@ -28,10 +28,9 @@ from math import gcd, isqrt, lcm
 from operator import mul
 
 import numpy as np
-from sympy import isprime
 
 from . import blocks, modular
-from .cyclotomic import CycElt, _basis_set, _one_at, _reduce_terms, zero
+from .cyclotomic import CycElt, _basis_set, _one_at, _reduce_terms, isprime, zero
 from .fields import _fixer_scan, unit_generators
 from .groups import ClassData
 

@@ -26,6 +26,7 @@ from json.encoder import encode_basestring_ascii
 
 from .blocks import block_report_json
 from .chartab import table_from_json, table_to_json
+from .cyclotomic import isprime
 from .reports import (
     build_table,
     corollary_c_sweep,
@@ -231,9 +232,10 @@ def cmd_ingest(args):
 
 
 def _prime(value):
-    from sympy import isprime
-
-    p = int(value)
+    try:
+        p = int(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{value!r} is not an integer") from None
     if not isprime(p):
         raise argparse.ArgumentTypeError(f"{p} is not prime")
     return p

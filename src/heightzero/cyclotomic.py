@@ -5,16 +5,20 @@ over the Zumbroich basis of Z[zeta_n].  The representation is unique, so
 structural equality is mathematical equality at a fixed modulus.  Mixed-modulus
 arithmetic embeds both operands into the lcm modulus first; results are never
 auto-descended.
+
+The module also holds isprime, the package's one primality test.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
+from operator import index
 
 __all__ = [
     "CycElt",
+    "isprime",
     "root_of_unity",
     "zero",
     "sigma_unit",
@@ -39,6 +43,97 @@ def _prime_powers(n):
     if m > 1:
         out.append((m, m))
     return tuple(out)
+
+
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# below this bound, strong Miller-Rabin to the 13 bases _SMALL_PRIMES proves
+# primality (Sorenson and Webster, Math. Comp. 86, 2017)
+_MR_BOUND = 3317044064679887385961981
+
+
+def isprime(n):
+    """Whether the integer n is prime.
+
+    Trial division by the primes up to 41, then strong Miller-Rabin to those
+    13 bases, deterministic below _MR_BOUND.  At or above it, strong BPSW:
+    Miller-Rabin to base 2 and the strong Lucas test with Selfridge
+    parameters (Baillie and Wagstaff, Math. Comp. 35, 1980), which no
+    composite is known to pass.
+    """
+    n = index(n)
+    if n < 2:
+        return False
+    for p in _SMALL_PRIMES:
+        if n % p == 0:
+            return n == p
+    if n < 43 * 43:
+        return True  # no prime factor below its square root
+    if n < _MR_BOUND:
+        return all(_strong_probable_prime(n, a) for a in _SMALL_PRIMES)
+    return _strong_probable_prime(n, 2) and _strong_lucas_probable_prime(n)
+
+
+def _strong_probable_prime(n, a):
+    """Strong Fermat test of odd n > a to base a: with n - 1 = d 2^s, d odd,
+    a^d = 1 or a^(d 2^r) = -1 mod n for some r < s."""
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    x = pow(a, (n - 1) >> s, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a, n):
+    """Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n):
+    """Strong Lucas test of odd n > 2 with Selfridge's parameters: D the first
+    of 5, -7, 9, -11, ... with (D/n) = -1, P = 1, Q = (1 - D)/4.  With
+    n + 1 = d 2^s, d odd, n passes if U_d = 0 or V_(d 2^r) = 0 mod n for some
+    r < s."""
+    if isqrt(n) ** 2 == n:
+        return False  # no D has (D/n) = -1
+    d = 5
+    while (j := _jacobi(d, n)) != -1:
+        if j == 0 and d % n:
+            return False
+        d = -d - 2 if d > 0 else -d + 2
+    q = (1 - d) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    # U_k, V_k, Q^k mod n from k = 1, doubling along the bits of (n + 1) >> s
+    u, v, qk = 1, 1, q % n
+    for bit in bin((n + 1) >> s)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            # U_(k+1) = (U_k + V_k)/2, V_(k+1) = (D U_k + V_k)/2, halved mod n
+            u, v = u + v, d * u + v
+            u = (u + n if u & 1 else u) >> 1
+            v = (v + n if v & 1 else v) >> 1
+            u, v, qk = u % n, v % n, qk * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
 
 
 @lru_cache(maxsize=None)

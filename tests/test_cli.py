@@ -182,6 +182,18 @@ def test_prime_argument_validated(capsys):
         assert capsys.readouterr().err.splitlines()[-1].startswith("error: "), argv
 
 
+@pytest.mark.parametrize(
+    "value", ["2.0", "abc", "7" * 5000], ids=["float", "letters", "5000-digits"]
+)
+def test_non_integer_prime_names_the_value(value, capsys):
+    # int() refuses a string over 4,300 digits with the same ValueError
+    with pytest.raises(SystemExit) as exc:
+        main(["blocks", "--group", "sym:3", "--p", value])
+    assert exc.value.code == 1
+    err = capsys.readouterr().err.splitlines()[-1]
+    assert err == f"error: argument --p: {value!r} is not an integer"
+
+
 def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify-a", "--help"])

@@ -2,13 +2,26 @@
 
 import random
 from fractions import Fraction
+from itertools import count, islice
 from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import isprime as sympy_isprime
+from sympy import nextprime, primerange
+from sympy.ntheory.primetest import is_strong_lucas_prp
 
-from heightzero.cyclotomic import CycElt, root_of_unity, zero, zumbroich_exponents
+from heightzero.cyclotomic import (
+    _MR_BOUND,
+    CycElt,
+    _strong_lucas_probable_prime,
+    _strong_probable_prime,
+    isprime,
+    root_of_unity,
+    zero,
+    zumbroich_exponents,
+)
 from oracles import conductor_of_element, rational, sigma_e
 
 
@@ -301,3 +314,87 @@ def test_embed_is_faithful(x):
             e = x.embed(m)
             assert e == x
             assert conductor_of_element(e)[0] == conductor_of_element(x)[0]
+
+
+# ---------------------------------------------------------------------------
+# primality, against sympy's isprime
+
+CARMICHAEL = (561, 1105, 1729, 2465, 2821, 6601, 8911, 10585, 15841, 29341, 41041, 825265)
+# the least strong pseudoprimes to the first 4, 11, 12 and 13 prime bases
+# (OEIS A014233)
+STRONG_PSEUDOPRIMES = (
+    3215031751,
+    3825123056546413051,
+    318665857834031151167461,
+    3317044064679887385961981,
+)
+# the strong Lucas pseudoprimes below 20,000 (OEIS A217255)
+STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971)
+
+
+def test_isprime_matches_sympy_up_to_a_million():
+    assert [n for n in range(-5, 10**6) if isprime(n)] == list(primerange(10**6))
+
+
+def test_isprime_rejects_carmichael_and_strong_pseudoprimes():
+    # Chernick's Carmichael numbers (6k+1)(12k+1)(18k+1), with all three
+    # factors prime, below and above the Miller-Rabin bound
+    def chernick_from(k0):
+        for k in count(k0):
+            if all(sympy_isprime(m * k + 1) for m in (6, 12, 18)):
+                yield (6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+
+    chernick = [*islice(chernick_from(1), 10), *islice(chernick_from(10**8), 5)]
+    assert chernick[0] == 1729 and chernick[-1] > _MR_BOUND
+    for n in (*CARMICHAEL, *STRONG_PSEUDOPRIMES, *chernick):
+        assert pow(2, n - 1, n) == 1, n
+        assert not isprime(n) and not sympy_isprime(n), n
+    # each fools the first 4, 11, 12 and 13 prime bases, and only the last
+    # fools all 13: it is the bound, where the BPSW branch takes over
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    for n, fooled in zip(STRONG_PSEUDOPRIMES, (4, 11, 12, 13)):
+        passed = [_strong_probable_prime(n, a) for a in bases]
+        assert passed[:fooled + 1] == [True] * fooled + [False] * (fooled < 13), n
+    assert STRONG_PSEUDOPRIMES[-1] == _MR_BOUND
+
+
+def test_isprime_matches_sympy_near_machine_words():
+    for base in (2**32, 2**64, _MR_BOUND):
+        for n in range(base - 60, base + 61):
+            assert isprime(n) == sympy_isprime(n), n
+    assert isprime(4294967291)
+
+
+def test_isprime_matches_sympy_on_random_large_n():
+    rng = random.Random(21)
+    for _ in range(1200):
+        bits = rng.randrange(64, 401)
+        n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+        assert isprime(n) == sympy_isprime(n), n
+    for bits in (64, 81, 82, 90, 128, 200, 400):
+        p = nextprime(rng.getrandbits(bits) | 1 << (bits - 1))
+        q = nextprime(p)
+        assert isprime(p) and sympy_isprime(p), p
+        for n in (p * q, p * p, p * nextprime(1 << 41)):
+            assert not isprime(n) and not sympy_isprime(n), n
+
+
+def test_strong_lucas_test_alone():
+    odd = range(3, 20000, 2)
+    assert [n for n in odd if _strong_lucas_probable_prime(n) != is_strong_lucas_prp(n)] == []
+    fooled = [n for n in odd if _strong_lucas_probable_prime(n) and not sympy_isprime(n)]
+    assert fooled == list(STRONG_LUCAS_PSEUDOPRIMES)
+    # Miller-Rabin to base 2 catches each of them
+    for n in STRONG_LUCAS_PSEUDOPRIMES:
+        assert not _strong_probable_prime(n, 2) and not isprime(n), n
+    # primes above the bound pass both halves of BPSW; squares fail the Lucas half
+    p = _MR_BOUND
+    for _ in range(20):
+        p = nextprime(p)
+        assert _strong_probable_prime(p, 2) and _strong_lucas_probable_prime(p), p
+        assert not _strong_lucas_probable_prime(p * p), p
+
+
+def test_isprime_takes_integers_only():
+    with pytest.raises(TypeError):
+        isprime(2.0)

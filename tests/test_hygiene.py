@@ -15,11 +15,16 @@
 * Every defaulted parameter is also left unset by at least one call in src/;
   a default every caller overrides is never used, and the parameter is
   required.
-* The only sympy name the package uses is isprime; the rest of sympy is the
-  tests' reference.
+* No module imports sympy, and numpy is the only third-party package any
+  module imports; every other import is relative or from the standard
+  library.  sympy is the tests' reference, and importing the CLI loads
+  neither sympy nor mpmath.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -225,30 +230,35 @@ def test_every_default_is_left_unset_by_some_call(path):
     assert not always, f"{path.name}: defaults every call in src/ passes {always}"
 
 
-def _sympy_names(tree):
-    """The sympy names a module takes: imported from sympy, or read as an
-    attribute of an imported sympy module."""
-    aliases = set()
+def _imported_packages(tree):
+    """The top-level package of every absolute import in a module, at any
+    depth (an import deferred into a function counts too)."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sympy":
-            prefix = "" if node.module == "sympy" else node.module + "."
-            yield from (prefix + a.name for a in node.names)
-        elif isinstance(node, ast.Import):
-            for a in node.names:
-                if a.name.split(".")[0] == "sympy":
-                    if a.name != "sympy":
-                        yield a.name
-                    aliases.add(a.asname or "sympy")
-    for node in ast.walk(tree):
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id in aliases
-        ):
-            yield node.attr
+        if isinstance(node, ast.Import):
+            yield from (a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_sympy_is_used_only_for_isprime(path):
-    names = sorted(set(_sympy_names(ast.parse(path.read_text()))) - {"isprime"})
-    assert not names, f"{path.name}: sympy names other than isprime {names}"
+def test_no_module_imports_sympy(path):
+    assert "sympy" not in set(_imported_packages(ast.parse(path.read_text()))), path.name
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_numpy_is_the_only_third_party_import(path):
+    packages = set(_imported_packages(ast.parse(path.read_text())))
+    third_party = sorted(packages - sys.stdlib_module_names - {"numpy"})
+    assert not third_party, f"{path.name}: third-party imports {third_party}"
+
+
+def test_importing_the_cli_loads_no_sympy():
+    env = dict(os.environ, PYTHONPATH=str(SOURCES[0].parent.parent))
+    probe = (
+        "import sys, heightzero.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('sympy', 'mpmath'))))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
