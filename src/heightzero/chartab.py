@@ -430,7 +430,8 @@ def metacyclic_table(group, cd):
     e = cd.exponent
     reps = [group.elements[i] for i in cd.class_reps]
 
-    # H-orbits on Z/n (exponents of Irr(C_n)), deterministic by minimal element
+    # H-orbits on Z/n (exponents of Irr(C_n)); the scan over ascending j meets
+    # each orbit first at its least element, so they come sorted by it
     seen = set()
     orbits = []
     for j in range(n):
@@ -439,7 +440,6 @@ def metacyclic_table(group, cd):
         orb = sorted({(h * j) % n for h in H})
         seen.update(orb)
         orbits.append(orb)
-    orbits.sort(key=lambda o: o[0])
 
     # each orbit sum is built once per (raw exponent tuple, shift) and then
     # interned by value, so equal values of the table are one object

@@ -92,21 +92,25 @@ def _chunks(obj, out, pad):
     out.append("\n" + pad + closing)
 
 
+def _write(pieces, path):
+    """Write the strings pieces to path, or to stdout for '-'.  They are all
+    built before the output opens, so a failed build leaves no partial file."""
+    if path == "-":
+        sys.stdout.writelines(pieces)
+    else:
+        with open(path, "w") as fh:
+            fh.writelines(pieces)
+
+
 def _dump(obj, path):
-    # the whole text is encoded before the output opens, so a TypeError
-    # leaves no partial file
     chunks = []
     _chunks(obj, chunks, "")
     chunks.append("\n")
-    if path in (None, "-"):
-        sys.stdout.writelines(chunks)
-    else:
-        with open(path, "w") as fh:
-            fh.writelines(chunks)
+    _write(chunks, path)
 
 
 def _corpus_specs(arg):
-    if arg == "default":
+    if arg in (None, "default"):
         return default_corpus()
     with open(arg) as fh:
         specs = parse_corpus(fh.read())
@@ -147,7 +151,7 @@ def _timings():
 
 
 def cmd_verify_a(args):
-    if args.group:
+    if args.group is not None:
         specs = [args.group]
     else:
         specs = _corpus_specs(args.corpus)
@@ -178,14 +182,8 @@ def cmd_realize(args):
 
 def cmd_corollary_c(args):
     rows = corollary_c_sweep(args.max)
-    out = sys.stdout if args.out in (None, "-") else open(args.out, "w")
-    try:
-        out.write("d,in_F2,expected\n")
-        for d, got, want in rows:
-            out.write(f"{d},{str(got).lower()},{str(want).lower()}\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    lines = [f"{d},{str(got).lower()},{str(want).lower()}\n" for d, got, want in rows]
+    _write(["d,in_F2,expected\n", *lines], args.out)
     mismatches = [d for d, got, want in rows if got != want]
     if mismatches:
         print(f"error: classification mismatch at d={mismatches}", file=sys.stderr)
@@ -193,15 +191,22 @@ def cmd_corollary_c(args):
     return 0
 
 
-def cmd_sigma(args):
-    table = build_table(args.group)
+def _sigma_record(table, **fields):
+    """The sigma report of table, fields added, with its violating rows."""
     rows = sigma_check(table)
-    bad = sigma_violations(rows)
-    _dump({"group": args.group, "rows": rows, "violations": bad}, args.out)
-    return 0 if not bad else 1
+    return {**fields, "rows": rows, "violations": sigma_violations(rows)}
+
+
+def cmd_sigma(args):
+    record = _sigma_record(build_table(args.group), group=args.group)
+    _dump(record, args.out)
+    return 0 if not record["violations"] else 1
 
 
 def cmd_ingest(args):
+    if args.check == "sigma" and args.p != 2:
+        # sigma_1 fixedness and 2-rationality are facts at p = 2 only
+        raise ValueError(f"--check sigma is a p = 2 check, not p = {args.p}")
     with open(args.file) as fh:
         try:
             obj = json.load(fh)
@@ -221,14 +226,12 @@ def cmd_ingest(args):
         )
         return 0 if not violations else 2
     if args.check == "sigma":
-        rows = sigma_check(table)
-        bad = sigma_violations(rows)
-        _dump({"rows": rows, "violations": bad}, args.out)
-        return 0 if not bad else 2
-    if args.check == "blocks":
-        _dump(block_report_json(table, args.p), args.out)
-        return 0
-    raise ValueError(f"unknown check {args.check!r}")
+        record = _sigma_record(table)
+        _dump(record, args.out)
+        return 0 if not record["violations"] else 2
+    # argparse choices leave "blocks" as the only other check
+    _dump(block_report_json(table, args.p), args.out)
+    return 0
 
 
 def _prime(value):
@@ -275,8 +278,11 @@ def build_parser():
 
     p_va = sub.add_parser("verify-a", help="height-zero containment sweep")
     p_va.add_argument("--p", type=_prime, required=True)
-    p_va.add_argument("--corpus", default="default")
-    p_va.add_argument("--group", default=None)
+    # None, not "default": argparse counts an option as given only when its
+    # value is not its default object, and '--corpus default' may be that object
+    source = p_va.add_mutually_exclusive_group()
+    source.add_argument("--corpus", default=None)
+    source.add_argument("--group", default=None)
     p_va.add_argument("--out", default="-")
     p_va.add_argument(
         "--timings",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from math import gcd, lcm, prod
 
+from .blocks import nu_p
 from .cyclotomic import (
     CycElt,
     _conductor,
@@ -171,12 +172,8 @@ def _fixer_scan(n, fixes):
 
 def conductor_parts(field, p):
     """(a, m) with conductor = p^a * m and p not dividing m."""
-    n = field.n
-    a = 0
-    while n % p == 0:
-        n //= p
-        a += 1
-    return a, n
+    a = nu_p(field.n, p)
+    return a, field.n // p**a
 
 
 def cyclotomic_index(field, m):

@@ -101,25 +101,25 @@ def _parse_perm_spec(body):
     return gens
 
 
+# the families named by one integer, 'kind:N'
+_ONE_INTEGER_FAMILIES = {
+    "cyclic": cyclic,
+    "dihedral": dihedral,
+    "semidihedral": semidihedral,
+    "quaternion": generalized_quaternion,
+    "sym": symmetric,
+    "alt": alternating,
+    "sl2": sl2,
+}
+
+
 def parse_group_spec(spec):
     """Build the group named by a spec string such as 'sym:4' or 'meta:12:11'."""
     parts = spec.strip().split(":")
     kind = parts[0]
     try:
-        if kind == "cyclic" and len(parts) == 2:
-            return cyclic(int(parts[1]))
-        if kind == "dihedral" and len(parts) == 2:
-            return dihedral(int(parts[1]))
-        if kind == "semidihedral" and len(parts) == 2:
-            return semidihedral(int(parts[1]))
-        if kind == "quaternion" and len(parts) == 2:
-            return generalized_quaternion(int(parts[1]))
-        if kind == "sym" and len(parts) == 2:
-            return symmetric(int(parts[1]))
-        if kind == "alt" and len(parts) == 2:
-            return alternating(int(parts[1]))
-        if kind == "sl2" and len(parts) == 2:
-            return sl2(int(parts[1]))
+        if kind in _ONE_INTEGER_FAMILIES and len(parts) == 2:
+            return _ONE_INTEGER_FAMILIES[kind](int(parts[1]))
         if kind == "meta" and len(parts) == 3:
             n = int(parts[1])
             hgens = [int(t) for t in parts[2].split(",") if t]
@@ -362,10 +362,7 @@ def realize_field(field, p, cross_check_dixon):
     if not in_class_Fp(field, p):
         raise ValueError("field fails the conductor-class precondition at p")
     n = field.conductor
-    H = sorted(field.fixer) if n > 1 else []
-    group = semidirect_cn_h(n, H)
-    Hfull = group.meta_params[1]
-    spec = f"meta:{n}:{','.join(map(str, Hfull))}" if n > 1 else "cyclic:1"
+    group = semidirect_cn_h(n, sorted(field.fixer)) if n > 1 else cyclic(1)
     cd = conjugacy_classes(group)
     table = metacyclic_table(group, cd)
 
@@ -385,23 +382,17 @@ def realize_field(field, p, cross_check_dixon):
         field,
         p,
         n,
-        Hfull if n > 1 else (),
-        spec,
+        group.meta_params[1] if n > 1 else (),
+        group.name,
         row,
         table.degrees[row],
         verified_field=(achieved == field),
         verified_height_zero=(partition.height[row] == 0),
     )
     if cross_check_dixon and cert.valid:
-        dtab = dixon_table(group, cd)
-        drow = dtab.rows.index(table.rows[row])
-        dfield = dtab.row_field(drow)
-        dpart = block_partition(dtab, p)
-        cert.dixon_checked = (
-            dtab.rows == table.rows
-            and dfield == field
-            and dpart.height[drow] == 0
-        )
+        # both tables share cd, so equal rows give the Dixon row the same
+        # field and the same height as the certified one
+        cert.dixon_checked = dixon_table(group, cd).rows == table.rows
         if not cert.dixon_checked:
             raise AssertionError("independent table construction disagrees")
     return cert

@@ -236,11 +236,36 @@ def test_verify_a_refuses_an_empty_corpus(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_verify_a_empty_group_is_not_the_default_corpus(tmp_path, capsys):
+    # an empty --group names no group; it is not read as "no --group"
+    out = tmp_path / "r.json"
+    code, _, err = run(["verify-a", "--p", "2", "--group", "", "--out", str(out)], capsys)
+    assert code == 1
+    assert err == "error: unrecognized group spec ''\n"
+    assert not out.exists()
+
+
 def test_realize_certificate(capsys):
     code, out, _ = run(["realize", "--field", "quad:3", "--p", "2"], capsys)
     assert code == 0
     obj = json.loads(out)
     assert obj["valid"] and obj["n"] == 12 and obj["degree"] == 2
+
+
+@pytest.mark.parametrize(
+    "field,digest",
+    [
+        ("cyclo:1", "3ed4c0238e11ac5be10b67ef7253ebf6e54c932527f934e18462a7645c5f5952"),
+        ("quad:-5", "a717d3bcd14a5f2dacfb368fb0da2993dd5472aa2d5eda0ee824a801588bf53c"),
+        ("fix:40:3", "0d28edffe1dd4cced98da8e828757090fc6d1fc315eeecb9765f3eb7c3a02a4a"),
+        ("cyclo:12", "8b364becc81202f360f3b488d2c2db9c8626337dc99548aaaeb01d67a2cb8cd0"),
+    ],
+)
+def test_realize_cross_check_bytes_are_unchanged(tmp_path, field, digest):
+    out = tmp_path / "cert.json"
+    argv = ["realize", "--field", field, "--p", "2", "--cross-check", "--out", str(out)]
+    assert main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_realize_invalid_field_errors(capsys):
@@ -372,6 +397,18 @@ def test_ingest_roundtrip(tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("p", ["3", "5"])
+def test_ingest_sigma_refuses_an_odd_prime(tmp_path, capsys, p):
+    # sigma_1 fixedness and 2-rationality are p = 2 facts; the refusal comes
+    # before the file is read
+    code, out, err = run(
+        ["ingest", "--file", str(tmp_path / "absent.json"), "--p", p, "--check", "sigma"],
+        capsys,
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: --check sigma is a p = 2 check, not p = {p}\n"
+
+
 def test_ingest_rejects_corrupt_table(tmp_path, capsys):
     table_path = tmp_path / "t.json"
     assert main(["table", "--group", "sym:3", "--out", str(table_path)]) == 0
@@ -389,6 +426,8 @@ def test_ingest_rejects_corrupt_table(tmp_path, capsys):
     "p,digest",
     [
         ("2", "4b28dafd81c6859c787fe0ea2832e6088392ea1ea52e3784900fd69f56a5d322"),
+        ("3", "1c7d798dda61403043772f401c4abecc427fd114819b6c04d8e8d59e30d1b4cb"),
+        ("5", "59d2aa34b7eb0b76671392c114225e37da1da2553c1970d7811b312ff8799b30"),
         ("7", "02228849c3f21d30343d6c32a90e8b241f7a17659291adb928189a0da2d27b12"),
     ],
 )
@@ -755,6 +794,8 @@ def test_one_parser_serves_a_sequence_of_calls(tmp_path, capsys):
         ["verify-a", "--p", "2", "--group", "sym:3", "--bogus"],
         ["verify-a", "--p", "9", "--group", "sym:3"],
         ["verify-a", "--p", "2", "--corpus", str(corpus)],
+        ["verify-a", "--p", "2", "--group", "sym:3", "--corpus", "/nonexistent/file.txt"],
+        ["verify-a", "--p", "2", "--group", "sym:3", "--corpus", "default"],
         ["table", "--group", "sym:3"],
     ]
     assert build_parser() is build_parser()
@@ -769,8 +810,11 @@ def test_one_parser_serves_a_sequence_of_calls(tmp_path, capsys):
         fresh = _run_cli_process(argv, timeout=60)
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
         results.append((code, err.splitlines()[-1] if err else ""))
-    assert [code for code, _ in results] == [0, 1, 1, 0, 0]
+    assert [code for code, _ in results] == [0, 1, 1, 0, 1, 1, 0]
     assert build_parser().parse_args(calls[3]).group is None
     assert results[1][1] == "error: unrecognized arguments: --bogus"
     assert results[2][1] == "error: argument --p: 9 is not prime"
+    assert results[4][1] == results[5][1] == (
+        "error: argument --corpus: not allowed with argument --group"
+    )
     assert json.loads(out)["order"] == 6

@@ -2,6 +2,7 @@
 
 import pytest
 
+from heightzero import reports
 from heightzero.cyclotomic import root_of_unity
 from heightzero.fields import (
     AbelianField,
@@ -199,6 +200,26 @@ def test_realize_sqrt_minus5():
     assert cert.valid and cert.dixon_checked
     assert cert.n == 20 and len(cert.subgroup) == 4
     assert parse_group_spec(cert.group_spec).order == 80
+
+
+@pytest.mark.parametrize("where", ["realized row", "other row"])
+def test_cross_check_catches_one_wrong_dixon_value(monkeypatch, where):
+    # the Dixon table is compared row for row with the direct one, so one
+    # changed value anywhere fails the certificate
+    field = quadratic_field(3)
+    realized = realize_field(field, 2, False).row
+    true_dixon_table = reports.dixon_table
+
+    def one_value_off(group, cd):
+        table = true_dixon_table(group, cd)
+        r = realized if where == "realized row" else (realized + 1) % len(table.rows)
+        row = table.rows[r]
+        table.rows[r] = row[:-1] + (row[-1] + row[0],)
+        return table
+
+    monkeypatch.setattr(reports, "dixon_table", one_value_off)
+    with pytest.raises(AssertionError, match="^independent table construction disagrees$"):
+        realize_field(field, 2, cross_check_dixon=True)
 
 
 def test_realize_rejects_excluded_fields():
