@@ -29,8 +29,8 @@ from operator import mul
 
 import numpy as np
 
-from . import blocks, modular
-from .cyclotomic import CycElt, _basis_set, _one_at, _reduce_terms, isprime, zero
+from . import modular
+from .cyclotomic import CycElt, _basis_set, _one_at, _prime_powers, _reduce_terms, isprime, zero
 from .fields import _fixer_scan, unit_generators
 from .groups import ClassData
 
@@ -240,6 +240,23 @@ def _dixon_prime(e, order, nclasses):
             raise RuntimeError("no suitable Dixon prime found")
 
 
+def _dixon_root(q, e):
+    """s = c^((q - 1) / e) mod q for the least c whose power has order e
+    (q = 1 mod e), certified by the prime factors of e alone."""
+    primes = [r for r, _ in _prime_powers(e)]
+    for c in range(1, q):
+        s = pow(c, (q - 1) // e, q)
+        if all(pow(s, e // r, q) != 1 for r in primes):
+            return s
+    raise AssertionError(f"no root of order {e} mod {q}")
+
+
+def _residue(terms, roots, q):
+    """sum m_k zeta_e^k mod q for the raw exponent map terms: k -> m_k, with
+    roots[k] = s^k mod q for dixon_table's root s."""
+    return sum(m * roots[k] for k, m in terms.items()) % q
+
+
 def _split_eigenspaces(group, cd, q):
     """The common eigenvectors of the class matrices mod q, one per row, each
     up to a nonzero scalar.
@@ -305,16 +322,16 @@ def dixon_table(group, cd):
     interned, so equal values of the table are one CycElt, as in
     metacyclic_table.
 
-    Values mod q are reduced by blocks.IdealReduction(q, e), the map the
-    block partition uses; q = 1 mod e, so its residue field is F_q and zeta_e
-    maps to its root s of order e.  Any primitive e-th root gives the same
-    table: s^k (k prime to e) lifts each row to sigma_k(chi), and Irr(G) is
+    Values mod q send zeta_e to the root s of order e of `_dixon_root`, which
+    exists as q = 1 mod e: a raw exponent map {k: m_k} reduces to
+    sum m_k s^k mod q.  Any primitive e-th root gives the same table: s^k
+    (k prime to e) lifts each row to sigma_k(chi), and Irr(G) is
     Galois-stable, so the sorted rows do not change."""
     c = cd.num_classes
     n = group.order
     e = cd.exponent
     q = _dixon_prime(e, n, c)
-    red = blocks.IdealReduction(q, e)
+    s = _dixon_root(q, e)
 
     lines = _split_eigenspaces(group, cd, q)
 
@@ -345,7 +362,8 @@ def dixon_table(group, cd):
     for r, om in enumerate(omegas):
         vals[r] = (degrees[r] * om * np.array(inv_sizes, dtype=np.int64)) % q
     pm = cd.power_map
-    zeta = np.array(red.powers, dtype=np.int64)  # zeta_e^k mod q
+    roots = [pow(s, k, q) for k in range(e)]  # zeta_e^k mod q
+    zeta = np.array(roots, dtype=np.int64)
     # raw exponent map at e -> (its one value object, its image mod q)
     lifted = {}
     values = {}
@@ -378,7 +396,7 @@ def dixon_table(group, cd):
                 if hit is None:
                     terms = dict(raw)
                     v = CycElt(e, terms)
-                    hit = lifted[raw] = (values.setdefault(v, v), red.image(e, terms))
+                    hit = lifted[raw] = (values.setdefault(v, v), _residue(terms, roots, q))
                 if hit[1] != want:
                     raise AssertionError(f"lifted value at class {ju} disagrees with its value mod q")
                 column.append(hit[0])

@@ -269,8 +269,8 @@ def sweep_theorem_A(specs, p, progress):
     progress, unless None, is called as soon as each group is done, with its
     summary entry and a dict of run facts that stay out of the summary: the
     table's route ('direct' or 'dixon'), the Dixon prime q (None on the direct
-    route), the residue-field degree f and the number of distinct table
-    values."""
+    route), the residue degree f of the primes above p and the number of
+    distinct table values."""
     groups_out = []
     total_rows = 0
     total_violations = 0

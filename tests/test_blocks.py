@@ -1,39 +1,26 @@
 """p-blocks: golden values, partition axioms, and an independent oracle.
 
-The oracle reduces central characters against an irreducible factor of the
-cyclotomic polynomial mod p using sympy polynomial arithmetic — a completely
-different realization of "reduction modulo a maximal ideal above p" than the
-library's explicit finite field.  The partitions must coincide.
+The library reduces central characters modulo every prime above p at once:
+it sends zeta_{p^a} to 1 and compares Zumbroich coefficients at the p'-part
+e' of the exponent mod p.  The oracle reduces modulo one prime, (p, g(zeta_e'))
+for an irreducible factor g of the cyclotomic polynomial Phi_e' mod p, by
+sympy polynomial remainders.  The partitions must coincide, for the least
+factor and, where p splits, for every other one: the block partition does
+not depend on the prime chosen, which is the fact the library's route rests
+on.
 """
 
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from sympy import Poly, Symbol, cyclotomic_poly, factorint
-from sympy.polys.domains import ZZ
-from sympy.polys.galoistools import (
-    gf_irred_p_ben_or,
-    gf_irred_p_rabin,
-    gf_irreducible_p,
-    gf_mul,
-    gf_pow_mod,
-    gf_rem,
-    gf_sub,
-)
+from sympy import Poly, Symbol, cyclotomic_poly
 
-from heightzero import blocks
-from heightzero.blocks import (
-    IdealReduction,
-    _irreducible,
-    block_partition,
-    height_zero_rows,
-    nu_p,
-)
+from heightzero.blocks import _image, block_partition, height_zero_rows, nu_p
 from heightzero.chartab import dixon_table
+from heightzero.cyclotomic import CycElt, root_of_unity
 from heightzero.groups import (
     alternating,
     conjugacy_classes,
@@ -79,25 +66,44 @@ def central_character_value(table, r, j):
     return chi[j].scalar_mul(Fraction(size, table.degrees[r]))
 
 
-def oracle_partition(table, p):
-    """Brute-force block partition: group rows whose reduced central
-    characters agree on every class."""
+def _p_prime_part(table, p):
     e = table.classes.exponent
-    eprime = e // p ** nu_p(e, p) if e > 1 else 1
-    factor = None
-    if eprime > 1:
-        phi = Poly(cyclotomic_poly(eprime, _X), _X, modulus=p)
-        factors = sorted(
-            (f for f, _ in phi.factor_list()[1]),
-            key=lambda f: (f.degree(), tuple(f.all_coeffs())),
-        )
-        factor = factors[0]
-    sigs = {}
-    for r in range(len(table.rows)):
-        sig = tuple(
+    return e // p ** nu_p(e, p)
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_factors(eprime, p):
+    """The monic irreducible factors of Phi_e' mod p, least degree and then
+    least coefficients first; [None] for e' = 1, where F_p needs no factor."""
+    if eprime == 1:
+        return [None]
+    phi = Poly(cyclotomic_poly(eprime, _X), _X, modulus=p)
+    return sorted(
+        (f for f, _ in phi.factor_list()[1]),
+        key=lambda f: (f.degree(), tuple(f.all_coeffs())),
+    )
+
+
+def oracle_signatures(table, p, factor):
+    """Each row's central character reduced modulo (p, factor(zeta_e'))."""
+    eprime = _p_prime_part(table, p)
+    return [
+        tuple(
             _oracle_reduce(central_character_value(table, r, j), p, eprime, factor)
             for j in range(table.num_classes)
         )
+        for r in range(len(table.rows))
+    ]
+
+
+def oracle_partition(table, p, factor=None):
+    """Brute-force block partition: group rows whose reduced central
+    characters agree on every class, modulo the prime of `factor`, by
+    default the least factor of Phi_e' mod p."""
+    if factor is None:
+        factor = cyclotomic_factors(_p_prime_part(table, p), p)[0]
+    sigs = {}
+    for r, sig in enumerate(oracle_signatures(table, p, factor)):
         sigs.setdefault(sig, []).append(r)
     return sorted(sigs.values(), key=lambda rs: rs[0])
 
@@ -257,26 +263,33 @@ def test_degree_coprime_rows_within_height_zero_in_max_defect_blocks():
 
 
 def test_partition_invariant_under_ideal_choice():
-    # reducing sigma_k(chi) through the fixed ideal, with k = u mod e' and
-    # k = 1 mod p^a, is reducing chi through the ideal that sends zeta_e' to
-    # the u-th power of the fixed root; every such ideal gives one partition
-    from math import gcd
-
-    from heightzero.chartab import CharacterTable
-
-    t = _dixon(alternating(5))
-    e = t.classes.exponent
-    for p in (2, 3, 5):
-        pa = p ** nu_p(e, p)
-        eprime = e // pa
-        base = _lib_partition_rows(t, p)
-        for u in range(2, eprime):
-            if gcd(u, eprime) != 1:
-                continue
-            k = next(k for k in range(1, e) if k % eprime == u and k % pa == 1 % pa)
-            rows = [tuple(v.embed(e).galois(k) for v in row) for row in t.rows]
-            moved = CharacterTable(t.name, t.order, t.classes, rows)
-            assert _lib_partition_rows(moved, p) == base, (p, u)
+    # the block partition is the same modulo every prime above p (Navarro,
+    # Characters and Blocks of Finite Groups, ch. 3), so congruence modulo
+    # one of them is congruence modulo their product, which is what the
+    # library compares; the oracle checks the fact one prime at a time
+    cases = [
+        (alternating(5), 2),  # e' = 15: two primes of residue degree 4
+        (alternating(6), 2),  # e' = 15
+        (symmetric(5), 2),  # e' = 15
+        (symmetric(5), 3),  # e' = 20: two of degree 4
+        (symmetric(5), 5),  # e' = 12: two of degree 2
+        (sl2(5), 3),  # e' = 20
+        (sl2(5), 5),  # e' = 12
+        (sl2(7), 3),  # e' = 56: four of degree 6
+        (symmetric(4), 5),  # e' = 12, p prime to |G|: defect-zero blocks
+    ]
+    for group, p in cases:
+        t = _dixon(group)
+        factors = cyclotomic_factors(_p_prime_part(t, p), p)
+        assert len(factors) >= 2, (group.name, p)
+        want = _lib_partition_rows(t, p)
+        for factor in factors:
+            assert oracle_partition(t, p, factor) == want, (group.name, p, factor)
+    # the reduced values themselves depend on the prime, so the partitions
+    # above come from distinct reductions
+    t = _dixon(cyclic(15))
+    factors = cyclotomic_factors(15, 2)
+    assert len({tuple(oracle_signatures(t, 2, f)) for f in factors}) == len(factors) == 2
 
 
 def test_partition_galois_stable():
@@ -330,391 +343,62 @@ def test_height_zero_restricts_to_height_zero_constituents(p):
 
 
 # ---------------------------------------------------------------------------
-# finite-field plumbing
+# the reduction map
 
 
-def _digits(code, p, f):
-    """The f base-p digits of code, least significant first."""
-    out = []
-    for _ in range(f):
-        code, d = divmod(code, p)
-        out.append(d)
-    return tuple(out)
+def _reduce(p, eprime, x):
+    """The library's image of the integral CycElt x in Z[zeta_e'] / p."""
+    return _image(p, eprime, x.n, {j: int(c) for j, c in x.terms.items()})
 
 
-# GF(p^f) arithmetic on coefficient tuples through the packed ring of an
-# IdealReduction; the library itself works on the packed ints
+def _lift(eprime, image):
+    """The element of Z[zeta_e'] with an image's Zumbroich coefficients."""
+    return CycElt(eprime, dict(image))
 
 
-def lanes(ring, x, count):
-    """The first `count` lanes of the packed x, reduced mod p."""
-    nb = ring.w // 8
-    raw = x.to_bytes(count * nb, "little")
-    return tuple(int.from_bytes(raw[i : i + nb], "little") % ring.p for i in range(0, len(raw), nb))
-
-
-def unpack(ring, x):
-    """The f coefficients of the packed x (of degree < f)."""
-    return lanes(ring, x, ring.f)
-
-
-def modulus(red):
-    """The modulus of red's residue field, low-to-high with its leading 1."""
-    return lanes(red._ring, red._ring.modulus, red.f + 1)
-
-
-def root(red):
-    """red's root u of order e', as a coefficient tuple."""
-    return unpack(red._ring, red.powers[1 % red.eprime])
-
-
-def _order(p, e):
-    """The multiplicative order of p mod e."""
-    f = 1
-    while (p**f - 1) % e:
-        f += 1
-    return f
-
-
-@lru_cache(maxsize=None)
-def reduction_into(p, f):
-    """IdealReduction(p, e') for the least e' prime to p of which p has
-    multiplicative order f: its residue field is GF(p^f)."""
-    e = next(e for e in range(1, p**f) if e % p and _order(p, e) == f)
-    red = IdealReduction(p, e)
-    assert red.f == f
-    return red
-
-
-def gf_zero(g):
-    return (0,) * g.f
-
-
-def gf_one(g):
-    return (1,) + (0,) * (g.f - 1)
-
-
-def gf_sum(g, a, b):
-    return tuple((x + y) % g.p for x, y in zip(a, b))
-
-
-def gf_product(g, a, b):
-    r = g._ring
-    return unpack(r, r.mul(r.pack(a), r.pack(b)))
-
-
-def gf_power(g, a, k):
-    r = g._ring
-    return unpack(r, r.pow(r.pack(a), k))
-
-
-def reduce_value(red, x):
-    """Image of the p-integral CycElt x under the IdealReduction red, as a
-    tuple of f residues."""
-    p = red.p
-    coeffs = {}
-    for j, c in x.terms.items():
-        assert c.denominator % p, "value is not p-integral"
-        coeffs[j] = c.numerator * pow(c.denominator, -1, p)
-    return unpack(red._ring, red.image(x.n, coeffs))
-
-
-def element_order(g, a):
-    if a == gf_zero(g):
-        raise ValueError("zero has no multiplicative order")
-    o, cur = 1, a
-    while cur != gf_one(g):
-        cur = gf_product(g, cur, a)
-        o += 1
-    return o
-
-
-def multiplicative_generator(g):
-    """Least generator of the cyclic group GF(p^f)^* in code order."""
-    n = g.p**g.f - 1
-    primes = list(factorint(n))
-    for code in range(1, n + 1):
-        a = _digits(code, g.p, g.f)
-        if all(gf_power(g, a, n // q) != gf_one(g) for q in primes):
-            return a
-    raise AssertionError("no generator found")
-
-
-def _sympy_poly(coeffs):
-    """Low-to-high coefficients as sympy's high-to-low dense list."""
-    return [ZZ(c) for c in reversed(coeffs)]
-
-
-def test_gf_axioms_odd_p():
-    g = reduction_into(3, 4)
-    rng = random.Random(11)
-    els = [tuple(rng.randint(0, 2) for _ in range(4)) for _ in range(40)]
-    for a, b, c in zip(els, els[1:], els[2:]):
-        assert gf_product(g, a, b) == gf_product(g, b, a)
-        assert gf_product(g, gf_product(g, a, b), c) == gf_product(g, a, gf_product(g, b, c))
-        assert gf_product(g, a, gf_sum(g, b, c)) == gf_sum(
-            g, gf_product(g, a, b), gf_product(g, a, c)
-        )
-    assert element_order(g, multiplicative_generator(g)) == 80
-
-
-def test_gf_root_of_order():
-    # the reduction's root u has order e' in GF(2^f), f the order of 2 mod e'
-    # (f = 10 but for m = 3 and 31), and its list of powers is u^0 .. u^(e'-1)
-    for m in (3, 11, 31, 33, 93, 341, 1023):
-        g = IdealReduction(2, m)
-        assert g.f == _order(2, m)
-        u = root(g)
-        assert element_order(g, u) == m
-        assert [unpack(g._ring, x) for x in g.powers] == [gf_power(g, u, k) for k in range(m)]
-
-
-def test_root_of_order_scans_from_code_one():
-    # the root of order m is c^((p^f' - 1) / m) for the first code c whose
-    # power has order m, in GF(p^f') with f' the order of p mod m; skipping
-    # the constants c < p for f' > 1 must not change it.  Orders m dividing
-    # p - 1 reduce into F_p, where the constants are the whole field
-    for p, f in ((7, 2), (5, 2), (3, 4), (13, 2)):
-        n = p**f - 1
-        for m in (d for d in range(2, n + 1) if n % d == 0):
-            g = IdealReduction(p, m)
-            size = p**g.f
-            first = next(
-                u
-                for u in (gf_power(g, _digits(c, p, g.f), (size - 1) // m) for c in range(1, size))
-                if u != gf_zero(g) and element_order(g, u) == m
-            )
-            assert root(g) == first, (p, f, m)
-
-
-@pytest.mark.parametrize(
-    "p,f", [(2, 11), (2, 110), (7, 110), (3, 84), (65537, 2), (4294967291, 2)]
-)
-def test_gf_mul_matches_sympy(p, f):
-    g = reduction_into(p, f)
-    if p == 4294967291:
-        assert g._ring.w > 64  # a lane holds sums of products of 32-bit residues
-    m = _sympy_poly(modulus(g))
-    rng = random.Random(p * f)
-    for _ in range(10):
-        a = tuple(rng.randrange(p) for _ in range(f))
-        b = tuple(rng.randrange(p) for _ in range(f))
-        want = gf_rem(gf_mul(_sympy_poly(a), _sympy_poly(b), p, ZZ), m, p, ZZ)
-        want = [int(c) for c in reversed(want)]
-        assert gf_product(g, a, b) == tuple(want + [0] * (f - len(want)))
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    p=st.sampled_from([2, 3, 5, 7, 11, 65537]),
-    coeffs=st.lists(st.integers(min_value=0), min_size=1, max_size=9),
-)
-def test_irreducibility_matches_sympy_ben_or(p, coeffs):
-    poly = [c % p for c in coeffs] + [1]
-    assert _irreducible(p, poly) == gf_irred_p_ben_or(_sympy_poly(poly), p, ZZ)
-
-
-@pytest.mark.parametrize("p,f", [(2, 8), (3, 5), (5, 4), (7, 3), (11, 2), (65537, 2)])
-def test_gf_modulus_is_sympy_lex_least(p, f):
-    # sympy's irreducibility test over the same constant-first lex order
-    want = next(
-        cand
-        for cand in (_digits(code, p, f) + (1,) for code in range(p**f))
-        if gf_irreducible_p(_sympy_poly(cand), p, ZZ)
-    )
-    assert modulus(reduction_into(p, f)) == want
-
-
-def test_modulus_search_skips_impossible_binomials(monkeypatch):
-    # x^4 - a is never irreducible over F_p for p = 3 mod 4, so the search
-    # must not run Ben-Or on the p binomials x^4 + c first
-    calls = 0
-
-    def counted(p, poly):
-        nonlocal calls
-        calls += 1
-        if calls > 1000:
-            raise AssertionError("modulus search tested more than 1000 candidates")
-        return _irreducible(p, poly)
-
-    monkeypatch.setattr(blocks, "_irreducible", counted)
-    assert blocks._gf_irreducible_poly(1000003, 4) == (1, 1, 0, 0, 1)
-
-
-@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43])
-def test_binomial_skip_keeps_the_lex_least_modulus(p):
-    # the same modulus as a scan that tests the binomials too
-    for f in range(1, 9 if p <= 7 else 6):
-        want = next(
-            cand
-            for cand in (list(_digits(code, p, f)) + [1] for code in range(p**f))
-            if _irreducible(p, cand)
-        )
-        assert blocks._gf_irreducible_poly(p, f) == tuple(want), f
-
-
-# Lex-least modulus codes (sum of c_i p^i over the coefficients below the
-# leading 1) of every residue field GF(p^f) the default corpus needs at
-# p = 2, 3, 5 and 7, recorded from the one-gcd-per-step Ben-Or search.
-_CORPUS_MODULUS_CODES = {
-    2: {1: 0, 2: 3, 3: 3, 4: 3, 5: 5, 6: 3, 8: 27, 10: 9, 11: 5, 12: 9, 14: 33,
-        18: 9, 20: 9, 23: 33, 28: 3, 36: 53, 84: 33, 110: 83},
-    3: {1: 0, 2: 1, 3: 7, 4: 5, 5: 7, 6: 5, 8: 11, 10: 19, 11: 11, 12: 11,
-        16: 37, 18: 34, 20: 34, 23: 31, 28: 11, 30: 5, 42: 34, 55: 71, 60: 11,
-        84: 385},
-    5: {1: 0, 2: 2, 3: 6, 4: 2, 5: 21, 6: 7, 8: 2, 9: 38, 10: 33, 14: 77, 16: 2,
-        18: 6, 20: 31, 22: 6, 36: 142, 42: 102, 46: 84, 110: 204},
-    7: {1: 0, 2: 1, 3: 2, 4: 8, 6: 2, 7: 43, 9: 2, 10: 17, 12: 58, 14: 11,
-        15: 69, 16: 17, 18: 2, 20: 101, 22: 53, 23: 159, 40: 17, 60: 155,
-        110: 562},  # x^110 + x^3 + 4x^2 + 3x + 2, the field of meta:23
-}
-
-
-@pytest.mark.parametrize("p", sorted(_CORPUS_MODULUS_CODES))
-def test_corpus_moduli_are_pinned(p):
-    for f, code in _CORPUS_MODULUS_CODES[p].items():
-        assert modulus(reduction_into(p, f)) == _digits(code, p, f) + (1,), f
-
-
-def _poly_mul(p, a, b):
-    """Product over F_p of low-to-high coefficient lists, by sympy."""
-    out = gf_mul(_sympy_poly(a), _sympy_poly(b), p, ZZ)
-    return [int(c) for c in reversed(out)]
-
-
-@lru_cache(maxsize=None)
-def _least_irreducibles(p, k, count):
-    """The first `count` monic irreducibles of degree k over F_p in
-    constant-first lex order, found with sympy's Rabin test."""
-    found = []
-    for code in range(p**k):
-        cand = list(_digits(code, p, k)) + [1]
-        if gf_irred_p_rabin(_sympy_poly(cand), p, ZZ):
-            found.append(cand)
-            if len(found) == count:
-                return found
-    raise AssertionError("too few irreducibles")
-
-
-def _agrees_with_sympy(p, poly):
-    want = gf_irred_p_ben_or(_sympy_poly(poly), p, ZZ)
-    assert _irreducible(p, poly) == want, (p, poly)
-    return want
-
-
-@pytest.mark.parametrize("p", [2, 3, 7, 11])
-def test_irreducibility_matches_sympy_at_large_degree(p):
-    # candidates of the modulus search are sparse: a few low terms under x^f
-    rng = random.Random(p)
-    for f in range(10, 65):
-        tail = [0] * f
-        for i in rng.sample(range(min(f, 12)), rng.randint(1, 5)):
-            tail[i] = rng.randrange(p)
-        _agrees_with_sympy(p, tail + [1])
-    for f in range(10, 17):
-        _agrees_with_sympy(p, [rng.randrange(p) for _ in range(f)] + [1])
-    # the search's own answers are irreducible at every degree
-    for f in (10, 23, 40, 64):
-        assert _agrees_with_sympy(p, list(blocks._gf_irreducible_poly(p, f)))
-
-
-@pytest.mark.parametrize("p", [2, 3, 7, 11])
-def test_ben_or_batches_find_factors_of_equal_degree(p):
-    # m1 * m2 of equal degree k has its first nontrivial gcd at i = k, the
-    # last step; times an irreducible of degree k + 2 instead, step k falls
-    # inside a batch of the product of x^(p^i) - x
-    for k in range(5, 31) if p < 7 else (5, 6, 9, 12, 17):
-        m1, m2 = _least_irreducibles(p, k, 2)
-        (m3,) = _least_irreducibles(p, k + 2, 1)
-        assert not _agrees_with_sympy(p, _poly_mul(p, m1, m2)), k
-        assert not _agrees_with_sympy(p, _poly_mul(p, m1, m3)), k
-        assert not _agrees_with_sympy(p, _poly_mul(p, m1, m1)), k
-
-
-@pytest.mark.parametrize("p", [2, 3, 7, 11])
-def test_ben_or_product_that_vanishes(p):
-    # q1 * q2 divides x^(p^2) - x, so that step's factor is 0 mod the
-    # candidate; at p = 2, x^2 + x + 1 is the only irreducible quadratic
-    if p > 2:
-        assert not _agrees_with_sympy(p, _poly_mul(p, *_least_irreducibles(p, 2, 2)))
-    # m4 * m5 * m5' of degree 14 divides the product over the batch i = 4..7
-    (m4,) = _least_irreducibles(p, 4, 1)
-    m5, m5b = _least_irreducibles(p, 5, 2)
-    g = _poly_mul(p, _poly_mul(p, m4, m5), m5b)
-    x, modulus, product = [ZZ(1), ZZ(0)], _sympy_poly(g), [ZZ(1)]
-    for i in range(4, 8):
-        h = gf_sub(gf_pow_mod(x, p**i, modulus, p, ZZ), x, p, ZZ)
-        product = gf_rem(gf_mul(product, h, p, ZZ), modulus, p, ZZ)
-    assert product == []
-    assert not _agrees_with_sympy(p, g)
-
-
-@pytest.mark.parametrize("p", [2, 3, 7, 11])
-def test_linear_factor_on_both_sides_of_the_root_sieve(p):
-    # roots are found by evaluation when p <= f, by a gcd when p > f
-    for f in (p, p - 1, p + 1):
-        if f < 2:
-            continue
-        (m,) = _least_irreducibles(p, f - 1, 1)
-        for a in {0, 1, p - 1}:
-            assert not _agrees_with_sympy(p, _poly_mul(p, [a, 1], m)), (f, a)
-        assert _agrees_with_sympy(p, _least_irreducibles(p, f, 1)[0]), f
-    # f = 1: every x + c is irreducible, though it has the root -c
-    for c in {0, 1, p - 1}:
-        assert _agrees_with_sympy(p, [c, 1])
-
-
-def test_pack_and_quotient_mask_keep_the_byte_layout():
-    # lane i holds bytes [i*w/8, (i+1)*w/8) of the little-endian int
-    def by_bytes(coeffs, nb):
-        return int.from_bytes(b"".join(c.to_bytes(nb, "little") for c in coeffs), "little")
-
-    rng = random.Random(5)
-    for p, f in ((2, 110), (7, 110), (3, 1), (65537, 4), (4294967291, 2)):
-        ring = reduction_into(p, f)._ring
-        nb = ring.w // 8
-        for _ in range(5):
-            coeffs = [rng.randrange(p) if rng.random() < 0.3 else 0 for _ in range(f)]
-            assert ring.pack(coeffs) == by_bytes(coeffs, nb)
-        q = (1 << ring.w - ring._shift) - 1
-        assert ring._qmask == by_bytes([q] * (f + 1), nb)
+def _integral_elements(n, count, rng):
+    """The n-th roots of unity and `count` random sums of a few of them with
+    small integer coefficients, all at modulus n."""
+    xs = [root_of_unity(n, j) for j in range(n)]
+    for _ in range(count):
+        terms = {}
+        for j in rng.sample(range(n), rng.randint(1, 4)):
+            terms[j] = rng.randint(-9, 9)
+        xs.append(CycElt(n, terms))
+    return xs
 
 
 def test_ideal_reduction_is_ring_homomorphism():
-    from heightzero.cyclotomic import root_of_unity
-
-    # at p = 2 the roots of order 30 include zeta_2, which maps to 1
-    for p, eprime, n in ((3, 8, 8), (2, 15, 30)):
-        red = IdealReduction(p, eprime)
-        xs = [root_of_unity(n, j) for j in range(n)]
+    # image(x * y) and image(x + y) are the reduced product and sum of the
+    # lifted images, p kills everything, and an image does not depend on the
+    # modulus a value is written at; n' = e' in the first cases, and n' is a
+    # proper divisor of e' in the last two, where images leave the basis
+    cases = [(3, 8, 24), (2, 15, 60), (5, 12, 60), (7, 1, 49), (2, 9, 36), (2, 15, 12), (3, 20, 12)]
+    for p, eprime, n in cases:
+        rng = random.Random(n)
+        xs = _integral_elements(n, 12, rng)
+        pairs = [(a, b) for a in xs for b in xs]
+        for a, b in rng.sample(pairs, min(len(pairs), 600)):
+            ra, rb = _reduce(p, eprime, a), _reduce(p, eprime, b)
+            product = _lift(eprime, ra) * _lift(eprime, rb)
+            total = _lift(eprime, ra) + _lift(eprime, rb)
+            assert _reduce(p, eprime, a * b) == _reduce(p, eprime, product), (p, n, a, b)
+            assert _reduce(p, eprime, a + b) == _reduce(p, eprime, total), (p, n, a, b)
         for a in xs:
-            for b in xs:
-                ra, rb = reduce_value(red, a), reduce_value(red, b)
-                assert reduce_value(red, a * b) == gf_product(red, ra, rb)
-                assert reduce_value(red, a + b) == gf_sum(red, ra, rb)
+            assert _reduce(p, eprime, a * p) == (), (p, n, a)
+            for m in (n * p, lcm(n, eprime)):
+                assert _reduce(p, eprime, a.embed(m)) == _reduce(p, eprime, a), (p, n, a, m)
+        assert _reduce(p, eprime, _lift(eprime, _reduce(p, eprime, a))) == _reduce(p, eprime, a)
 
 
 def test_ideal_reduction_kills_p_power_roots():
-    from heightzero.cyclotomic import root_of_unity
-
-    red = IdealReduction(2, 1)
-    assert reduce_value(red, root_of_unity(8, 1)) == reduce_value(red, root_of_unity(8, 0))
-
-
-def test_ideal_reduction_builds_one_ring(monkeypatch):
-    # the root search, the powers and the images share one ring; the modulus
-    # search builds its own rings only on a cold (p, f)
-    built = []
-    init = blocks._KroneckerRing.__init__
-
-    def counted(ring, *args, **kwargs):
-        built.append(args)
-        init(ring, *args, **kwargs)
-
-    for p, e in ((2, 1), (3, 8), (7, 23 * 11), (10007, 6)):
-        IdealReduction(p, e)  # fills the modulus cache
-        monkeypatch.setattr(blocks._KroneckerRing, "__init__", counted)
-        built.clear()
-        IdealReduction(p, e)
-        assert len(built) == 1, (p, e)
-        monkeypatch.undo()
+    # zeta_{p^a} goes to the image of 1, and multiplying by it changes no image
+    for p, n in ((2, 8), (2, 24), (3, 9), (3, 36), (5, 50), (7, 49)):
+        pa = p ** nu_p(n, p)
+        eprime = n // pa
+        one = _reduce(p, eprime, root_of_unity(1, 0))
+        assert one
+        for j in range(pa):
+            assert _reduce(p, eprime, root_of_unity(pa, j)) == one, (p, n, j)
+            x = root_of_unity(n, j + 1)
+            assert _reduce(p, eprime, x * root_of_unity(pa, j)) == _reduce(p, eprime, x), (p, n, j)

@@ -25,7 +25,7 @@ from heightzero.groups import (
     sl2,
     symmetric,
 )
-from heightzero import blocks, chartab
+from heightzero import chartab
 from heightzero.chartab import (
     class_matrix,
     dixon_table,
@@ -414,17 +414,16 @@ def test_dixon_table_is_independent_of_the_root_of_unity(monkeypatch, group):
     # Galois-stable, so the sorted table must not move
     cd = conjugacy_classes(group)
     want = table_to_json(dixon_table(group, cd))
-    init = blocks.IdealReduction.__init__
+    root = chartab._dixon_root
     units = [k for k in range(1, cd.exponent) if gcd(k, cd.exponent) == 1]
     for k in units:
         used = []
 
-        def power_k(red, p, e, k=k):
-            init(red, p, e)
-            red.powers = [red.powers[i * k % red.eprime] for i in range(red.eprime)]
-            used.append(red.powers[1])
+        def power_k(q, e, k=k):
+            used.append(pow(root(q, e), k, q))
+            return used[-1]
 
-        monkeypatch.setattr(blocks.IdealReduction, "__init__", power_k)
+        monkeypatch.setattr(chartab, "_dixon_root", power_k)
         assert table_to_json(dixon_table(group, cd)) == want, k
         assert len(used) == 1
     assert len(units) > 2
@@ -443,47 +442,46 @@ def _first_root(q, e):
 @pytest.mark.parametrize("group", [symmetric(5), sl2(5), semidirect_cn_h(12, [11]), dihedral(40)],
                          ids=lambda g: g.name)
 def test_dixon_reduction_is_the_power_sum_at_the_root(group):
-    # at the Dixon prime q = 1 mod e the reduction's residue field is F_q:
-    # its powers are s^k mod q and the image of a raw exponent map {k: m_k}
-    # is sum m_k s^k mod q, for the root s of order e that Dixon used alone
+    # at the Dixon prime q = 1 mod e, zeta_e goes to the first root s of
+    # order e, and the residue of a raw exponent map {k: m_k} is
+    # sum m_k s^k mod q
     cd = conjugacy_classes(group)
     e = cd.exponent
     q = chartab._dixon_prime(e, group.order, cd.num_classes)
     s = _first_root(q, e)
-    red = blocks.IdealReduction(q, e)
-    assert (red.f, red.eprime) == (1, e)
-    assert red.powers == [pow(s, k, q) for k in range(e)]
+    assert chartab._dixon_root(q, e) == s
+    roots = [pow(s, k, q) for k in range(e)]
     rng = random.Random(e)
     for _ in range(200):
         raw = {k: rng.randrange(-3 * q, 3 * q) for k in rng.sample(range(e), rng.randint(1, e))}
-        assert red.image(e, raw) == sum(m * pow(s, k, q) for k, m in raw.items()) % q
+        assert chartab._residue(raw, roots, q) == sum(m * pow(s, k, q) for k, m in raw.items()) % q
 
 
 @pytest.mark.parametrize("group", [symmetric(5), semidirect_cn_h(12, [11])], ids=lambda g: g.name)
 def test_dixon_table_checks_every_lifted_value_through_the_reduction(monkeypatch, group):
-    # a reduction that is off by one on a single lifted value must fail the
+    # a residue that is off by one on a single lifted value must fail the
     # check of that value against its own eigenvector coordinates
     cd = conjugacy_classes(group)
-    image = blocks.IdealReduction.image
+    residue = chartab._residue
     calls = []
 
-    def counted(red, n, coeffs):
-        calls.append(n)
-        return image(red, n, coeffs)
+    def counted(terms, roots, q):
+        calls.append(q)
+        return residue(terms, roots, q)
 
-    monkeypatch.setattr(blocks.IdealReduction, "image", counted)
+    monkeypatch.setattr(chartab, "_residue", counted)
     dixon_table(group, cd)
     total = len(calls)
     assert total > 2
     for wrong in (0, total // 2, total - 1):
         calls.clear()
 
-        def off_by_one(red, n, coeffs, wrong=wrong):
-            calls.append(n)
-            out = image(red, n, coeffs)
-            return (out + 1) % red.p if len(calls) == wrong + 1 else out
+        def off_by_one(terms, roots, q, wrong=wrong):
+            calls.append(q)
+            out = residue(terms, roots, q)
+            return (out + 1) % q if len(calls) == wrong + 1 else out
 
-        monkeypatch.setattr(blocks.IdealReduction, "image", off_by_one)
+        monkeypatch.setattr(chartab, "_residue", off_by_one)
         with pytest.raises(AssertionError, match="disagrees with its value mod q"):
             dixon_table(group, cd)
 

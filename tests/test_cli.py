@@ -149,12 +149,20 @@ def test_verify_a_on_c2_to_the_8_is_fast_and_unchanged(tmp_path):
          "74a269e4928ecb50943badafaade07b11eaafa20de522384049350aa67cdeaf2"),
         ("meta:29:1,7,16,20,23,24,25", "3",
          "48382c3aa942b0254bd1795d60404b13179fbe97ca43abc210126d5035c44807"),
+        # f = 30 at the Mersenne prime 2^127 - 1
+        ("meta:31:2", "170141183460469231731687303715884105727",
+         "6c53ff9cebec47f3c76f4adc1defe2f69a7c29107ae9d8d01fe93378187e564e"),
+        # f = 210
+        ("cyclic:211", "7",
+         "09b61804ff72f3a83114aad3f2c0ae1d8120dc8ec39ff2b908f5232fe7f5cb07"),
     ],
 )
 def test_block_reports_are_unchanged(tmp_path, spec, p, digest):
-    # a byte-identity gate on the residue-field ring at large f
+    # a byte-identity gate at large residue degree f and large p; every
+    # accepted prime must finish, so each report has 30 s
     out = tmp_path / "blocks.json"
-    assert main(["blocks", "--group", spec, "--p", p, "--out", str(out)]) == 0
+    proc = _run_cli_process(["blocks", "--group", spec, "--p", p, "--out", str(out)], timeout=30)
+    assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
@@ -307,7 +315,7 @@ def test_realize_fails_fast_above_the_cap(field):
 
 
 def test_blocks_at_a_large_prime(capsys):
-    # p = 4294967291 is 5 mod 6, so S3 reduces into GF(p^2)
+    # p = 4294967291 is 5 mod 6, so it stays prime in Z[zeta_3], of residue degree 2
     code, out, _ = run(["blocks", "--group", "sym:3", "--p", "4294967291"], capsys)
     assert code == 0
     blocks = json.loads(out)["blocks"]
