@@ -448,16 +448,16 @@ def metacyclic_table(group, cd):
     e = cd.exponent
     reps = [group.elements[i] for i in cd.class_reps]
 
-    # H-orbits on Z/n (exponents of Irr(C_n)); the scan over ascending j meets
-    # each orbit first at its least element, so they come sorted by it
-    seen = set()
-    orbits = []
-    for j in range(n):
-        if j in seen:
-            continue
-        orb = sorted({(h * j) % n for h in H})
-        seen.update(orb)
-        orbits.append(orb)
+    # H-orbits on Z/n (exponents of Irr(C_n)).  H acts on Irr(C_n) by
+    # j -> h j, as conjugation acts on C_n, (x, k)(c, 1)(x, k)^-1 = (k c, 1),
+    # so the orbits are the classes inside C_n, read as the c of each (c, 1).
+    # They come in class order, not sorted; the row sort below makes the
+    # output independent of that order
+    orbits = [
+        [group.elements[x][0] for x in members]
+        for members, (_, h) in zip(cd.members, reps)
+        if h == 1 % n
+    ]
 
     # each orbit sum is built once per (raw exponent tuple, shift) and then
     # interned by value, so equal values of the table are one object

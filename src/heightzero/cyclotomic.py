@@ -421,19 +421,11 @@ def _euler_phi(n):
 def sigma_unit(n, e):
     """The unit k for which x -> x.galois(k) is sigma_e at modulus n, the
     automorphism fixing odd-order roots of unity and raising 2-power roots
-    to the (1+2^e)-th power: k = 1 mod the odd part of n and k = 1 + 2^e
-    mod its 2-part."""
+    to the (1+2^e)-th power: k = 1 mod the odd part m of n and k = 1 + 2^e
+    mod its 2-part n2, so k = 1 + 2^e m (m^-1 mod n2)."""
     n2 = n & -n
-    return _crt(1, n // n2, (1 + (1 << e)) % n2, n2)
-
-
-def _crt(a1, m1, a2, m2):
-    if m1 == 1:
-        return a2 % m2 if m2 > 1 else 0
-    if m2 == 1:
-        return a1 % m1
-    inv = pow(m1, -1, m2)
-    return (a1 + m1 * ((a2 - a1) * inv % m2)) % (m1 * m2)
+    m = n // n2
+    return (1 + (m * pow(m, -1, n2) << e)) % n
 
 
 def _conductor(n, fixes):

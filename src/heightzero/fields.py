@@ -8,15 +8,10 @@ index over a cyclotomic subfield a count of fixer elements.
 
 from __future__ import annotations
 
-from math import gcd, lcm, prod
+from math import gcd, lcm
 
 from .blocks import nu_p
-from .cyclotomic import (
-    CycElt,
-    _conductor,
-    _euler_phi,
-    _prime_powers,
-)
+from .cyclotomic import CycElt, _conductor, _euler_phi, _jacobi, _prime_powers
 
 __all__ = [
     "AbelianField",
@@ -191,34 +186,19 @@ def in_class_Fp(field, p):
     return cyclotomic_index(field, m) % p != 0
 
 
-def _legendre(t, p):
-    s = pow(t % p, (p - 1) // 2, p)
-    return -1 if s == p - 1 else s
-
-
 def quadratic_field(d):
     """Q(sqrt d) for squarefree d not in {0, 1}, as the kernel of its
     quadratic character.
 
-    d = u * prod(p*) over the odd primes p | d, with p* = +-p = 1 mod 4 and
-    u in {1, -1, 2, -2}; the character is the product of the Legendre
-    symbols (k/p) and the character of u, which is trivial for u = 1 and
-    read mod 4 for u = -1 and mod 8 for u = +-2."""
+    The discriminant is D = d for d = 1 mod 4 and D = 4d otherwise, and the
+    character is the Kronecker symbol (D/k) on (Z/|D|)*: the Jacobi symbol
+    (k/|D|) for odd D, and (D/k) for even D, where every unit k is odd."""
     if d in (0, 1):
         raise ValueError("d must be a squarefree integer other than 0 and 1")
     for p, q in _prime_powers(abs(d)):
         if q != p:
             raise ValueError(f"{d} is not squarefree")
-    odd = [p for p, _ in _prime_powers(abs(d)) if p != 2]
-    u = d
-    for p in odd:
-        u //= p if p % 4 == 1 else -p
-    # the character of u: its modulus and its kernel there
-    mod, ker = {1: (1, {0}), -1: (4, {1}), 2: (8, {1, 7}), -2: (8, {1, 3})}[u]
-    disc = mod * prod(odd)
-    fixer = [
-        k
-        for k in _units(disc)
-        if (k % mod in ker) == (prod(_legendre(k, p) for p in odd) == 1)
-    ]
-    return AbelianField(disc, fixer)
+    disc = d if d % 4 == 1 else 4 * d
+    n = abs(disc)
+    fixer = [k for k in _units(n) if (_jacobi(k, n) if disc % 2 else _jacobi(disc, k)) == 1]
+    return AbelianField(n, fixer)

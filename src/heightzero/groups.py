@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .cyclotomic import _prime_powers
+from .cyclotomic import isprime
+from .fields import subgroup_closure
 
 __all__ = [
     "FiniteGroup",
@@ -85,13 +86,14 @@ class ClassData:
     [0, exponent).  Built from a group by conjugacy_classes, which also sets
     the reps (least member of each class), the sorted members and the
     element-to-class map; an ingested table carries only the class-level data
-    (chartab.table_from_json)."""
+    (chartab.table_from_json).  It takes ownership of the lists it is given
+    and copies none of them."""
 
     def __init__(self, class_sizes, element_orders, power_map, exponent,
                  class_reps=None, members=None, class_of=None):
-        self.class_sizes = list(class_sizes)
-        self.element_orders = list(element_orders)
-        self.power_map = [list(r) for r in power_map]
+        self.class_sizes = class_sizes
+        self.element_orders = element_orders
+        self.power_map = power_map
         self.exponent = exponent
         self.class_reps = class_reps
         self.members = members
@@ -206,8 +208,6 @@ def semidirect_cn_h(n, hgens, name=None):
     sorted H (h = 1 first); _metacyclic_classes reads the classes off it."""
     if n < 1:
         raise ValueError("n must be positive")
-    from .fields import subgroup_closure
-
     what = name or f"C_{n} x| H"
     _capped_product((n,), what)  # |G| >= n, checked before H is closed
     H = tuple(sorted(subgroup_closure(n, hgens)))  # residues mod n; (0,) when n == 1
@@ -339,7 +339,7 @@ def sl2(q):
     if q < 2:
         raise ValueError(f"sl2(q) needs a prime q, got {q}")
     _capped_product((q, q - 1, q + 1), f"sl2:{q}")
-    if _prime_powers(q) != ((q, q),):
+    if not isprime(q):
         raise ValueError(f"sl2(q) needs a prime q, got {q}")
 
     def mul(x, y):

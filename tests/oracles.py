@@ -4,17 +4,19 @@ No CLI path descends an element to its conductor, forms a compositum or
 lists the subgroups of (Z/n)*: the pipeline reads a row's field off the
 table's power map.  Nor does it invert an element or take its order one at a
 time: the class data reads both off one power walk per class.  The tests keep
-these as references.  conductor_of_element rewrites x at its conductor by an
+these as references, with quadratic fields by Legendre symbols, the
+construction that fields.quadratic_field replaced by the Kronecker symbol.  conductor_of_element rewrites x at its conductor by an
 exact linear solve, an independent check that x lies in Q(zeta_m).
 """
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 from heightzero.cyclotomic import (
     CycElt,
     _coerce,
     _conductor,
+    _prime_powers,
     root_of_unity,
     sigma_unit,
     zumbroich_exponents,
@@ -124,3 +126,31 @@ def all_subgroups(n):
                     seen.add(t)
                     frontier.append(t)
     return sorted((tuple(sorted(s)) for s in seen), key=lambda s: (len(s), s))
+
+
+def _legendre(t, p):
+    s = pow(t % p, (p - 1) // 2, p)
+    return -1 if s == p - 1 else s
+
+
+def legendre_quadratic_field(d):
+    """Q(sqrt d) for squarefree d not in {0, 1}, as the kernel of its
+    quadratic character.
+
+    d = u * prod(p*) over the odd primes p | d, with p* = +-p = 1 mod 4 and
+    u in {1, -1, 2, -2}; the character is the product of the Legendre
+    symbols (k/p) and the character of u, which is trivial for u = 1 and
+    read mod 4 for u = -1 and mod 8 for u = +-2."""
+    odd = [p for p, _ in _prime_powers(abs(d)) if p != 2]
+    u = d
+    for p in odd:
+        u //= p if p % 4 == 1 else -p
+    # the character of u: its modulus and its kernel there
+    mod, ker = {1: (1, {0}), -1: (4, {1}), 2: (8, {1, 7}), -2: (8, {1, 3})}[u]
+    disc = mod * prod(odd)
+    fixer = [
+        k
+        for k in _units(disc)
+        if (k % mod in ker) == (prod(_legendre(k, p) for p in odd) == 1)
+    ]
+    return AbelianField(disc, fixer)

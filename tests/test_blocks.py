@@ -18,9 +18,10 @@ from math import lcm
 import pytest
 from sympy import Poly, Symbol, cyclotomic_poly
 
-from heightzero.blocks import _image, block_partition, height_zero_rows, nu_p
+from heightzero.blocks import Block, BlockPartition, _image, block_partition, height_zero_rows, nu_p
 from heightzero.chartab import dixon_table
 from heightzero.cyclotomic import CycElt, root_of_unity
+from heightzero.fields import unit_generators
 from heightzero.groups import (
     alternating,
     conjugacy_classes,
@@ -31,6 +32,7 @@ from heightzero.groups import (
     sl2,
     symmetric,
 )
+from heightzero.reports import build_table, default_corpus
 from subgroups import decompose, derived_subgroup, restrict, subgroup_as_group, subgroup_elements
 
 _X = Symbol("x")
@@ -311,6 +313,70 @@ def test_partition_galois_stable():
             base = [sorted(b.rows) for b in block_partition(t, p)]
             moved = [sorted(perm[r] for r in b.rows) for b in block_partition(mapped, p)]
             assert sorted(map(tuple, base)) == sorted(map(tuple, moved))
+
+
+# ---------------------------------------------------------------------------
+# Galois conjugation permutes blocks
+
+
+def galois_block_violations(table, partition):
+    """How the partition fails to be stable under Galois conjugation.
+
+    For each generator g of (Z/e)*, row r goes to the row with values
+    chi_r(x^g), read through the power map.  That must be a permutation of
+    the rows sending each block onto a block of the same defect and keeping
+    every row's height, since sigma_g maps the ideals above p among
+    themselves and fixes degrees.  Returns a list of messages, empty when the
+    partition passes."""
+    pm = table.classes.power_map
+    index = {row: r for r, row in enumerate(table.rows)}
+    blocks = {frozenset(b.rows): b for b in partition}
+    out = []
+    for g in unit_generators(table.classes.exponent):
+        perm = [index.get(tuple(row[pm[j][g]] for j in range(len(row)))) for row in table.rows]
+        if None in perm or len(set(perm)) != len(perm):
+            out.append(f"power {g} does not permute the rows")
+            continue
+        for b in partition:
+            image = blocks.get(frozenset(perm[r] for r in b.rows))
+            if image is None or image.defect != b.defect:
+                out.append(f"power {g} sends block {b.id} onto no block of defect {b.defect}")
+        for r, h in enumerate(partition.height):
+            if partition.height[perm[r]] != h:
+                out.append(f"power {g} sends row {r} of height {h} to row {perm[r]}")
+    return out
+
+
+@pytest.fixture(scope="module")
+def corpus_tables():
+    return [build_table(spec) for spec in default_corpus()]
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_blocks_are_galois_stable_on_default_corpus(corpus_tables, p):
+    for t in corpus_tables:
+        assert galois_block_violations(t, block_partition(t, p)) == [], t.name
+
+
+def test_galois_oracle_rejects_doctored_partitions():
+    t = build_table("cyclic:3")
+    bp = block_partition(t, 2)  # p prime to 3: three defect-zero singletons
+    assert [b.rows for b in bp] == [[0], [1], [2]]
+    assert galois_block_violations(t, bp) == []
+    # a faithful row moved into the principal block
+    moved = BlockPartition(2, bp.f, [Block(0, [0, 1], 0, [0, 0]), Block(1, [2], 0, [0])], 3)
+    assert galois_block_violations(t, moved) == [
+        "power 2 sends block 0 onto no block of defect 0",
+        "power 2 sends block 1 onto no block of defect 0",
+    ]
+    # at p = 3 one block holds all three rows; a faithful row's height flipped
+    bp = block_partition(t, 3)
+    assert galois_block_violations(t, bp) == []
+    flipped = BlockPartition(3, bp.f, [Block(0, [0, 1, 2], 1, [0, 1, 0])], 3)
+    assert galois_block_violations(t, flipped) == [
+        "power 2 sends row 1 of height 1 to row 2",
+        "power 2 sends row 2 of height 0 to row 1",
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -9,16 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import isprime as sympy_isprime
+from sympy import jacobi_symbol
 from sympy import nextprime, primerange
 from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from heightzero.cyclotomic import (
     _MR_BOUND,
     CycElt,
+    _jacobi,
     _strong_lucas_probable_prime,
     _strong_probable_prime,
     isprime,
     root_of_unity,
+    sigma_unit,
     zero,
     zumbroich_exponents,
 )
@@ -132,6 +135,24 @@ def test_sigma_e_fixes_odd_roots_and_twists_two_part():
         if c % 3 == 1 and c % 8 == 3:
             k = c
     assert sigma_e(z24, 1) == z24.galois(k)
+
+
+def test_sigma_unit_is_one_on_the_odd_part_and_one_plus_two_to_e_on_the_two_part():
+    for n in range(1, 2001):
+        n2 = n & -n
+        m = n // n2
+        for e in range(1, 7):
+            k = sigma_unit(n, e)
+            assert 0 <= k < n, (n, e)
+            assert gcd(k, n) == 1, (n, e)
+            assert k % m == 1 % m, (n, e)
+            assert k % n2 == (1 + 2**e) % n2, (n, e)
+
+
+def test_jacobi_matches_sympy_with_negative_arguments():
+    for n in range(1, 200, 2):
+        for a in range(-2 * n, 2 * n + 1):
+            assert _jacobi(a, n) == jacobi_symbol(a, n), (a, n)
 
 
 # ---------------------------------------------------------------------------

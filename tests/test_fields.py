@@ -21,7 +21,7 @@ from heightzero.fields import (
     subgroup_closure,
     unit_generators,
 )
-from oracles import all_subgroups, compositum, rational
+from oracles import all_subgroups, compositum, legendre_quadratic_field, rational
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +102,19 @@ def test_quadratic_field_conductors():
     assert quadratic_field(3) == AbelianField(12, [11])
     assert quadratic_field(5).conductor == 5
     assert quadratic_field(-1) == cyclotomic_field(4)
+
+
+def test_quadratic_field_matches_the_legendre_construction():
+    # the Kronecker symbol (D/k) against the product of Legendre symbols and
+    # the character of u in {1, -1, 2, -2}, for every squarefree |d| <= 1000
+    squarefree = [
+        d
+        for d in range(-1000, 1001)
+        if d not in (0, 1) and all(e == 1 for e in factorint(abs(d)).values())
+    ]
+    assert len(squarefree) == 1215
+    for d in squarefree:
+        assert quadratic_field(d) == legendre_quadratic_field(d), d
 
 
 def test_quadratic_rejects_non_squarefree():

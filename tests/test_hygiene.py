@@ -15,6 +15,8 @@
 * Every defaulted parameter is also left unset by at least one call in src/;
   a default every caller overrides is never used, and the parameter is
   required.
+* Every import sits at module level: no Import or ImportFrom node lies
+  outside the module body, so a module's dependencies are its first lines.
 * No module imports sympy, and numpy is the only third-party package any
   module imports; every other import is relative or from the standard
   library.  sympy is the tests' reference, and importing the CLI loads
@@ -230,9 +232,20 @@ def test_every_default_is_left_unset_by_some_call(path):
     assert not always, f"{path.name}: defaults every call in src/ passes {always}"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_import_is_at_module_level(path):
+    tree = ast.parse(path.read_text())
+    top = {id(node) for node in tree.body}
+    nested = [
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and id(node) not in top
+    ]
+    assert not nested, f"{path.name}: imports outside the module body at {nested}"
+
+
 def _imported_packages(tree):
-    """The top-level package of every absolute import in a module, at any
-    depth (an import deferred into a function counts too)."""
+    """The top-level package of every absolute import in a module."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             yield from (a.name.split(".")[0] for a in node.names)
