@@ -16,27 +16,15 @@ row degrees.
 
 from __future__ import annotations
 
-from .cyclotomic import _reduce_terms, isprime
+from .cyclotomic import _reduce_terms, isprime, nu_p
 
 __all__ = [
     "Block",
     "BlockPartition",
     "block_partition",
     "height_zero_rows",
-    "nu_p",
     "block_report_json",
 ]
-
-
-def nu_p(n, p):
-    """p-adic valuation of the positive integer n."""
-    if n <= 0:
-        raise ValueError("valuation needs a positive integer")
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -82,12 +70,10 @@ class Block:
 
 
 class BlockPartition:
-    """All p-blocks of a table, with per-row lookups, and the residue degree f
-    of each maximal ideal above p: the multiplicative order of p mod e'."""
+    """All p-blocks of a table, with per-row lookups."""
 
-    def __init__(self, p, f, blocks, num_rows):
+    def __init__(self, p, blocks, num_rows):
         self.p = p
-        self.f = f
         self.blocks = blocks
         self.block_of = [None] * num_rows
         self.height = [None] * num_rows
@@ -123,9 +109,6 @@ def block_partition(table, p):
         raise ValueError(f"{p} is not prime")
     e = table.classes.exponent
     eprime = e // p ** nu_p(e, p)
-    f = 1
-    while pow(p, f, eprime) != 1 % eprime:
-        f += 1
 
     # omega_chi(K_j) = |K_j| chi(g_j) / chi(1), divided out exactly on each
     # Zumbroich coefficient of chi(g_j); the basis is integral, so the value
@@ -161,7 +144,7 @@ def block_partition(table, p):
         defect = nu_order - vmin
         heights = [v - vmin for v in vals]
         blocks.append(Block(len(blocks), rows, defect, heights))
-    return BlockPartition(p, f, blocks, len(table.rows))
+    return BlockPartition(p, blocks, len(table.rows))
 
 
 def height_zero_rows(partition):

@@ -30,8 +30,10 @@ from operator import mul
 import numpy as np
 
 from . import modular
-from .cyclotomic import CycElt, _basis_set, _one_at, _prime_powers, _reduce_terms, isprime, zero
-from .fields import _fixer_scan, unit_generators
+from .cyclotomic import (
+    CycElt, _basis_set, _one_at, _prime_powers, _reduce_terms, _units, isprime, unit_generators, zero
+)
+from .fields import _fixer_scan
 from .groups import ClassData
 
 __all__ = [
@@ -383,9 +385,9 @@ def dixon_table(group, cd):
         support = [[] for _ in range(c)]
         for r, t in zip(*np.nonzero(mult)):
             support[r].append((int(t), int(mult[r, t])))
-        for u in range(o):
+        for u in _units(o):
             ju = powers[u]
-            if gcd(u, o) != 1 or columns[ju] is not None:
+            if columns[ju] is not None:
                 continue
             if pm[ju][:o] != [powers[u * w % o] for w in range(o)]:
                 raise AssertionError(f"power map of class {ju} is not power {u} of class {j}")

@@ -6,7 +6,7 @@ structural equality is mathematical equality at a fixed modulus.  Mixed-modulus
 arithmetic embeds both operands into the lcm modulus first; results are never
 auto-descended.
 
-The module also holds isprime, the package's one primality test.
+The module also holds the arithmetic of Z/n: isprime, nu_p and (Z/n)*.
 """
 
 from __future__ import annotations
@@ -23,6 +23,9 @@ __all__ = [
     "zero",
     "sigma_unit",
     "zumbroich_exponents",
+    "nu_p",
+    "subgroup_closure",
+    "unit_generators",
 ]
 
 
@@ -419,28 +422,64 @@ def _euler_phi(n):
 
 
 def sigma_unit(n, e):
-    """The unit k for which x -> x.galois(k) is sigma_e at modulus n, the
-    automorphism fixing odd-order roots of unity and raising 2-power roots
-    to the (1+2^e)-th power: k = 1 mod the odd part m of n and k = 1 + 2^e
-    mod its 2-part n2, so k = 1 + 2^e m (m^-1 mod n2)."""
+    """The unit k for which x -> x.galois(k) is sigma_e at modulus n, e >= 1,
+    the automorphism fixing odd-order roots of unity and raising 2-power
+    roots to the (1+2^e)-th power: k = 1 mod the odd part m of n and
+    k = 1 + 2^e mod its 2-part n2, so k = 1 + 2^e m (m^-1 mod n2)."""
+    if e < 1:
+        raise ValueError(f"sigma_e needs e >= 1, got {e}")
     n2 = n & -n
     m = n // n2
     return (1 + (m * pow(m, -1, n2) << e)) % n
 
 
-def _conductor(n, fixes):
-    """Least m | n whose kernel {k in (Z/n)* : k = 1 mod m} lies in the
-    subgroup {k : fixes(k)} of (Z/n)*.
+def nu_p(n, p):
+    """p-adic valuation of the positive integer n at the integer p >= 2."""
+    if n <= 0:
+        raise ValueError("valuation needs a positive integer")
+    if p < 2:
+        raise ValueError(f"valuation needs a base p >= 2, got {p}")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
 
-    The kernel of gcd(a, b) is the product of the kernels of a and b, so the
-    admissible m are closed under gcd and the least one divides all others;
-    dividing out one prime at a time while the kernel stays inside reaches it."""
-    m = n
-    while True:
-        for p, _ in _prime_powers(m):
-            d = m // p
-            if all(fixes(k) for k in range(1, n, d) if gcd(k, n) == 1):
-                m = d
-                break
-        else:
-            return m
+
+def _units(n):
+    if n == 1:
+        return (0,)
+    return tuple(k for k in range(1, n) if gcd(k, n) == 1)
+
+
+def unit_generators(n):
+    """Generators of (Z/n)*: each unit, in increasing order, that the earlier
+    picks do not generate."""
+    gens, have = [], subgroup_closure(n, [])
+    for k in _units(n):
+        if k not in have:
+            gens.append(k)
+            have = subgroup_closure(n, gens)
+    return gens
+
+
+def subgroup_closure(n, gens):
+    """Subgroup of (Z/n)* generated by gens, as a frozenset of residues mod n
+    ({0} when n = 1)."""
+    if n == 1:
+        return frozenset((0,))
+    gens = [g % n for g in gens]
+    for g in gens:
+        if gcd(g, n) != 1:
+            raise ValueError(f"{g} is not coprime to {n}")
+    have = {1}
+    for g in gens:
+        if g in have:
+            continue
+        # <have, g> is the union of the cosets have * g^i (the group is abelian)
+        grown, x = set(have), g
+        while x not in have:
+            grown.update(h * x % n for h in have)
+            x = x * g % n
+        have = grown
+    return frozenset(have)

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .blocks import nu_p
-from .cyclotomic import CycElt, _conductor, _euler_phi, _jacobi, _prime_powers
+from .cyclotomic import CycElt, _euler_phi, _jacobi, _prime_powers, _units, nu_p, subgroup_closure
 
 __all__ = [
     "AbelianField",
@@ -22,48 +21,25 @@ __all__ = [
     "cyclotomic_index",
     "in_class_Fp",
     "conductor_parts",
-    "subgroup_closure",
-    "unit_generators",
 ]
 
 
-def _units(n):
-    if n == 1:
-        return (0,)
-    return tuple(k for k in range(1, n) if gcd(k, n) == 1)
+def _conductor(n, fixes):
+    """Least m | n whose kernel {k in (Z/n)* : k = 1 mod m} lies in the
+    subgroup {k : fixes(k)} of (Z/n)*.
 
-
-def unit_generators(n):
-    """Generators of (Z/n)*: each unit, in increasing order, that the earlier
-    picks do not generate."""
-    gens, have = [], subgroup_closure(n, [])
-    for k in _units(n):
-        if k not in have:
-            gens.append(k)
-            have = subgroup_closure(n, gens)
-    return gens
-
-
-def subgroup_closure(n, gens):
-    """Subgroup of (Z/n)* generated by gens, as a frozenset of residues mod n
-    ({0} when n = 1)."""
-    if n == 1:
-        return frozenset((0,))
-    gens = [g % n for g in gens]
-    for g in gens:
-        if gcd(g, n) != 1:
-            raise ValueError(f"{g} is not coprime to {n}")
-    have = {1}
-    for g in gens:
-        if g in have:
-            continue
-        # <have, g> is the union of the cosets have * g^i (the group is abelian)
-        grown, x = set(have), g
-        while x not in have:
-            grown.update(h * x % n for h in have)
-            x = x * g % n
-        have = grown
-    return frozenset(have)
+    The kernel of gcd(a, b) is the product of the kernels of a and b, so the
+    admissible m are closed under gcd and the least one divides all others;
+    dividing out one prime at a time while the kernel stays inside reaches it."""
+    m = n
+    while True:
+        for p, _ in _prime_powers(m):
+            d = m // p
+            if all(fixes(k) for k in range(1, n, d) if gcd(k, n) == 1):
+                m = d
+                break
+        else:
+            return m
 
 
 class AbelianField:

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .cyclotomic import isprime
-from .fields import subgroup_closure
+from .cyclotomic import isprime, subgroup_closure
 
 __all__ = [
     "FiniteGroup",
@@ -242,9 +241,8 @@ def _metacyclic_classes(n, H):
     keyed = []
     for i, h in enumerate(H):
         base, d = i * n, gcd(1 - h, n)
-        o_h, s_h, hk = 1, one, h
-        while hk != one:
-            o_h, s_h, hk = o_h + 1, s_h + hk, hk * h % n
+        cyc = subgroup_closure(n, [h])
+        o_h, s_h = len(cyc), sum(cyc)
         seen = set()
         for r in range(d):
             if r in seen:

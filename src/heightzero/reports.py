@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from importlib import resources
 
-from .cyclotomic import _prime_powers, root_of_unity, sigma_unit
+from .cyclotomic import _prime_powers, nu_p, root_of_unity, sigma_unit, subgroup_closure
 from .fields import (
     AbelianField,
     conductor_parts,
@@ -292,11 +292,11 @@ def sweep_theorem_A(specs, p, progress):
         )
         if progress is not None:
             route = _auto_route(group)
+            e = table.classes.exponent
             facts = {
                 "route": route,
-                "q": _dixon_prime(table.classes.exponent, table.order, table.num_classes)
-                if route == "dixon" else None,
-                "f": partition.f,
+                "q": _dixon_prime(e, table.order, table.num_classes) if route == "dixon" else None,
+                "f": len(subgroup_closure(e // p ** nu_p(e, p), [p])),
                 "values": len({v for row in table.rows for v in row}),
             }
             progress(groups_out[-1], facts)

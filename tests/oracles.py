@@ -5,8 +5,9 @@ lists the subgroups of (Z/n)*: the pipeline reads a row's field off the
 table's power map.  Nor does it invert an element or take its order one at a
 time: the class data reads both off one power walk per class.  The tests keep
 these as references, with quadratic fields by Legendre symbols, the
-construction that fields.quadratic_field replaced by the Kronecker symbol.  conductor_of_element rewrites x at its conductor by an
-exact linear solve, an independent check that x lies in Q(zeta_m).
+construction that fields.quadratic_field replaced by the Kronecker symbol.
+conductor_of_element rewrites x at its conductor by an exact linear solve, an
+independent check that x lies in Q(zeta_m).
 """
 
 from fractions import Fraction
@@ -15,13 +16,14 @@ from math import lcm, prod
 from heightzero.cyclotomic import (
     CycElt,
     _coerce,
-    _conductor,
     _prime_powers,
+    _units,
     root_of_unity,
     sigma_unit,
+    subgroup_closure,
     zumbroich_exponents,
 )
-from heightzero.fields import AbelianField, _units, rational_field, subgroup_closure
+from heightzero.fields import AbelianField, _conductor, rational_field
 
 
 def element_order(g, i):

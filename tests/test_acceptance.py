@@ -11,7 +11,7 @@ from math import gcd, lcm
 
 import pytest
 
-from heightzero.cyclotomic import CycElt, zumbroich_exponents
+from heightzero.cyclotomic import CycElt, nu_p, zumbroich_exponents
 from heightzero.fields import (
     AbelianField,
     cyclotomic_field,
@@ -20,7 +20,7 @@ from heightzero.fields import (
 )
 from heightzero.groups import conjugacy_classes, semidirect_cn_h
 from heightzero.chartab import dixon_table, metacyclic_table
-from heightzero.blocks import block_partition, height_zero_rows, nu_p
+from heightzero.blocks import block_partition, height_zero_rows
 from heightzero.reports import (
     build_table,
     char_field_report,

@@ -18,10 +18,9 @@ from math import lcm
 import pytest
 from sympy import Poly, Symbol, cyclotomic_poly
 
-from heightzero.blocks import Block, BlockPartition, _image, block_partition, height_zero_rows, nu_p
+from heightzero.blocks import Block, BlockPartition, _image, block_partition, height_zero_rows
 from heightzero.chartab import dixon_table
-from heightzero.cyclotomic import CycElt, root_of_unity
-from heightzero.fields import unit_generators
+from heightzero.cyclotomic import CycElt, nu_p, root_of_unity, unit_generators
 from heightzero.groups import (
     alternating,
     conjugacy_classes,
@@ -364,7 +363,7 @@ def test_galois_oracle_rejects_doctored_partitions():
     assert [b.rows for b in bp] == [[0], [1], [2]]
     assert galois_block_violations(t, bp) == []
     # a faithful row moved into the principal block
-    moved = BlockPartition(2, bp.f, [Block(0, [0, 1], 0, [0, 0]), Block(1, [2], 0, [0])], 3)
+    moved = BlockPartition(2, [Block(0, [0, 1], 0, [0, 0]), Block(1, [2], 0, [0])], 3)
     assert galois_block_violations(t, moved) == [
         "power 2 sends block 0 onto no block of defect 0",
         "power 2 sends block 1 onto no block of defect 0",
@@ -372,7 +371,7 @@ def test_galois_oracle_rejects_doctored_partitions():
     # at p = 3 one block holds all three rows; a faithful row's height flipped
     bp = block_partition(t, 3)
     assert galois_block_violations(t, bp) == []
-    flipped = BlockPartition(3, bp.f, [Block(0, [0, 1, 2], 1, [0, 1, 0])], 3)
+    flipped = BlockPartition(3, [Block(0, [0, 1, 2], 1, [0, 1, 0])], 3)
     assert galois_block_violations(t, flipped) == [
         "power 2 sends row 1 of height 1 to row 2",
         "power 2 sends row 2 of height 0 to row 1",

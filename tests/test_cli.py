@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 import heightzero
 from heightzero import cli, modular
 from heightzero.cli import _dump, build_parser, main
+from heightzero.cyclotomic import nu_p
+from heightzero.reports import build_table
 
 
 def run(argv, capsys):
@@ -680,6 +682,20 @@ def test_ingest_power_map_mutation_is_rejected_or_harmless(fuzz_dir, data):
 # verify-a --timings
 
 
+_META_23 = "meta:23:1,2,3,4,6,8,9,12,13,16,18"
+_META_29 = "meta:29:1,7,16,20,23,24,25"
+
+
+def _residue_degree(e, p):
+    """The least f >= 1 with p^f = 1 mod e', e' the p'-part of e, by trying
+    each f in turn."""
+    eprime = e // p ** nu_p(e, p)
+    f = 1
+    while pow(p, f, eprime) != 1 % eprime:
+        f += 1
+    return f
+
+
 def test_verify_a_timings_stay_out_of_the_result(tmp_path, capsys):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("sym:3\nmeta:12:11\n")
@@ -702,6 +718,13 @@ def test_verify_a_timings_stay_out_of_the_result(tmp_path, capsys):
     # the least prime q = 1 mod 6 above 2 (isqrt(6) + 1) = 6; none on the direct route
     assert [ln["q"] for ln in lines] == [7, None]
     assert lines[0]["values"] == 4
+    # large f: e' = 253 = 11 * 23 at p = 2, 5 and 7, and e' = 203 = 7 * 29 at p = 3
+    for spec, p, f in [(_META_23, 2, 110), (_META_23, 5, 110), (_META_23, 7, 110), (_META_29, 3, 84)]:
+        assert main(["verify-a", "--p", str(p), "--group", spec, "--out", str(plain), "--timings"]) == 0
+        (line,) = [json.loads(ln) for ln in capsys.readouterr().err.splitlines() if ln.startswith("{")]
+        exponent = build_table(spec).classes.exponent
+        assert line["f"] == _residue_degree(exponent, p) == f, (spec, p)
+
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from heightzero.cyclotomic import (
     _strong_lucas_probable_prime,
     _strong_probable_prime,
     isprime,
+    nu_p,
     root_of_unity,
     sigma_unit,
     zero,
@@ -147,6 +148,24 @@ def test_sigma_unit_is_one_on_the_odd_part_and_one_plus_two_to_e_on_the_two_part
             assert gcd(k, n) == 1, (n, e)
             assert k % m == 1 % m, (n, e)
             assert k % n2 == (1 + 2**e) % n2, (n, e)
+
+
+@pytest.mark.parametrize("n,e", [(2, 0), (6, 0), (12, 0), (12, -1), (9, 0)])
+def test_sigma_unit_needs_e_at_least_one(n, e):
+    # for even n and e = 0 the formula gives 1 + 2^0 = 2 on the 2-part, no unit
+    with pytest.raises(ValueError, match="e >= 1"):
+        sigma_unit(n, e)
+
+
+def test_nu_p_counts_factors_and_needs_a_base_of_at_least_two():
+    assert [nu_p(n, 2) for n in (1, 2, 12, 96)] == [0, 1, 2, 5]
+    assert nu_p(3**7 * 10, 3) == 7
+    # 5 % 1 == 0 forever, and 5 % 0 divides by zero
+    for p in (1, 0, -2):
+        with pytest.raises(ValueError, match="p >= 2"):
+            nu_p(5, p)
+    with pytest.raises(ValueError, match="positive integer"):
+        nu_p(0, 2)
 
 
 def test_jacobi_matches_sympy_with_negative_arguments():

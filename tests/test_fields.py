@@ -8,7 +8,7 @@ from math import gcd, lcm
 import pytest
 from sympy import factorint, legendre_symbol
 
-from heightzero.cyclotomic import CycElt, root_of_unity
+from heightzero.cyclotomic import CycElt, root_of_unity, subgroup_closure, unit_generators
 from heightzero.fields import (
     AbelianField,
     conductor_parts,
@@ -18,8 +18,6 @@ from heightzero.fields import (
     in_class_Fp,
     quadratic_field,
     rational_field,
-    subgroup_closure,
-    unit_generators,
 )
 from oracles import all_subgroups, compositum, legendre_quadratic_field, rational
 
@@ -157,6 +155,12 @@ def test_class_f2_membership():
     assert in_class_Fp(quadratic_field(-5), 2)
     assert in_class_Fp(quadratic_field(-1), 2)
     assert in_class_Fp(rational_field(), 2)
+
+
+def test_class_fp_needs_a_prime_of_at_least_two():
+    # p = 1 would split the conductor as 1^a * m by dividing by 1 forever
+    with pytest.raises(ValueError, match="p >= 2"):
+        in_class_Fp(cyclotomic_field(12), 1)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

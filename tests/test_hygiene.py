@@ -21,6 +21,11 @@
   module imports; every other import is relative or from the standard
   library.  sympy is the tests' reference, and importing the CLI loads
   neither sympy nor mpmath.
+* The package modules form layers, pinned in LAYERS: cyclotomic and modular
+  import no package module, fields, groups and blocks import only
+  cyclotomic, and chartab imports only cyclotomic, fields, groups and
+  modular.  The arithmetic of Z/n (nu_p, the units, subgroup closure) thus
+  has one home, below every layer that uses it.
 """
 
 import ast
@@ -275,3 +280,32 @@ def test_importing_the_cli_loads_no_sympy():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+# package modules each layer may import; reports and cli sit above them all
+LAYERS = {
+    "cyclotomic": set(),
+    "modular": set(),
+    "fields": {"cyclotomic"},
+    "groups": {"cyclotomic"},
+    "blocks": {"cyclotomic"},
+    "chartab": {"cyclotomic", "fields", "groups", "modular"},
+}
+
+
+def _package_imports(tree):
+    """The package modules a module imports.  Imports of the package are
+    relative: an absolute one fails the third-party rule above."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                yield node.module.split(".")[0]
+            else:
+                yield from (a.name for a in node.names)
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.stem in LAYERS], ids=lambda p: p.name)
+def test_each_layer_imports_only_the_layers_below_it(path):
+    imported = set(_package_imports(ast.parse(path.read_text())))
+    extra = sorted(imported - LAYERS[path.stem])
+    assert not extra, f"{path.name} imports {extra}; it may import only {sorted(LAYERS[path.stem])}"
