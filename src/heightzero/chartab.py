@@ -33,7 +33,7 @@ from . import modular
 from .cyclotomic import (
     CycElt, _basis_set, _one_at, _prime_powers, _reduce_terms, _units, isprime, unit_generators, zero
 )
-from .fields import _fixer_scan
+from .fields import AbelianField
 from .groups import ClassData
 
 __all__ = [
@@ -62,6 +62,8 @@ class CharacterTable:
             raise ValueError("sum of squared degrees != group order")
         if any(v != _one_at(v.n) for v in self.rows[0]):
             raise ValueError("row 0 is not the trivial character")
+        # (generators of (Z/e)*, row index, row -> field), made by the first row_field
+        self._galois = None
 
     @property
     def num_classes(self):
@@ -143,16 +145,41 @@ class CharacterTable:
     def row_field(self, r):
         """Q(chi_r), the field of values of row r, as an AbelianField.
 
-        In a table sigma_k(chi(g_j)) = chi(g_j^k), so a unit k of the exponent
-        fixes the row exactly when the row is constant along the power map
-        j -> power_map[j][k]; values are interned to small ints and compared
-        as such.  Equal to fields.field_from_values(self.rows[r]) whenever the
-        power map is a genuine one (table_from_json checks ingested maps)."""
-        pm = self.classes.power_map
+        In a table sigma_k(chi(g_j)) = chi(g_j^k), so sigma_k sends a row to
+        the row j -> chi(g_{power_map[j][k]}).  Irr(G) is Galois-stable, so the
+        image is again a row; it is looked up by value (every table route puts
+        its values at the exponent e, where equal values hash alike).  The
+        first request for a row of a Galois orbit runs one breadth-first
+        search over the orbit under the generators g of (Z/e)*, recording the
+        unit w(x) that reached each row x.  The Schreier elements
+        w(x) g w(x^g)^-1 generate the stabilizer of chi_r, the fixer of
+        Q(chi_r), so the field is built once and kept, as one object, for
+        every row of the orbit; no cyclotomic arithmetic is done.  Equal to
+        fields.field_from_values(self.rows[r]) whenever the power map is a
+        genuine one (table_from_json checks ingested maps); an image that is
+        not a row raises ValueError."""
         e = self.classes.exponent
-        intern = {}
-        ids = [intern.setdefault(v.embed(e), len(intern)) for v in self.rows[r]]
-        return _fixer_scan(e, lambda k: all(ids[pm_j[k]] == i for pm_j, i in zip(pm, ids)))
+        if self._galois is None:
+            self._galois = unit_generators(e), {row: s for s, row in enumerate(self.rows)}, {}
+        gens, index, fields = self._galois
+        if r in fields:
+            return fields[r]
+        pm = self.classes.power_map
+        orbit, word, schreier = [r], {r: 1}, []
+        for x in orbit:
+            row, wx = self.rows[x], word[x]
+            for g in gens:
+                y = index.get(tuple([row[pm_j[g]] for pm_j in pm]))
+                if y is None:
+                    raise ValueError(f"the image of row {x} under sigma_{g} is not a row")
+                if y in word:
+                    schreier.append(wx * g * pow(word[y], -1, e) % e)
+                else:
+                    word[y] = wx * g % e
+                    orbit.append(y)
+        field = AbelianField(e, schreier)
+        fields.update(dict.fromkeys(orbit, field))
+        return field
 
 
 def _degree(r, value):
@@ -594,8 +621,9 @@ def _parse_power_map(entries, e):
 def _check_ingest(order, cd, rows):
     """Reject class data and values that are not those of a finite group.
 
-    Power maps are load-bearing (CharacterTable.row_field reads the Galois
-    action through them), so beyond shape and element orders this checks that
+    Power maps are load-bearing (CharacterTable.row_field permutes the rows
+    through them, one Galois orbit at a time, and looks each image up among
+    the rows), so beyond shape and element orders this checks that
     powering by each generator g of (Z/e)* composes, pm[pm[j][g]][b] =
     pm[j][g*b], and is compatible with the values, row[pm[j][g]] =
     row[j].galois(g).  By induction on word length in the generators, that

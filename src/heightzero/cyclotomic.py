@@ -422,10 +422,12 @@ def _euler_phi(n):
 
 
 def sigma_unit(n, e):
-    """The unit k for which x -> x.galois(k) is sigma_e at modulus n, e >= 1,
-    the automorphism fixing odd-order roots of unity and raising 2-power
-    roots to the (1+2^e)-th power: k = 1 mod the odd part m of n and
+    """The unit k for which x -> x.galois(k) is sigma_e at modulus n >= 1,
+    e >= 1, the automorphism fixing odd-order roots of unity and raising
+    2-power roots to the (1+2^e)-th power: k = 1 mod the odd part m of n and
     k = 1 + 2^e mod its 2-part n2, so k = 1 + 2^e m (m^-1 mod n2)."""
+    if n < 1:
+        raise ValueError(f"sigma_e needs a modulus n >= 1, got {n}")
     if e < 1:
         raise ValueError(f"sigma_e needs e >= 1, got {e}")
     n2 = n & -n
@@ -453,8 +455,8 @@ def _units(n):
 
 
 def unit_generators(n):
-    """Generators of (Z/n)*: each unit, in increasing order, that the earlier
-    picks do not generate."""
+    """Generators of (Z/n)*, n >= 1: each unit, in increasing order, that the
+    earlier picks do not generate."""
     gens, have = [], subgroup_closure(n, [])
     for k in _units(n):
         if k not in have:
@@ -465,7 +467,9 @@ def unit_generators(n):
 
 def subgroup_closure(n, gens):
     """Subgroup of (Z/n)* generated by gens, as a frozenset of residues mod n
-    ({0} when n = 1)."""
+    ({0} when n = 1); n must be >= 1."""
+    if n < 1:
+        raise ValueError(f"(Z/n)* needs n >= 1, got {n}")
     if n == 1:
         return frozenset((0,))
     gens = [g % n for g in gens]

@@ -113,8 +113,9 @@ def field_from_values(values):
     the units of the common modulus.
 
     This is the route for loose values (the public API).  Rows of a
-    CharacterTable go through CharacterTable.row_field, which reads the same
-    Galois action off the table's power map."""
+    CharacterTable go through CharacterTable.row_field, which reads the
+    Galois action as a permutation of rows through the table's power map and
+    builds one field per Galois orbit of rows."""
     values = [v for v in values if isinstance(v, CycElt)]
     if not values:
         return rational_field()

@@ -269,8 +269,9 @@ def sweep_theorem_A(specs, p, progress):
     progress, unless None, is called as soon as each group is done, with its
     summary entry and a dict of run facts that stay out of the summary: the
     table's route ('direct' or 'dixon'), the Dixon prime q (None on the direct
-    route), the residue degree f of the primes above p and the number of
-    distinct table values."""
+    route), the residue degree f of the primes above p, the number of
+    distinct table values and the number of Galois orbits on the rows (each
+    orbit shares one row_field object)."""
     groups_out = []
     total_rows = 0
     total_violations = 0
@@ -298,6 +299,7 @@ def sweep_theorem_A(specs, p, progress):
                 "q": _dixon_prime(e, table.order, table.num_classes) if route == "dixon" else None,
                 "f": len(subgroup_closure(e // p ** nu_p(e, p), [p])),
                 "values": len({v for row in table.rows for v in row}),
+                "galois_orbits": len({id(table.row_field(r)) for r in range(table.num_classes)}),
             }
             progress(groups_out[-1], facts)
     return {

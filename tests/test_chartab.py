@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from heightzero.cyclotomic import CycElt, root_of_unity, zero
+from heightzero.cyclotomic import CycElt, _units, root_of_unity, unit_generators, zero
 from heightzero.fields import field_from_values
 from heightzero.groups import (
     FiniteGroup,
@@ -738,3 +738,48 @@ def test_row_field_matches_galois_scan_on_default_corpus(corpus_tables):
             assert t.row_field(r) == field_from_values(row), (spec, r)
             rows += 1
     assert rows == 3600
+
+
+@pytest.mark.parametrize("group", [symmetric(6), alternating(7), sl2(13)], ids=lambda g: g.name)
+def test_row_field_matches_galois_scan_on_dixon_tables(group):
+    t = _table(group)
+    for r, row in enumerate(t.rows):
+        assert t.row_field(r) == field_from_values(row), (group.name, r)
+
+
+@pytest.mark.parametrize("spec", ["meta:12:11", "sl2:5"])
+def test_row_field_matches_galois_scan_on_ingested_tables(spec):
+    # ingest makes a fresh CycElt per entry, so the images of rows are found
+    # by value, not by object
+    from heightzero.reports import build_table
+
+    t = table_from_json(table_to_json(build_table(spec)))
+    assert len({id(v) for row in t.rows for v in row}) > len({v for row in t.rows for v in row})
+    for r, row in enumerate(t.rows):
+        assert t.row_field(r) == field_from_values(row), (spec, r)
+
+
+@pytest.mark.parametrize("spec", ["meta:12:11", "sl2:5", "alt:7"])
+def test_row_field_is_one_object_per_galois_orbit(spec):
+    from heightzero.reports import build_table
+
+    t = build_table(spec)
+    e = t.classes.exponent
+    images = [{tuple(v.galois(k) for v in row) for k in _units(e)} for row in t.rows]
+    for r in range(len(t.rows)):
+        for s in range(len(t.rows)):
+            assert (t.row_field(r) is t.row_field(s)) == (t.rows[s] in images[r]), (spec, r, s)
+
+
+def test_row_field_rejects_an_image_that_is_not_a_row():
+    # sending class j to the identity under a generator g of (Z/e)* sends a
+    # row of degree d > 1 to a tuple with d at j, which is no row of SL(2,5)
+    t = _table(sl2(5))
+    bad = copy.deepcopy(t.classes)
+    g = unit_generators(bad.exponent)[0]
+    j = len(t.rows) - 1
+    bad.power_map[j][g] = 0
+    doctored = chartab.CharacterTable(t.name, t.order, bad, t.rows)
+    assert doctored.row_field(0) == field_from_values(t.rows[0])
+    with pytest.raises(ValueError, match="is not a row"):
+        doctored.row_field(len(t.rows) - 1)

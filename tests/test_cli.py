@@ -708,7 +708,9 @@ def test_verify_a_timings_stay_out_of_the_result(tmp_path, capsys):
     assert timed.read_bytes() == plain.read_bytes()
     lines = [json.loads(ln) for ln in err.splitlines() if ln.startswith("{")]
     assert [ln["group"] for ln in lines] == ["sym:3", "meta:12:11"]
-    keys = {"group", "order", "height_zero_rows", "seconds", "route", "q", "f", "values"}
+    keys = {
+        "group", "order", "height_zero_rows", "seconds", "route", "q", "f", "values", "galois_orbits"
+    }
     for ln, order in zip(lines, (6, 24)):
         assert set(ln) == keys
         assert ln["order"] == order and ln["height_zero_rows"] > 0 and ln["seconds"] >= 0
@@ -718,6 +720,9 @@ def test_verify_a_timings_stay_out_of_the_result(tmp_path, capsys):
     # the least prime q = 1 mod 6 above 2 (isqrt(6) + 1) = 6; none on the direct route
     assert [ln["q"] for ln in lines] == [7, None]
     assert lines[0]["values"] == 4
+    # S3's three rows are rational, each its own orbit; meta:12:11 has seven
+    # rational rows and two rows over Q(sqrt 3) that the Galois group swaps
+    assert [ln["galois_orbits"] for ln in lines] == [3, 8]
     # large f: e' = 253 = 11 * 23 at p = 2, 5 and 7, and e' = 203 = 7 * 29 at p = 3
     for spec, p, f in [(_META_23, 2, 110), (_META_23, 5, 110), (_META_23, 7, 110), (_META_29, 3, 84)]:
         assert main(["verify-a", "--p", str(p), "--group", spec, "--out", str(plain), "--timings"]) == 0

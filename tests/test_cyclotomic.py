@@ -1,9 +1,13 @@
 """Exact cyclotomic arithmetic: canonical form, Galois action, conductors."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import count, islice
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +17,7 @@ from sympy import jacobi_symbol
 from sympy import nextprime, primerange
 from sympy.ntheory.primetest import is_strong_lucas_prp
 
+import heightzero
 from heightzero.cyclotomic import (
     _MR_BOUND,
     CycElt,
@@ -23,6 +28,8 @@ from heightzero.cyclotomic import (
     nu_p,
     root_of_unity,
     sigma_unit,
+    subgroup_closure,
+    unit_generators,
     zero,
     zumbroich_exponents,
 )
@@ -155,6 +162,42 @@ def test_sigma_unit_needs_e_at_least_one(n, e):
     # for even n and e = 0 the formula gives 1 + 2^0 = 2 on the 2-part, no unit
     with pytest.raises(ValueError, match="e >= 1"):
         sigma_unit(n, e)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: subgroup_closure(0, [1]),
+        lambda: subgroup_closure(-5, []),
+        lambda: unit_generators(0),
+        lambda: unit_generators(-3),
+        lambda: sigma_unit(0, 1),
+        lambda: sigma_unit(-8, 1),
+    ],
+    ids=["closure-0", "closure-neg", "gens-0", "gens-neg", "sigma-0", "sigma-neg"],
+)
+def test_z_mod_n_helpers_need_n_at_least_one(call):
+    # n = 0 used to divide by zero, and unit_generators(0) and (-3) returned []
+    with pytest.raises(ValueError, match="n >= 1"):
+        call()
+
+
+def test_closure_at_a_negative_modulus_raises_instead_of_hanging():
+    # x = x * 2 mod -5 stays negative and never reaches 1, so the closure loop
+    # used to run forever; in a child process a hang fails the test with
+    # subprocess.TimeoutExpired instead of stalling the suite
+    probe = (
+        "from heightzero.cyclotomic import subgroup_closure\n"
+        "try:\n"
+        "    subgroup_closure(-5, [2])\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(heightzero.__file__).resolve().parent.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=5, check=True
+    )
+    assert out.stdout.strip() == "(Z/n)* needs n >= 1, got -5"
 
 
 def test_nu_p_counts_factors_and_needs_a_base_of_at_least_two():
