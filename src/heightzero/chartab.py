@@ -16,13 +16,15 @@ trivial character first, then by degree and a lexicographic value encoding,
 so tables are reproducible bit-for-bit.
 
 A table holds far fewer distinct values than entries (the default corpus:
-84,544 entries, 3,764 distinct values).  Both routes make equal values one
-CycElt object, and the row sort, the JSON encoding and the block reduction
-do their per-value work once per distinct value.
+84,544 entries, 3,764 distinct values).  Both routes, and table_from_json
+for ingested tables, make equal values one CycElt object, and the row sort,
+the JSON encoding, the ingest checks, the orthogonality check and the block
+reduction do their per-value work once per distinct value.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
@@ -74,8 +76,10 @@ class CharacterTable:
 
         For rows r <= s, r-major, S_rs = sum_j |K_j| chi_r(g_j)
         conj(chi_s(g_j)) must be |G| for r = s and 0 otherwise.  The sum is
-        decided on packed integers, with no CycElt arithmetic.  Let E be the
-        lcm of the value moduli and D the lcm of the coefficient denominators.
+        decided on packed integers, with no CycElt arithmetic, and each
+        distinct value object is packed once (every table route makes equal
+        values one object).  Let E be the lcm of the value moduli and D the
+        lcm of the coefficient denominators.
         A value sum_i a_i zeta_n^i packs as the integer sum_i D a_i 2^(W k_i),
         where k_i = i E/n (the lane of zeta_E^k_i), and its conjugate packs
         with lane -k_i mod E instead.  So D^2 S_rs is a sum of c big-int
@@ -93,6 +97,14 @@ class CharacterTable:
         high lanes onto the low ones.  No lane carries into the next, so the
         bytes of the folded sum are its lanes.
 
+        Zero sums.  Before the bias, the sum is an integer in base 2^W whose
+        digits, its lanes, are below 2^(W-2) in absolute value.  Such a
+        signed-digit expansion is unique, so the integer is 0 exactly when
+        every lane is 0, the zero polynomial, which passes for r != s.  An
+        off-diagonal pair whose integer is 0 is therefore skipped before the
+        bias, the fold and the basis rewrite; most off-diagonal pairs of a
+        table are such pairs.
+
         The second relation, sum_r chi_r(g_j) conj(chi_r(g_k)) = |G|/|K_j|
         for j = k and 0 otherwise, follows from the first and is not summed.
         Let X be the value matrix and S = diag(|K_j|).  The first relation
@@ -106,8 +118,9 @@ class CharacterTable:
         c = self.num_classes
         sizes = self.classes.class_sizes
         values = [row[:c] for row in self.rows]
-        e = lcm(*(v.n for row in values for v in row))
-        coeffs = [a for row in values for v in row for a in v.terms.values()]
+        objects = _per_object(values, lambda v: v)
+        e = lcm(*(v.n for v in objects.values()))
+        coeffs = [a for v in objects.values() for a in v.terms.values()]
         den = lcm(*(a.denominator for a in coeffs))
         top = max((abs(a.numerator) * (den // a.denominator) for a in coeffs), default=0)
         w = _lane_width(e * top * top * sum(sizes))
@@ -119,15 +132,19 @@ class CharacterTable:
                 for i, a in v.terms.items()
             )
 
-        scaled = [[size * pack(v, 1) for size, v in zip(sizes, row)] for row in values]
-        conj = [[pack(v, -1) for v in row] for row in values]
+        packed = {i: (pack(v, 1), pack(v, -1)) for i, v in objects.items()}
+        scaled = [[size * packed[id(v)][0] for size, v in zip(sizes, row)] for row in values]
+        conj = [[packed[id(v)][1] for v in row] for row in values]
         nb, half, high = w // 8, 1 << w - 2, w * e
         low = (1 << high) - 1
         bias = half * (((1 << w * (2 * e - 1)) - 1) // ((1 << w) - 1))
         one = _one_at(e).terms
         for r, xs in enumerate(scaled):
             for s in range(r, len(scaled)):
-                acc = sum(map(mul, xs, conj[s])) + bias
+                acc = sum(map(mul, xs, conj[s]))
+                if r != s and not acc:
+                    continue  # the zero polynomial; see Zero sums
+                acc += bias
                 raw = ((acc & low) + (acc >> high)).to_bytes(e * nb, "little")
                 # lanes below E - 1 carry two biases after the fold, lane E - 1 one
                 lanes = {
@@ -565,10 +582,21 @@ def cyc_to_json(x):
     }
 
 
+# a coefficient as cyc_to_json writes it; int() alone also reads a "+",
+# spaces, "_" separators and non-ASCII digits
+_COEFFICIENT = re.compile(r"-?[0-9]+/[0-9]+")
+
+
 def cyc_from_json(obj, e):
-    """One value of a table of exponent e, rewritten at modulus e.  Its
-    modulus must divide e, so the value lies in Q(zeta_e), where the Galois
-    action of (Z/e)* is defined; at one modulus, equal values hash alike."""
+    """One value entry of a table of exponent e, rewritten at modulus e.
+
+    The entry is {"n": modulus, "terms": [[basis exponent, "num/den"], ...]}.
+    Its modulus must divide e, so the value lies in Q(zeta_e), where the
+    Galois action of (Z/e)* is defined; at one modulus, equal values hash
+    alike.  The exponents must be distinct Zumbroich basis exponents at the
+    modulus, and each coefficient a fraction of ASCII integers matching
+    -?[0-9]+/[0-9]+, not necessarily reduced.  A malformed entry raises;
+    table_from_json reports every such error as ValueError."""
     n = _int(obj["n"], "modulus")
     if n < 1 or e % n:
         raise ValueError(f"value modulus {n} does not divide the exponent {e}")
@@ -582,7 +610,35 @@ def cyc_from_json(obj, e):
             raise ValueError(f"basis exponent {j} repeats at modulus {n}")
         num, den = frac.split("/")
         terms[j] = Fraction(int(num), int(den))
+        # checked after the parse, so text it refuses keeps its message
+        if not _COEFFICIENT.fullmatch(frac):
+            raise ValueError(f"coefficient {frac!r} is not ASCII -?[0-9]+/[0-9]+")
     return CycElt(n, terms, reduced=True).embed(e)
+
+
+def _values_from_json(irr, e):
+    """The rows of irr as CycElt at modulus e, one object per distinct value.
+
+    cyc_from_json runs once per distinct encoding, keyed on the entry's exact
+    JSON content: each scalar is keyed with its type, so 1, 1.0 and true,
+    which Python finds equal, never share a key.  Encodings of one value, at
+    different moduli say, are then interned by value."""
+    parsed, values = {}, {}
+
+    def value(obj):
+        try:
+            n, terms = obj["n"], obj["terms"]
+            key = type(n), n, tuple([(type(j), j, type(c), c) for j, c in terms])
+            v = parsed.get(key)
+        except (LookupError, TypeError, ValueError):
+            # malformed, or unhashable: cyc_from_json raises its own message
+            return cyc_from_json(obj, e)
+        if v is None:
+            v = cyc_from_json(obj, e)
+            v = parsed[key] = values.setdefault(v, v)
+        return v
+
+    return [[value(obj) for obj in row] for row in irr]
 
 
 def table_to_json(table):
@@ -627,7 +683,8 @@ def _check_ingest(order, cd, rows):
     powering by each generator g of (Z/e)* composes, pm[pm[j][g]][b] =
     pm[j][g*b], and is compatible with the values, row[pm[j][g]] =
     row[j].galois(g).  By induction on word length in the generators, that
-    gives chi(g_j^k) = sigma_k(chi(g_j)) for every unit k."""
+    gives chi(g_j^k) = sigma_k(chi(g_j)) for every unit k.  Each sigma_g is
+    applied once per distinct value object, not once per entry."""
     e, k = cd.exponent, cd.num_classes
     sizes, orders, pm = cd.class_sizes, cd.element_orders, cd.power_map
     if order < 1 or any(sz < 1 for sz in sizes) or sum(sizes) != order:
@@ -653,19 +710,24 @@ def _check_ingest(order, cd, rows):
         for j in range(k):
             if any(pm[pm[j][g]][b] != pm[j][g * b % e] for b in range(e)):
                 raise ValueError(f"power map of class {j} does not compose under power {g}")
+    images = _per_object(rows, lambda v: [v.galois(g) for g in gens])
     for row in rows:
         if len(row) != k:
             raise ValueError(f"character row has {len(row)} values for {k} classes")
-        for g in gens:
-            if any(row[pm[j][g]] != row[j].galois(g) for j in range(k)):
+        for i, g in enumerate(gens):
+            if any(row[pm[j][g]] != images[id(row[j])][i] for j in range(k)):
                 raise ValueError(f"power map under power {g} is not compatible with the values")
 
 
 def table_from_json(obj):
     """Ingest an externally produced table JSON (the table_to_json format).
 
-    Malformed input, a power map that is not one of a finite group and a
-    table failing orthogonality raise ValueError."""
+    Like the two builders, it works per distinct value: each distinct value
+    encoding is parsed once, equal values become one CycElt object, and the
+    Galois images of _check_ingest and the packing of check_orthogonality
+    are computed once per value.  Malformed input, a power map that is not
+    one of a finite group and a table failing orthogonality raise
+    ValueError."""
     try:
         e = _int(obj["exponent"], "exponent")
         if e < 1:
@@ -675,7 +737,7 @@ def table_from_json(obj):
         orders = [_int(c["element_order"], "element order") for c in classes]
         pmap = [_parse_power_map(c["powermap"], e) for c in classes]
         order = _int(obj["order"], "order")
-        rows = [[cyc_from_json(v, e) for v in row] for row in obj["irr"]]
+        rows = _values_from_json(obj["irr"], e)
         name = obj.get("name", "ingest")
         if type(name) is not str:
             raise ValueError(f"name must be a string, got {name!r}")

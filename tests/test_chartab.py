@@ -701,6 +701,14 @@ def _name_not_a_string(obj):
     obj["name"] = [1, 2]
 
 
+def _coefficient(text):
+    # -1 at modulus 6 is z^2 + z^4; int() reads each of these texts as 1
+    def mutate(obj):
+        obj["irr"][1][1]["terms"][0][1] = text
+
+    return mutate
+
+
 @pytest.mark.parametrize(
     "group,mutate,match",
     [
@@ -718,6 +726,12 @@ def _name_not_a_string(obj):
         (symmetric(3), _non_basis_exponent, "not a basis exponent"),
         (symmetric(3), _repeated_exponent, "basis exponent 2 repeats"),
         (symmetric(3), _name_not_a_string, "name must be a string"),
+        (symmetric(3), _coefficient("+1/1"), "is not ASCII"),
+        (symmetric(3), _coefficient("-1/-1"), "is not ASCII"),
+        (symmetric(3), _coefficient("1/ 1"), "is not ASCII"),
+        (symmetric(3), _coefficient(" 1_0/10"), "is not ASCII"),
+        (symmetric(3), _coefficient("1/1\n"), "is not ASCII"),
+        (symmetric(3), _coefficient("\uff11/1"), "is not ASCII"),
     ],
 )
 def test_ingest_validates_class_data(group, mutate, match):
@@ -725,6 +739,75 @@ def test_ingest_validates_class_data(group, mutate, match):
     mutate(obj)
     with pytest.raises(ValueError, match=match):
         table_from_json(obj)
+
+
+def test_ingest_accepts_fractions_that_are_not_reduced():
+    t = _table(symmetric(3))
+    obj = json.loads(json.dumps(table_to_json(t)))
+    obj["irr"][2][0]["terms"] = [[2, "-4/2"], [4, "-6/3"]]
+    assert table_from_json(obj).rows == t.rows
+
+
+_ONE_AT_1 = {"n": 1, "terms": [[0, "1/1"]]}
+
+
+@pytest.mark.parametrize(
+    "earlier,last,match",
+    [
+        (_ONE_AT_1, {"n": True, "terms": [[0, "1/1"]]}, "modulus must be an integer, got True"),
+        (None, {"n": 6.0, "terms": [[2, "-1/1"], [4, "-1/1"]]}, "modulus must be an integer, got 6.0"),
+        (None, {"n": 6, "terms": [[0, "1/1"]]}, "exponent 0 is not a basis exponent at modulus 6"),
+        (None, {"n": 6, "terms": [[2, "-1/1"], [4, "-1/1"], [4, "-1/1"]]}, "basis exponent 4 repeats"),
+        (None, _ONE_AT_1, None),
+    ],
+    ids=["n-true", "n-float", "non-basis", "repeated", "smaller-modulus"],
+)
+def test_ingest_interns_values_but_never_encodings_that_validate_differently(earlier, last, match):
+    # the last 1 of S3's table is re-encoded; the 1s before it are written
+    # as `earlier` (or left at modulus 6), which Python finds equal to it for
+    # n-true and n-float
+    obj = json.loads(json.dumps(table_to_json(_table(symmetric(3)))))
+    one = obj["irr"][0][0]
+    where = [(r, j) for r, row in enumerate(obj["irr"]) for j, v in enumerate(row) if v == one]
+    assert len(where) == 5
+    for r, j in where[:-1]:
+        if earlier is not None:
+            obj["irr"][r][j] = copy.deepcopy(earlier)
+    r, j = where[-1]
+    obj["irr"][r][j] = last
+    if match is not None:
+        with pytest.raises(ValueError, match=match):
+            table_from_json(obj)
+        return
+    t = table_from_json(obj)
+    assert all(t.rows[a][b] is t.rows[0][0] for a, b in where)
+
+
+@pytest.mark.parametrize("spec", ["meta:12:11", "sl2:5"])
+def test_ingest_parses_and_conjugates_once_per_value(monkeypatch, spec):
+    from heightzero.reports import build_table
+
+    obj = json.loads(json.dumps(table_to_json(build_table(spec))))
+    entries = [v for row in obj["irr"] for v in row]
+    encodings = {json.dumps(v, sort_keys=True) for v in entries}
+    parse, galois = chartab.cyc_from_json, CycElt.galois
+    parses, images = [], []
+
+    def counted_parse(v, e):
+        parses.append(v)
+        return parse(v, e)
+
+    def counted_galois(v, k):
+        images.append((v, k))
+        return galois(v, k)
+
+    monkeypatch.setattr(chartab, "cyc_from_json", counted_parse)
+    monkeypatch.setattr(CycElt, "galois", counted_galois)
+    t = table_from_json(obj)
+    values = {v for row in t.rows for v in row}
+    assert len(encodings) < len(entries)
+    assert 0 < len(parses) <= len(encodings)
+    assert 0 < len(images) <= len(values) * len(unit_generators(t.classes.exponent))
 
 
 # ---------------------------------------------------------------------------
@@ -749,14 +832,18 @@ def test_row_field_matches_galois_scan_on_dixon_tables(group):
 
 @pytest.mark.parametrize("spec", ["meta:12:11", "sl2:5"])
 def test_row_field_matches_galois_scan_on_ingested_tables(spec):
-    # ingest makes a fresh CycElt per entry, so the images of rows are found
-    # by value, not by object
+    # ingest makes one object per distinct value; a table with a fresh CycElt
+    # per entry still finds the images of rows, by value, not by object
     from heightzero.reports import build_table
 
     t = table_from_json(table_to_json(build_table(spec)))
-    assert len({id(v) for row in t.rows for v in row}) > len({v for row in t.rows for v in row})
-    for r, row in enumerate(t.rows):
-        assert t.row_field(r) == field_from_values(row), (spec, r)
+    assert len({id(v) for row in t.rows for v in row}) == len({v for row in t.rows for v in row})
+    fresh = [[CycElt(v.n, v.terms, reduced=True) for v in row] for row in t.rows]
+    loose = chartab.CharacterTable(t.name, t.order, t.classes, fresh)
+    assert len({id(v) for row in loose.rows for v in row}) > len({v for row in loose.rows for v in row})
+    for table in (t, loose):
+        for r, row in enumerate(table.rows):
+            assert table.row_field(r) == field_from_values(row), (spec, r)
 
 
 @pytest.mark.parametrize("spec", ["meta:12:11", "sl2:5", "alt:7"])
