@@ -3,7 +3,9 @@
 Two independent construction routes:
 
 * dixon_table: the Dixon-Schneider modular method (class matrices over F_q,
-  built one at a time from the class members, common eigenspace splitting,
+  built one at a time from the class members, common eigenspace splitting
+  by projecting the identity coordinate onto each eigenvalue through the
+  Lagrange basis, with a kernel only for a repeated eigenvalue,
   discrete-Fourier lift of the values back to the cyclotomic field of the
   group exponent, once per rational class);
 * metacyclic_table: a direct Clifford-theoretic construction for C_n x| H
@@ -311,44 +313,70 @@ def _split_eigenspaces(group, cd, q):
     some space is still unsplit.  A space is a basis u (rows) with columns piv
     where u[:, piv] is the identity; it needs no echelon form.  A space on
     which the class matrix acts as a scalar cannot split and is kept as it
-    is."""
+    is.
+
+    Each space carries x, the component on it of the identity coordinate
+    e_0 (at first e_0 itself), as coordinates on u.  As e_0 = sum_chi
+    chi(1)^2 / |G| omega_chi, x has the coefficient chi(1)^2 / |G|, nonzero
+    mod q, on each line omega_chi of its space.  For an action A with the
+    distinct eigenvalues lambda_1 .. lambda_r, the Lagrange basis gives each
+    component x_lambda = x L_lambda(A) from the Krylov rows x A^t, t < r.
+    A simple eigenvalue has a line for eigenspace, and x_lambda spans it; it
+    is checked to be nonzero and fixed by A up to lambda.  Only a repeated
+    eigenvalue takes a kernel, and its space carries x_lambda.  The
+    eigenspace dimensions, 1 for each simple eigenvalue and the kernel's for
+    each repeated one, must sum to the dimension d.  A kernel is never
+    larger than its multiplicity, so that sum is d only if the charpoly
+    splits over F_q and every kernel has its multiplicity's dimension: every
+    space found is then the eigenspace a kernel would give."""
     c = cd.num_classes
-    spaces = [(np.eye(c, dtype=np.int64), list(range(c)))]
+    eye = np.eye(c, dtype=np.int64)
+    # spaces of dimension >= 2 with their x, and the lines found
+    spaces = [(eye, list(range(c)), eye[0])] if c > 1 else []
+    lines = [] if c > 1 else [eye[0]]
     for i in range(1, c):
-        if all(len(piv) == 1 for _, piv in spaces):
+        if not spaces:
             break
         bt = class_matrix(group, cd, i).T
         # one product for all unsplit spaces, sliced back per space below
-        wide = modular.matmul(np.concatenate([u for u, piv in spaces if len(piv) > 1]), bt, q)
+        wide = modular.matmul(np.concatenate([u for u, _, _ in spaces]), bt, q)
         top = 0
         nxt = []
-        for u, piv in spaces:
+        for u, piv, x in spaces:
             d = len(piv)
-            if d == 1:
-                nxt.append((u, piv))
-                continue
-            # the rows of u map to coords @ u with coords = wide[rows, piv];
-            # the action on coordinate rows is gamma -> gamma @ coords, so
-            # split with the transpose
-            act = wide[top:top + d, piv].T
+            # the rows of u map to coords @ u with coords = wide[rows, piv],
+            # so a coordinate row gamma maps to gamma @ coords; charpoly and
+            # kernels take the transpose, as a view: charpoly reduces that
+            # column-major layout faster on large spaces
+            coords = wide[top:top + d, piv]
+            act = coords.T
             top += d
-            eye = np.eye(d, dtype=np.int64)
-            if (act == act[0, 0] * eye).all():
-                nxt.append((u, piv))
+            if (act == act[0, 0] * eye[:d, :d]).all():
+                nxt.append((u, piv, x))
                 continue
-            got = 0
-            for lam in modular.poly_roots(modular.charpoly(act, q), q):
-                ker, free = modular.kernel((act - lam * eye) % q, q)
-                got += len(free)
-                if free:
-                    # (ker @ u)[:, piv[f] for f in free] == ker[:, free] == I
-                    nxt.append((modular.matmul(ker, u, q), [piv[f] for f in free]))
-            if got != d:
+            roots = modular.poly_roots(modular.charpoly(act, q), q)
+            simple = [k for k, (_, one) in enumerate(roots) if one]
+            kernels = {
+                k: modular.kernel((act - lam * eye[:d, :d]) % q, q)
+                for k, (lam, one) in enumerate(roots) if not one
+            }
+            if len(simple) + sum(len(free) for _, free in kernels.values()) != d:
                 raise AssertionError("class matrix not diagonalizable mod q")
+            lams = np.array([lam for lam, _ in roots], dtype=np.int64)
+            comp = modular.eigen_components(coords, x, lams, q)
+            ends = comp[simple]
+            if not ends.any(axis=1).all() or (
+                modular.matmul(ends, coords, q) != ends * lams[simple, None] % q
+            ).any():
+                raise AssertionError("eigenline is not fixed by its class matrix mod q")
+            lines.extend(modular.matmul(ends, u, q))
+            for k, (ker, free) in kernels.items():
+                # (ker @ u)[:, piv[f] for f in free] == ker[:, free] == I
+                nxt.append((modular.matmul(ker, u, q), [piv[f] for f in free], comp[k, free]))
         spaces = nxt
-    if any(len(piv) != 1 for _, piv in spaces):
+    if spaces:
         raise AssertionError("common eigenspaces did not split to lines")
-    return [u[0] for u, _ in spaces]
+    return lines
 
 
 def dixon_table(group, cd):

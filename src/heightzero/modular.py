@@ -2,11 +2,15 @@
 
 Every result is an exact integer in [0, q), held in int64.  q stays below
 10^7 (the ceiling of the Dixon prime), so a product of two residues is below
-2^47 and fits int64.  `matmul` multiplies in float64 for the BLAS path, and
-stays exact: it sums over blocks of at most (2^53 - 1) // (q - 1)^2 inner
-indices, so every partial sum is an integer below 2^53, and it reduces each
-block mod q in int64 before adding it (Dumas, Giorgi and Pernet, ACM TOMS
-35(3), 2008).
+2^47 and fits int64.  `matmul` multiplies two matrices in float64 for the
+BLAS path, and stays exact: it sums over blocks of at most
+(2^53 - 1) // (q - 1)^2 inner indices, so every partial sum is an integer
+below 2^53, and it reduces each block mod q in int64 before adding it
+(Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  A product with a vector
+on either side is summed in int64 directly, which is exact while
+n (q - 1)^2 < 2^63 for n inner indices (n < 92,233 at q < 10^7); such a
+product gains little from BLAS, and int64 saves the two conversions.  Past
+that bound it takes the float64 path.
 """
 
 from __future__ import annotations
@@ -20,8 +24,12 @@ def as_mod(a, q):
 
 def matmul(a, b, q):
     """a @ b mod q, exact, for a of shape (..., n) and b of shape (n, ...)."""
-    a = as_mod(a, q).astype(np.float64)
-    b = as_mod(b, q).astype(np.float64)
+    a = as_mod(a, q)
+    b = as_mod(b, q)
+    if (a.ndim == 1 or b.ndim == 1) and a.shape[-1] * (q - 1) ** 2 < 2**63:
+        return a @ b % q
+    a = a.astype(np.float64)
+    b = b.astype(np.float64)
     block = (2**53 - 1) // (q - 1) ** 2
     out = (a[..., :block] @ b[:block]).astype(np.int64) % q
     for s in range(block, a.shape[-1], block):
@@ -115,9 +123,58 @@ def charpoly(a, q):
 
 
 def poly_roots(coeffs, q):
-    """All roots in F_q of the polynomial sum coeffs[i] x^i, ascending."""
+    """The roots in F_q of the polynomial p = sum coeffs[i] x^i, ascending,
+    each as (root, simple): simple is whether p'(root) != 0, that is whether
+    the root has multiplicity 1."""
     xs = np.arange(q, dtype=np.int64)
     vals = np.zeros(q, dtype=np.int64)
     for c in reversed(coeffs):
         vals = (vals * xs + c) % q
-    return [int(x) for x in xs[vals == 0]]
+    roots = xs[vals == 0]
+    slope = np.zeros(len(roots), dtype=np.int64)
+    for i in range(len(coeffs) - 1, 0, -1):
+        slope = (slope * roots + i * coeffs[i]) % q
+    return list(zip(roots.tolist(), (slope != 0).tolist()))
+
+
+def lagrange(roots, q):
+    """The Lagrange basis of distinct roots mod q: row k holds the
+    coefficients, ascending, of L_k = prod_(j != k) (x - roots[j]) /
+    (roots[k] - roots[j]), so L_k(roots[j]) is 1 for j = k and 0 otherwise.
+
+    L_k is P / (x - roots[k]) / P'(roots[k]) for P = prod (x - roots[j]),
+    so all rows come from P by one synthetic division run on all roots at
+    once: O(r) numpy calls for r roots."""
+    lam = np.asarray(roots, dtype=np.int64) % q
+    r = len(lam)
+    p = np.zeros(r + 1, dtype=np.int64)  # P, ascending
+    p[0] = 1
+    for mu in lam.tolist():
+        p[1:], p[0] = (p[:-1] - mu * p[1:]) % q, -mu * p[0] % q
+    quot = np.zeros((r, r), dtype=np.int64)  # row k: P / (x - roots[k])
+    quot[:, r - 1] = 1
+    for t in range(r - 1, 0, -1):
+        quot[:, t - 1] = (quot[:, t] * lam + p[t]) % q
+    # P'(roots[k]) = (P / (x - roots[k]))(roots[k]), by Horner's rule
+    slope = np.zeros(r, dtype=np.int64)
+    for t in range(r - 1, -1, -1):
+        slope = (slope * lam + quot[:, t]) % q
+    inv = np.array([pow(v, -1, q) for v in slope.tolist()], dtype=np.int64)
+    return quot * inv[:, None] % q
+
+
+def eigen_components(a, x, roots, q):
+    """The components of the row vector x along the eigenvalues roots of a,
+    which acts on rows as x -> x a: row k is x L_k(a) for the Lagrange basis
+    L_k of the roots.  When a is diagonalizable mod q with its spectrum in
+    roots, L_k(a) is the projection onto the roots[k]-eigenspace along the
+    others, so row k is an eigenvector (or 0) and the rows sum to x.
+
+    The Krylov rows x, x a, ..., x a^(r-1) and one product with the
+    Lagrange coefficients give all r rows."""
+    r = len(roots)
+    krylov = np.empty((r, len(x)), dtype=np.int64)
+    krylov[0] = as_mod(x, q)
+    for k in range(1, r):
+        krylov[k] = matmul(krylov[k - 1], a, q)
+    return matmul(lagrange(roots, q), krylov, q)

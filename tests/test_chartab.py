@@ -7,6 +7,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +26,7 @@ from heightzero.groups import (
     sl2,
     symmetric,
 )
-from heightzero import chartab
+from heightzero import chartab, modular
 from heightzero.chartab import (
     class_matrix,
     dixon_table,
@@ -34,6 +35,7 @@ from heightzero.chartab import (
     table_from_json,
     table_to_json,
 )
+from heightzero.reports import parse_group_spec
 from oracles import all_subgroups, rational
 from subgroups import decompose, derived_subgroup, inner_product, restrict, subgroup_as_group
 
@@ -512,6 +514,113 @@ def test_dixon_table_rejects_a_power_map_sent_to_a_wrong_conjugate(group):
         bad.power_map[j][u] = wrong
         with pytest.raises(AssertionError):
             dixon_table(group, bad)
+
+
+def _count_kernels(monkeypatch):
+    """The nullity of every matrix modular.kernel is called on."""
+    nullities = []
+    kernel = modular.kernel
+
+    def counted(a, q):
+        basis, free = kernel(a, q)
+        nullities.append(len(free))
+        return basis, free
+
+    monkeypatch.setattr(modular, "kernel", counted)
+    return nullities
+
+
+def test_dixon_split_of_a_cyclic_group_takes_no_kernel(monkeypatch):
+    # every eigenvalue of the first class matrix is simple, so each line is
+    # the projection of the identity coordinate; no elimination at all
+    nullities = _count_kernels(monkeypatch)
+    group = cyclic(37)
+    cd = conjugacy_classes(group)
+    assert dixon_table(group, cd).rows == metacyclic_table(group, cd).rows
+    assert nullities == []
+
+
+def test_dixon_split_takes_a_kernel_only_for_a_repeated_eigenvalue(monkeypatch):
+    nullities = _count_kernels(monkeypatch)
+    for spec in ("sl2:7", "sym:5", "meta:40:1,9,13,37"):
+        _table(parse_group_spec(spec))
+    assert nullities and min(nullities) >= 2
+
+
+@pytest.mark.parametrize("wrong", ["zero", "other", "shifted"])
+def test_dixon_split_checks_every_projected_eigenline(monkeypatch, wrong):
+    # one row of the Lagrange basis off: the zero row, another root's row, or
+    # the row plus the constant 1 (which adds x itself); each gives a
+    # simple eigenvalue a vector that is not its eigenline
+    group = cyclic(37)
+    cd = conjugacy_classes(group)
+    lagrange = modular.lagrange
+    for k in (0, 18, 36):
+        def one_wrong_row(roots, q, k=k):
+            rows = lagrange(roots, q)
+            if wrong == "zero":
+                rows[k] = 0
+            elif wrong == "other":
+                rows[k] = rows[(k + 1) % len(roots)]
+            else:
+                rows[k, 0] = (rows[k, 0] + 1) % q
+            return rows
+
+        monkeypatch.setattr(modular, "lagrange", one_wrong_row)
+        with pytest.raises(AssertionError):
+            dixon_table(group, cd)
+
+
+def test_dixon_split_refuses_a_kernel_short_of_its_multiplicity(monkeypatch):
+    # a Jordan block: the charpoly is (x - 1)^c, but the kernel of A - 1 is
+    # one dimension short, so the space would lose a line
+    group = symmetric(4)
+    cd = conjugacy_classes(group)
+    jordan = np.eye(cd.num_classes, dtype=np.int64)
+    jordan[0, 1] = 1
+    monkeypatch.setattr(chartab, "class_matrix", lambda group_, cd_, i: jordan.copy())
+    with pytest.raises(AssertionError, match="not diagonalizable"):
+        dixon_table(group, cd)
+
+
+def test_dixon_table_of_a_doctored_class_matrix_is_true_or_raises(monkeypatch):
+    # one entry of one class matrix off by one, for every class: the result
+    # is the true table or an AssertionError, never a wrong table and never
+    # another exception, also where the doctored charpoly has no root mod q
+    build = chartab.class_matrix
+    poly_roots = modular.poly_roots
+    found = []  # the number of distinct roots of each charpoly
+
+    def counted_roots(coeffs, q):
+        roots = poly_roots(coeffs, q)
+        found.append(len(roots))
+        return roots
+
+    monkeypatch.setattr(modular, "poly_roots", counted_roots)
+    outcomes = {"true": 0, "raised": 0}
+    for spec in ("cyclic:37", "meta:40:1,9,13,37", "sl2:7", "sym:5", "meta:21:1,4,16"):
+        group = parse_group_spec(spec)
+        cd = conjugacy_classes(group)
+        c = cd.num_classes
+        want = metacyclic_table(group, cd).rows if group.meta_params else _table(group).rows
+        for i in range(c):
+            for entry in ((c - 1, c - 1), (0, i)):
+                def doctored(group_, cd_, j, i=i, entry=entry):
+                    m = build(group_, cd_, j)
+                    if j == i:
+                        m[entry] += 1
+                    return m
+
+                monkeypatch.setattr(chartab, "class_matrix", doctored)
+                try:
+                    got = dixon_table(group, cd).rows
+                except AssertionError:
+                    outcomes["raised"] += 1
+                else:
+                    assert got == want, (spec, i, entry)
+                    outcomes["true"] += 1
+    assert outcomes["raised"] and outcomes["true"]
+    assert 0 in found  # a doctored charpoly with no root in F_q
 
 
 @pytest.mark.parametrize("factor", [1, 6])

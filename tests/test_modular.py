@@ -1,5 +1,6 @@
 """Linear algebra mod q: rref against the row-by-row loop, kernel, charpoly
-against Faddeev-LeVerrier, and the exactness of the float64 product."""
+against Faddeev-LeVerrier, root multiplicities, the Lagrange projection
+against the kernel, and the exactness of the float64 and int64 products."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from sympy import prevprime
 from heightzero import modular
 
 PRIMES = [2, 3, 101, 999983]
+# the largest prime below 10^7 is the ceiling of the Dixon prime
+BIG = prevprime(10**7)
 
 
 def _rref_by_rows(a, q):
@@ -101,7 +104,7 @@ def test_kernel_is_annihilated_and_has_the_right_dimension(q):
         assert len(modular.rref(basis, q)[1]) == basis.shape[0]
 
 
-@pytest.mark.parametrize("q", PRIMES)
+@pytest.mark.parametrize("q", PRIMES + [BIG])
 def test_charpoly_satisfies_cayley_hamilton(q):
     rng = np.random.default_rng(q)
     for n in range(1, min(q, 8)):
@@ -146,7 +149,7 @@ def _structured_square_matrices(q):
     return out
 
 
-@pytest.mark.parametrize("q", PRIMES)
+@pytest.mark.parametrize("q", PRIMES + [BIG])
 def test_charpoly_agrees_with_faddeev_leverrier(q):
     square = [a for a in _matrices(q, q + 2) if a.shape[0] == a.shape[1]]
     for a in square + _structured_square_matrices(q):
@@ -157,8 +160,7 @@ def test_charpoly_agrees_with_faddeev_leverrier(q):
         assert (a == before).all()
 
 
-# the largest prime below 10^7 is the ceiling of the Dixon prime
-@pytest.mark.parametrize("q", [999983, prevprime(10**7)])
+@pytest.mark.parametrize("q", [999983, BIG])
 def test_matmul_is_exact_across_blocks(q):
     # the float64 product is summed over blocks of (2^53 - 1) // (q - 1)^2
     # inner indices; compare against Python integers at, below and past
@@ -178,3 +180,91 @@ def test_matmul_is_exact_across_blocks(q):
             # a vector on either side
             assert modular.matmul(a[0], b, q).tolist() == want[0].tolist()
             assert modular.matmul(a, b[:, 0], q).tolist() == want[:, 0].tolist()
+
+
+def test_matmul_of_a_vector_past_the_int64_bound_is_exact():
+    # n (q - 1)^2 >= 2^63: the int64 sum would wrap, so the product takes
+    # the blocked float64 path
+    q = BIG
+    n = (2**63 - 1) // (q - 1) ** 2 + 1
+    a = np.full(n, q - 1)
+    b = np.full((n, 2), q - 1)
+    want = n * (q - 1) ** 2 % q
+    assert modular.matmul(a, b, q).tolist() == [want, want]
+    assert modular.matmul(b.T, a, q).tolist() == [want, want]
+
+
+def _times(f, g, q):
+    """The product of two ascending coefficient lists mod q."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % q
+    return out
+
+
+@pytest.mark.parametrize("q", [101, 999983])
+def test_poly_roots_tells_simple_roots_from_repeated_ones(q):
+    rng = np.random.default_rng(q)
+    nonresidue = next(a for a in range(2, q) if pow(a, (q - 1) // 2, q) == q - 1)
+    for _ in range(20):
+        roots = sorted({int(r) for r in rng.integers(0, q, size=int(rng.integers(1, 5)))})
+        mults = [int(m) for m in rng.integers(1, 4, size=len(roots))]
+        poly = [1]
+        for r, m in zip(roots, mults):
+            for _ in range(m):
+                poly = _times(poly, [-r % q, 1], q)
+        want = [(r, m == 1) for r, m in zip(roots, mults)]
+        assert modular.poly_roots(poly, q) == want
+        # x^2 - a for a non-residue a adds no root
+        assert modular.poly_roots(_times(poly, [-nonresidue % q, 0, 1], q), q) == want
+    assert modular.poly_roots([-nonresidue % q, 0, 1], q) == []
+
+
+@pytest.mark.parametrize("q", [101, 999983, BIG])
+def test_lagrange_basis_is_the_identity_on_its_roots(q):
+    rng = np.random.default_rng(q)
+    for r in (1, 2, 5, 9):
+        roots = sorted({int(x) for x in rng.integers(0, q, size=3 * r)})[:r]
+        rows = modular.lagrange(roots, q)
+        assert rows.shape == (r, r)
+        at = [[sum(c * pow(x, t, q) for t, c in enumerate(row.tolist())) % q for x in roots] for row in rows]
+        assert at == np.eye(r, dtype=np.int64).tolist()
+
+
+def _diagonalizable(q, rng, spectrum):
+    """(a, p, p^-1) with p a = diag(spectrum) p mod q for a random
+    invertible p: row i of p is an eigenvector of a, acting on rows, for
+    spectrum[i]."""
+    n = len(spectrum)
+    while True:
+        p = rng.integers(0, q, size=(n, n))
+        reduced, pivots = modular.rref(np.hstack([p, np.eye(n, dtype=np.int64)]), q)
+        if pivots[:n] == list(range(n)):
+            break
+    p_inv = reduced[:n, n:]
+    return modular.matmul(p_inv, (np.array(spectrum)[:, None] * p) % q, q), p, p_inv
+
+
+@pytest.mark.parametrize("q", [101, 999983, BIG])
+def test_eigen_components_agree_with_the_kernel(q):
+    # diagonalizable matrices with repeated eigenvalues: each component of
+    # a random x lies in the eigenspace the kernel finds, equals the
+    # projection read off the eigenbasis, and the components sum to x
+    rng = np.random.default_rng(q + 3)
+    for mults in ([1, 1], [2, 1], [3], [2, 2, 1], [1, 3, 1, 2], [4, 1, 1, 1, 1]):
+        lams = sorted({int(x) for x in rng.integers(0, q, size=4 * len(mults))})[:len(mults)]
+        spectrum = [lam for lam, m in zip(lams, mults) for _ in range(m)]
+        n = len(spectrum)
+        a, p, p_inv = _diagonalizable(q, rng, spectrum)
+        x = rng.integers(0, q, size=n)
+        comp = modular.eigen_components(a, x, lams, q)
+        assert comp.shape == (len(lams), n)
+        assert (comp.sum(axis=0) % q).tolist() == x.tolist()
+        coords = modular.matmul(x, p_inv, q)  # x = coords @ p
+        for k, (lam, m) in enumerate(zip(lams, mults)):
+            basis, free = modular.kernel((a.T - lam * np.eye(n, dtype=np.int64)) % q, q)
+            assert len(free) == m
+            assert comp[k].tolist() == modular.matmul(comp[k][free], basis, q).tolist()
+            mine = [i for i, s in enumerate(spectrum) if s == lam]
+            assert comp[k].tolist() == modular.matmul(coords[mine], p[mine], q).tolist()
