@@ -99,11 +99,14 @@ def block_partition(table, p):
     character must reduce to algebraic integers; a failure means the table
     data is corrupt and raises ValueError.
 
-    The exact division and the reduction run once per distinct (value, class
-    size, degree) of the table, not once per entry: in a table from
-    metacyclic_table or dixon_table equal values are one object, and a value
-    repeats about 22 times per table over the default corpus.  Each distinct
-    image is interned to a small int, so a signature is a tuple of ints.
+    The exact division and the reduction run once per distinct (value
+    object, class size, degree) of the table, not once per entry: every
+    table route makes equal values one object, and a value repeats about 22
+    times per table over the default corpus.  The cache is keyed on id(value),
+    stable while the table holds every value, so no entry pays for a
+    CycElt hash or comparison; equal values that are distinct objects only
+    compute their image twice.  Each distinct image is interned to a small
+    int, so a signature is a tuple of ints.
     """
     if not isprime(p):
         raise ValueError(f"{p} is not prime")
@@ -120,7 +123,7 @@ def block_partition(table, p):
     for r, (row, degree) in enumerate(zip(table.rows, table.degrees)):
         sig = []
         for size, value in zip(sizes, row):
-            image = images.get((value, size, degree))
+            image = images.get((id(value), size, degree))
             if image is None:
                 coeffs = {}
                 for k, c in value.terms.items():
@@ -131,7 +134,7 @@ def block_partition(table, p):
                         )
                     coeffs[k] = q
                 key = _image(p, eprime, value.n, coeffs)
-                image = images[value, size, degree] = ids.setdefault(key, len(ids))
+                image = images[id(value), size, degree] = ids.setdefault(key, len(ids))
             sig.append(image)
         signatures.setdefault(tuple(sig), []).append(r)
 

@@ -10,8 +10,10 @@ Two independent construction routes:
   group exponent, once per rational class);
 * metacyclic_table: a direct Clifford-theoretic construction for C_n x| H
   with H <= (Z/n)*, the route for every group that carries meta_params
-  (cyclic, dihedral, semidihedral, meta and the realizer's groups); dixon
-  cross-checks it.
+  (cyclic, dihedral, semidihedral, meta and the realizer's groups), which
+  reads each value off a Gauss period: the sum over an H-orbit O of
+  zeta_n^(y c) is |O|/|O'| times the sum over O' = (j0 c) H, since y -> y c
+  maps O = j0 H onto O' H-equivariantly; dixon cross-checks it.
 
 All values are exact CycElt at modulus exponent(G); rows are sorted with the
 trivial character first, then by degree and a lexicographic value encoding,
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import chain
 from math import gcd, isqrt, lcm
 from operator import mul
 
@@ -59,7 +62,13 @@ class CharacterTable:
         self.order = order
         self.classes = classes
         self.rows = [tuple(r) for r in rows]
-        self.degrees = [_degree(r, row[0]) for r, row in enumerate(self.rows)]
+        # read once per distinct value object at class 0, keyed by id as in
+        # _per_object; the first row holding it names a bad degree
+        degrees = {}
+        for r, row in enumerate(self.rows):
+            if id(row[0]) not in degrees:
+                degrees[id(row[0])] = _degree(r, row[0])
+        self.degrees = [degrees[id(row[0])] for row in self.rows]
         if len(self.rows) != classes.num_classes:
             raise ValueError("row count != class count")
         if sum(d * d for d in self.degrees) != order:
@@ -235,20 +244,17 @@ def _sort_rows(rows):
         if head not in degrees:
             degrees[head] = row[0].to_rational()
         trivial = all(v == _one_at(v.n) for v in row)
-        return (not trivial, degrees[head], tuple(rank[id(v)] for v in row))
+        return (not trivial, degrees[head], tuple(map(rank.__getitem__, map(id, row))))
 
     return sorted(rows, key=key)
 
 
 def _per_object(rows, f):
     """f(v) for each distinct value object v of the rows, keyed by id(v); a
-    built table has one object per distinct value."""
-    out = {}
-    for row in rows:
-        for v in row:
-            if id(v) not in out:
-                out[id(v)] = f(v)
-    return out
+    built table has one object per distinct value.  rows must be iterable
+    twice (a list of rows)."""
+    objects = dict(zip(map(id, chain.from_iterable(rows)), chain.from_iterable(rows)))
+    return {i: f(v) for i, v in objects.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +523,20 @@ def _subgroup_characters(n, sub, e):
 def metacyclic_table(group, cd):
     """Character table of C_n x| H, with (n, H) = group.meta_params, by orbits
     of H on Irr(C_n) and extensions lambda~(c, h) = zeta_n^{j c} mu(h)
-    induced up from the orbit stabilizer."""
+    induced up from the orbit stabilizer.
+
+    For the orbit O = j0 H and a character mu of the stabilizer H_0 of j0,
+    the induced value at a class rep (c, h) is 0 unless h is in H_0, and
+    then mu(h) sum_{y in O} zeta_n^(y c).  The map y -> y c sends O onto
+    O' = (j0 c) H and commutes with H, so every fibre is a coset of one
+    subgroup and every point of O' is hit |O|/|O'| times.  The sum is
+    therefore |O|/|O'| eta(O'), with the Gauss period
+    eta(O') = sum_{y in O'} zeta_n^y, exactly, as a multiset of exponents:
+    its raw exponent map at e is {(y e/n + shift) mod e: |O|/|O'|} over y in
+    O', with zeta_e^shift = mu(h).  O' is one of the orbits already listed,
+    found by j0 c mod n, so a value depends only on (O', |O|, shift); it is
+    built once per such key and interned by value, so equal values of the
+    table are one object."""
     n, H = group.meta_params
     e = cd.exponent
     reps = [group.elements[i] for i in cd.class_reps]
@@ -533,42 +552,37 @@ def metacyclic_table(group, cd):
         if h == 1 % n
     ]
 
-    # each orbit sum is built once per (raw exponent tuple, shift) and then
-    # interned by value, so equal values of the table are one object
+    # each value is built once per (O', |O|, shift), see the docstring, and
+    # then interned by value, so equal values of the table are one object
+    orbit_of = {x: i for i, orb in enumerate(orbits) for x in orb}
+    step = e // n
     nought = zero(e)
     values = {v: v for v in (nought, _one_at(e))}
-    raw_ids = {}
     sums = {}
     rows = []
     for orb in orbits:
-        j0 = orb[0]
+        j0, size = orb[0], len(orb)
         stab = tuple(h for h in H if (h * j0) % n == j0)
         mus = _subgroup_characters(n, stab, e)
         stab_set = set(stab)
-        # raw orbit-sum exponents at modulus e per class rep, and a small id
-        # for each distinct tuple of them
-        raws = [
-            tuple(jp * c % n * (e // n) for jp in orb) if h in stab_set else None
-            for c, h in reps
-        ]
-        ids = [None if raw is None else raw_ids.setdefault(raw, len(raw_ids)) for raw in raws]
+        # the orbit O' of j0 c at each class rep (c, h) with h in the
+        # stabilizer; None where the induced character vanishes
+        images = [orbit_of[j0 * c % n] if h in stab_set else None for c, h in reps]
         for mu in mus:
             row = []
-            for raw, i, (c, h) in zip(raws, ids, reps):
-                if raw is None:
+            for o, (_, h) in zip(images, reps):
+                if o is None:
                     row.append(nought)
                     continue
                 shift = mu[h]
-                v = sums.get((i, shift))
+                v = sums.get((o, size, shift))
                 if v is None:
-                    # fold the stabilizer-character root into the raw sum so
-                    # reduction happens once per distinct sum
-                    terms = {}
-                    for ex in raw:
-                        k = (ex + shift) % e
-                        terms[k] = terms.get(k, 0) + 1
-                    v = CycElt(e, terms)
-                    v = sums[i, shift] = values.setdefault(v, v)
+                    image = orbits[o]
+                    m = size // len(image)
+                    # the stabilizer-character root is folded into the raw
+                    # exponents so reduction happens once per distinct sum
+                    v = CycElt(e, {(y * step + shift) % e: m for y in image})
+                    v = sums[o, size, shift] = values.setdefault(v, v)
                 row.append(v)
             rows.append(tuple(row))
 

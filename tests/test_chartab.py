@@ -320,6 +320,28 @@ def test_a5_degree3_rows_have_conductor_5():
 # the two construction routes agree exactly
 
 
+def _folding_cells(group, cd):
+    """The (j0, c, h) of metacyclic_table's cells where y -> y c folds the
+    orbit O = j0 H onto a smaller orbit O' of j0 c (|O|/|O'| > 1) and h is a
+    nontrivial element of the stabilizer of j0, so a nontrivial stabilizer
+    character sits at it; the orbits are computed here from H itself."""
+    n, H = group.meta_params
+    reps = [group.elements[i] for i in cd.class_reps]
+    orbits = {frozenset(j * h % n for h in H) for j in range(n)}
+    orbit_of = {x: orb for orb in orbits for x in orb}
+    cells = []
+    for orb in orbits:
+        j0 = min(orb)
+        stab = {h for h in H if h * j0 % n == j0}
+        cells += [(j0, c, h) for c, h in reps
+                  if h in stab and h != 1 % n and len(orbit_of[j0 * c % n]) < len(orb)]
+    return cells
+
+
+# the cases below with a folding cell, see _folding_cells
+_FOLDING = {(9, (2,)), (15, (2,)), (16, (3,)), (20, (3,)), (24, (5, 7)), (40, (3,))}
+
+
 @pytest.mark.parametrize(
     "n,hgens",
     [
@@ -340,6 +362,12 @@ def test_a5_degree3_rows_have_conductor_5():
 def test_direct_route_matches_dixon(n, hgens):
     g = semidirect_cn_h(n, hgens)
     cd = conjugacy_classes(g)
+    # a Gauss period taken |O|/|O'| > 1 times under a nontrivial stabilizer
+    # character; in (24, [5, 7]), O = {8, 16} folds onto {0} at (3, 7)
+    cells = _folding_cells(g, cd)
+    assert bool(cells) == ((n, tuple(hgens)) in _FOLDING)
+    if (n, hgens) == (24, [5, 7]):
+        assert (8, 3, 7) in cells
     tm = metacyclic_table(g, cd)
     td = dixon_table(g, cd)
     assert tm.rows == td.rows  # identical ordered lists, not just row sets
@@ -399,6 +427,18 @@ def test_metacyclic_table_builds_each_value_once(monkeypatch):
     distinct = len({v for row in t.rows for v in row})
     assert distinct == 1000
     assert calls <= distinct + 3
+
+
+@pytest.mark.parametrize(
+    "group,most",
+    # at most 107 and 33 builds; one per raw exponent tuple made 206 and 133
+    [(dihedral(400), 107), (semidirect_cn_h(63, [2, 8]), 33)],
+    ids=lambda x: getattr(x, "name", str(x)),
+)
+def test_metacyclic_table_builds_once_per_gauss_period(monkeypatch, group, most):
+    t, calls = _count_builds(monkeypatch, metacyclic_table, group)
+    assert calls <= most
+    assert table_to_json(t) == table_to_json(dixon_table(group, conjugacy_classes(group)))
 
 
 def test_dixon_table_builds_each_value_once(monkeypatch):
