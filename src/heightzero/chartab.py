@@ -3,11 +3,12 @@
 Two independent construction routes:
 
 * dixon_table: the Dixon-Schneider modular method (class matrices over F_q,
-  built one at a time from the class members, common eigenspace splitting
-  by projecting the identity coordinate onto each eigenvalue through the
-  Lagrange basis, with a kernel only for a repeated eigenvalue,
-  discrete-Fourier lift of the values back to the cyclotomic field of the
-  group exponent, once per rational class);
+  built one at a time from the class members, common eigenvectors split
+  off the identity coordinate: each vector the next class matrix does not
+  fix is replaced by its components along the roots of its minimal
+  polynomial, through the Lagrange basis; discrete-Fourier lift of the
+  values back to the cyclotomic field of the group exponent, once per
+  rational class);
 * metacyclic_table: a direct Clifford-theoretic construction for C_n x| H
   with H <= (Z/n)*, the route for every group that carries meta_params
   (cyclic, dihedral, semidihedral, meta and the realizer's groups), which
@@ -315,74 +316,54 @@ def _split_eigenspaces(group, cd, q):
     """The common eigenvectors of the class matrices mod q, one per row, each
     up to a nonzero scalar.
 
-    Class matrix i (i >= 1; matrix 0 is the identity) is built only while
-    some space is still unsplit.  A space is a basis u (rows) with columns piv
-    where u[:, piv] is the identity; it needs no echelon form.  A space on
-    which the class matrix acts as a scalar cannot split and is kept as it
-    is.
+    The split carries vectors only, each a component of the identity
+    coordinate e_0 = sum_chi chi(1)^2 / |G| omega_chi scaled so its first
+    nonzero entry is 1.  Each coefficient of e_0 is nonzero mod q: q = 1
+    mod e rules out q dividing |G|, and chi(1) < q.  So every vector is
+    x = sum_(chi in S) c_chi omega_chi with every c_chi nonzero.
 
-    Each space carries x, the component on it of the identity coordinate
-    e_0 (at first e_0 itself), as coordinates on u.  As e_0 = sum_chi
-    chi(1)^2 / |G| omega_chi, x has the coefficient chi(1)^2 / |G|, nonzero
-    mod q, on each line omega_chi of its space.  For an action A with the
-    distinct eigenvalues lambda_1 .. lambda_r, the Lagrange basis gives each
-    component x_lambda = x L_lambda(A) from the Krylov rows x A^t, t < r.
-    A simple eigenvalue has a line for eigenspace, and x_lambda spans it; it
-    is checked to be nonzero and fixed by A up to lambda.  Only a repeated
-    eigenvalue takes a kernel, and its space carries x_lambda.  The
-    eigenspace dimensions, 1 for each simple eigenvalue and the kernel's for
-    each repeated one, must sum to the dimension d.  A kernel is never
-    larger than its multiplicity, so that sum is d only if the charpoly
-    splits over F_q and every kernel has its multiplicity's dimension: every
-    space found is then the eigenspace a kernel would give."""
+    Class matrix i >= 1 is built only while there are fewer than c vectors,
+    and one product maps every vector by B = M_i^T.  A vector that B fixes
+    up to its lead entry stays as it is.  Any other x has for minimal
+    polynomial under B the product of t - lambda over the distinct
+    eigenvalues lambda of B on S, and is replaced by its components
+    x L_lambda(B), for the Lagrange basis L of those roots: each is exactly
+    the lambda-part of x.  A minimal polynomial without deg-many simple
+    roots in F_q means B is not diagonalizable, and every component must
+    be nonzero and fixed by B up to its lambda.  Class sums are central, so
+    the class matrices commute and a component of a common eigenvector
+    stays one; the split ends with c vectors, one per line, or fails."""
     c = cd.num_classes
-    eye = np.eye(c, dtype=np.int64)
-    # spaces of dimension >= 2 with their x, and the lines found
-    spaces = [(eye, list(range(c)), eye[0])] if c > 1 else []
-    lines = [] if c > 1 else [eye[0]]
+    vectors = np.eye(c, dtype=np.int64)[:1]
     for i in range(1, c):
-        if not spaces:
+        if len(vectors) >= c:
             break
         bt = class_matrix(group, cd, i).T
-        # one product for all unsplit spaces, sliced back per space below
-        wide = modular.matmul(np.concatenate([u for u, _, _ in spaces]), bt, q)
-        top = 0
-        nxt = []
-        for u, piv, x in spaces:
-            d = len(piv)
-            # the rows of u map to coords @ u with coords = wide[rows, piv],
-            # so a coordinate row gamma maps to gamma @ coords; charpoly and
-            # kernels take the transpose, as a view: charpoly reduces that
-            # column-major layout faster on large spaces
-            coords = wide[top:top + d, piv]
-            act = coords.T
-            top += d
-            if (act == act[0, 0] * eye[:d, :d]).all():
-                nxt.append((u, piv, x))
-                continue
-            roots = modular.poly_roots(modular.charpoly(act, q), q)
-            simple = [k for k, (_, one) in enumerate(roots) if one]
-            kernels = {
-                k: modular.kernel((act - lam * eye[:d, :d]) % q, q)
-                for k, (lam, one) in enumerate(roots) if not one
-            }
-            if len(simple) + sum(len(free) for _, free in kernels.values()) != d:
+        images = modular.matmul(vectors, bt, q)
+        lams = images[np.arange(len(vectors)), (vectors != 0).argmax(axis=1)]
+        fixed = (images == lams[:, None] * vectors % q).all(axis=1)
+        if fixed.all():
+            continue
+        comps, roots = [], []
+        for x in vectors[~fixed]:
+            poly, krylov = modular.minimal_polynomial(bt, x, q)
+            simple = [lam for lam, one in modular.poly_roots(poly, q) if one]
+            if len(simple) != len(poly) - 1:
                 raise AssertionError("class matrix not diagonalizable mod q")
-            lams = np.array([lam for lam, _ in roots], dtype=np.int64)
-            comp = modular.eigen_components(coords, x, lams, q)
-            ends = comp[simple]
-            if not ends.any(axis=1).all() or (
-                modular.matmul(ends, coords, q) != ends * lams[simple, None] % q
-            ).any():
-                raise AssertionError("eigenline is not fixed by its class matrix mod q")
-            lines.extend(modular.matmul(ends, u, q))
-            for k, (ker, free) in kernels.items():
-                # (ker @ u)[:, piv[f] for f in free] == ker[:, free] == I
-                nxt.append((modular.matmul(ker, u, q), [piv[f] for f in free], comp[k, free]))
-        spaces = nxt
-    if spaces:
+            comps.append(modular.matmul(modular.lagrange(simple, q), krylov, q))
+            roots.extend(simple)
+        comps = np.concatenate(comps)
+        roots = np.array(roots, dtype=np.int64)
+        if not comps.any(axis=1).all() or (
+            modular.matmul(comps, bt, q) != roots[:, None] * comps % q
+        ).any():
+            raise AssertionError("eigenline is not fixed by its class matrix mod q")
+        leads = comps[np.arange(len(comps)), (comps != 0).argmax(axis=1)]
+        inv = np.array([pow(v, -1, q) for v in leads.tolist()], dtype=np.int64)
+        vectors = np.concatenate([vectors[fixed], comps * inv[:, None] % q])
+    if len(vectors) != c:
         raise AssertionError("common eigenspaces did not split to lines")
-    return lines
+    return vectors
 
 
 def dixon_table(group, cd):

@@ -233,16 +233,14 @@ def _metacyclic_classes(n, H):
 
     Conjugation gives (x, k)(c, h)(x, k)^-1 = (k*c + (1 - h)*x, h), so with
     d = gcd(1 - h, n) the classes over h are the H-orbits on Z/d, each lifted
-    by dZ/n.  Powers are (c, h)^a = (c*(1 + h + ... + h^(a-1)), h^a), so
-    (c, h) has order o_h*n / gcd(n, c*s_h), with o_h the order of h mod n and
-    s_h = 1 + h + ... + h^(o_h - 1)."""
+    by dZ/n.  The powers of a class come from the walk (r, h)^a, a = 1, 2, ...,
+    with (x, y)(r, h) = (x + y*r, y*h), which stops at (0, 1), as _powers
+    does; the element order is the length of the walk."""
     one = 1 % n
     pos = {h: i for i, h in enumerate(H)}
     keyed = []
     for i, h in enumerate(H):
         base, d = i * n, gcd(1 - h, n)
-        cyc = subgroup_closure(n, [h])
-        o_h, s_h = len(cyc), sum(cyc)
         seen = set()
         for r in range(d):
             if r in seen:
@@ -250,12 +248,11 @@ def _metacyclic_classes(n, H):
             orbit = sorted({k * r % d for k in H})
             seen.update(orbit)
             members = [base + t + x for t in range(0, n, d) for x in orbit]
-            o = o_h * n // gcd(n, r * s_h)
-            powers, x, y = [], 0, one
-            for _ in range(o):  # (x, y) = (r, h)^a
+            powers, x, y = [0], r, h
+            while x or y != one:  # (x, y) = (r, h)^len(powers)
                 powers.append(pos[y] * n + x)
                 x, y = (x + y * r) % n, y * h % n
-            keyed.append((o, len(members), base + r, members, powers))
+            keyed.append((len(powers), len(members), base + r, members, powers))
     return _class_data(keyed, n * len(H))
 
 

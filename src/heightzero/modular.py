@@ -11,6 +11,10 @@ on either side is summed in int64 directly, which is exact while
 n (q - 1)^2 < 2^63 for n inner indices (n < 92,233 at q < 10^7); such a
 product gains little from BLAS, and int64 saves the two conversions.  Past
 that bound it takes the float64 path.
+
+The Dixon split needs no matrix elimination, only vectors: the roots of
+`minimal_polynomial` and the rows of `lagrange` split a vector into its
+components x L_lambda(a), one eigenvector per root.
 """
 
 from __future__ import annotations
@@ -38,88 +42,36 @@ def matmul(a, b, q):
     return out
 
 
-def rref(a, q):
-    """Reduced row echelon form mod q; returns (R, pivot_columns).
+def minimal_polynomial(a, x, q):
+    """The minimal polynomial of the row vector x under a, acting on rows as
+    x -> x a: the monic P of least degree d with x P(a) = 0, as coefficients
+    [c_0, ..., c_d] ascending, and the Krylov rows x a^t for t < d.
 
-    Each pivot column is cleared in one step, m - f m[r] with f the column
-    and f[r] = 0; entries stay below q, so the products stay below q^2."""
-    m = as_mod(a, q)
-    rows, cols = m.shape
-    pivots = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        nz = m[r:, c].nonzero()[0]
+    Krylov row t is reduced against the rows before it, kept in reduced
+    echelon form (each pivot 1, its column 0 in the other rows), so it
+    reduces in one product.  Each row carries, past column n, its
+    combination of the Krylov rows, so the first row that reduces to 0
+    holds P there.  a and x are reduced once; every product is of residues
+    summed in int64, exact while n (q - 1)^2 < 2^63 for n entries."""
+    a = as_mod(a, q)
+    row = as_mod(x, q)
+    n = len(row)
+    if n * (q - 1) ** 2 >= 2**63:
+        raise ValueError("minimal_polynomial needs n (q - 1)^2 < 2^63")
+    krylov, piv = [], []
+    ech = np.zeros((0, 2 * n + 1), dtype=np.int64)
+    while True:
+        r = np.zeros(2 * n + 1, dtype=np.int64)
+        r[:n], r[n + len(krylov)] = row, 1
+        r = (r - r[piv] @ ech) % q
+        nz = r[:n].nonzero()[0]
         if not len(nz):
-            continue
-        sel = r + int(nz[0])
-        if sel != r:
-            m[[r, sel]] = m[[sel, r]]
-        m[r] = (m[r] * pow(int(m[r, c]), -1, q)) % q
-        f = m[:, c].copy()
-        f[r] = 0
-        m -= f[:, None] * m[r]
-        m %= q
-        pivots.append(c)
-        r += 1
-    return m[:r], pivots
-
-
-def kernel(a, q):
-    """Basis (rows) of the right null space of a mod q, and its free columns:
-    basis[:, free] is the identity."""
-    m, pivots = rref(a, q)
-    cols = np.asarray(a).shape[1]
-    free = sorted(set(range(cols)) - set(pivots))
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    basis[:, free] = np.eye(len(free), dtype=np.int64)
-    basis[:, pivots] = -m[:, free].T % q
-    return basis, free
-
-
-def charpoly(a, q):
-    """Characteristic polynomial coefficients [c_0, ..., c_n] (monic, c_n = 1)
-    of an n x n matrix mod q.  It refuses q <= n, which the Dixon prime
-    never is.
-
-    The matrix is brought by similarity to upper Hessenberg form H whose
-    subdiagonal entries are 1 or 0 (Cohen, A Course in Computational
-    Algebraic Number Theory, 1993, alg. 2.2.9).  Then p_m, the charpoly of
-    the leading m x m block of H, is x p_(m-1) - sum h[k, m-1] p_k over
-    z <= k < m, where z is the row of the last zero subdiagonal entry
-    above row m (0 if none): O(n^3) in all."""
-    h = as_mod(a, q)
-    n = h.shape[0]
-    if q <= n:
-        raise ValueError("charpoly needs q > matrix dimension")
-    for j in range(n - 1):
-        if not h[j + 1, j]:
-            nz = h[j + 2:, j].nonzero()[0]
-            if not len(nz):
-                continue
-            i = j + 2 + int(nz[0])
-            h[[i, j + 1]] = h[[j + 1, i]]
-            h[:, [i, j + 1]] = h[:, [j + 1, i]]
-        # scale row j+1 by 1/h[j+1, j] and column j+1 by h[j+1, j]
-        s = int(h[j + 1, j])
-        h[j + 1] = h[j + 1] * pow(s, -1, q) % q
-        h[:, j + 1] = h[:, j + 1] * s % q
-        # row_i -= h[i, j] row_(j+1) clears column j below the subdiagonal;
-        # col_(j+1) += h[i, j] col_i completes the similarity
-        u = h[j + 2:, j].copy()
-        h[j + 2:] = (h[j + 2:] - u[:, None] * h[j + 1]) % q
-        h[:, j + 1] = (h[:, j + 1] + matmul(h[:, j + 2:], u, q)) % q
-    polys = np.zeros((n + 1, n + 1), dtype=np.int64)  # row m: p_m, ascending
-    polys[0, 0] = 1
-    z = 0
-    for m in range(1, n + 1):
-        if m > 1 and not h[m - 1, m - 2]:
-            z = m - 1
-        polys[m, 1:] = polys[m - 1, :-1]
-        polys[m] -= matmul(h[z:m, m - 1], polys[z:m], q)
-        polys[m] %= q
-    return polys[n].tolist()
+            return r[n:n + len(krylov) + 1].tolist(), np.array(krylov, dtype=np.int64).reshape(-1, n)
+        r = r * pow(int(r[nz[0]]), -1, q) % q
+        ech = np.vstack([(ech - np.outer(ech[:, nz[0]], r)) % q, r])
+        piv.append(nz[0])
+        krylov.append(row)
+        row = row @ a % q
 
 
 def poly_roots(coeffs, q):
@@ -161,20 +113,3 @@ def lagrange(roots, q):
         slope = (slope * lam + quot[:, t]) % q
     inv = np.array([pow(v, -1, q) for v in slope.tolist()], dtype=np.int64)
     return quot * inv[:, None] % q
-
-
-def eigen_components(a, x, roots, q):
-    """The components of the row vector x along the eigenvalues roots of a,
-    which acts on rows as x -> x a: row k is x L_k(a) for the Lagrange basis
-    L_k of the roots.  When a is diagonalizable mod q with its spectrum in
-    roots, L_k(a) is the projection onto the roots[k]-eigenspace along the
-    others, so row k is an eigenvector (or 0) and the rows sum to x.
-
-    The Krylov rows x, x a, ..., x a^(r-1) and one product with the
-    Lagrange coefficients give all r rows."""
-    r = len(roots)
-    krylov = np.empty((r, len(x)), dtype=np.int64)
-    krylov[0] = as_mod(x, q)
-    for k in range(1, r):
-        krylov[k] = matmul(krylov[k - 1], a, q)
-    return matmul(lagrange(roots, q), krylov, q)

@@ -67,6 +67,15 @@ __all__ = [
 # spec mini-languages
 
 
+def _integers(text):
+    """The comma-separated integers of a spec, none for an empty text; an
+    empty token, as in '5,,7' or '5,', is refused."""
+    tokens = text.split(",") if text else []
+    if "" in tokens:
+        raise ValueError(f"empty entry in {text!r}")
+    return [int(t) for t in tokens]
+
+
 def _parse_perm_spec(body):
     """Generators as products of disjoint cycles, 1-based: (1,2)(3,4);(1,2,3).
 
@@ -78,7 +87,7 @@ def _parse_perm_spec(body):
         if not re.fullmatch(r"(\s*\([^()]*\))*\s*", part):
             raise ValueError(f"permutation is not a product of cycles: {part!r}")
         cycles = [
-            [int(t) for t in cyc.replace(" ", "").split(",") if t]
+            _integers(cyc.replace(" ", ""))
             for cyc in re.findall(r"\(([^()]*)\)", part)
         ]
         pts = [x for cyc in cycles for x in cyc]
@@ -122,7 +131,7 @@ def parse_group_spec(spec):
             return _ONE_INTEGER_FAMILIES[kind](int(parts[1]))
         if kind == "meta" and len(parts) == 3:
             n = int(parts[1])
-            hgens = [int(t) for t in parts[2].split(",") if t]
+            hgens = _integers(parts[2])
             return semidirect_cn_h(n, hgens, name=spec.strip())
         if kind == "perm" and len(parts) >= 2:
             return from_permutation_generators(
@@ -147,7 +156,7 @@ def parse_field_spec(spec):
             return quadratic_field(_capped(parts[1], "d"))
         if kind == "fix" and len(parts) == 3:
             n = _capped(parts[1], "n")
-            gens = [int(t) for t in parts[2].split(",") if t]
+            gens = _integers(parts[2])
             return AbelianField(n, gens)
     except ValueError as exc:
         raise ValueError(f"bad field spec {spec!r}: {exc}") from None

@@ -556,35 +556,30 @@ def test_dixon_table_rejects_a_power_map_sent_to_a_wrong_conjugate(group):
             dixon_table(group, bad)
 
 
-def _count_kernels(monkeypatch):
-    """The nullity of every matrix modular.kernel is called on."""
-    nullities = []
-    kernel = modular.kernel
+@pytest.mark.parametrize(
+    "spec,built",
+    [
+        ("cyclic:37", 1),
+        ("sym:5", 1),
+        ("sl2:7", 7),
+        ("quaternion:64", 11),
+        ("alt:7", 7),
+        ("meta:40:1,9,13,37", 24),
+    ],
+)
+def test_dixon_split_builds_a_class_matrix_only_while_a_vector_is_unsplit(monkeypatch, spec, built):
+    # the split stops at c vectors, so it builds no more class matrices
+    # than the common eigenspaces need
+    build = chartab.class_matrix
+    calls = []
 
-    def counted(a, q):
-        basis, free = kernel(a, q)
-        nullities.append(len(free))
-        return basis, free
+    def counted(group_, cd_, i):
+        calls.append(i)
+        return build(group_, cd_, i)
 
-    monkeypatch.setattr(modular, "kernel", counted)
-    return nullities
-
-
-def test_dixon_split_of_a_cyclic_group_takes_no_kernel(monkeypatch):
-    # every eigenvalue of the first class matrix is simple, so each line is
-    # the projection of the identity coordinate; no elimination at all
-    nullities = _count_kernels(monkeypatch)
-    group = cyclic(37)
-    cd = conjugacy_classes(group)
-    assert dixon_table(group, cd).rows == metacyclic_table(group, cd).rows
-    assert nullities == []
-
-
-def test_dixon_split_takes_a_kernel_only_for_a_repeated_eigenvalue(monkeypatch):
-    nullities = _count_kernels(monkeypatch)
-    for spec in ("sl2:7", "sym:5", "meta:40:1,9,13,37"):
-        _table(parse_group_spec(spec))
-    assert nullities and min(nullities) >= 2
+    monkeypatch.setattr(chartab, "class_matrix", counted)
+    _table(parse_group_spec(spec))
+    assert calls == list(range(1, built + 1))
 
 
 @pytest.mark.parametrize("wrong", ["zero", "other", "shifted"])
@@ -611,25 +606,30 @@ def test_dixon_split_checks_every_projected_eigenline(monkeypatch, wrong):
             dixon_table(group, cd)
 
 
-def test_dixon_split_refuses_a_kernel_short_of_its_multiplicity(monkeypatch):
-    # a Jordan block: the charpoly is (x - 1)^c, but the kernel of A - 1 is
-    # one dimension short, so the space would lose a line
+def test_dixon_split_refuses_a_repeated_root_of_a_minimal_polynomial(monkeypatch):
+    # a Jordan block: B = M^T sends e_0 to e_0 + e_1 and fixes e_1, so the
+    # minimal polynomial of e_0 is (t - 1)^2, and B is not diagonalizable
     group = symmetric(4)
     cd = conjugacy_classes(group)
     jordan = np.eye(cd.num_classes, dtype=np.int64)
-    jordan[0, 1] = 1
+    jordan[1, 0] = 1
     monkeypatch.setattr(chartab, "class_matrix", lambda group_, cd_, i: jordan.copy())
     with pytest.raises(AssertionError, match="not diagonalizable"):
+        dixon_table(group, cd)
+    # the block the other way round fixes e_0, which then never splits
+    jordan = jordan.T.copy()
+    with pytest.raises(AssertionError, match="did not split to lines"):
         dixon_table(group, cd)
 
 
 def test_dixon_table_of_a_doctored_class_matrix_is_true_or_raises(monkeypatch):
     # one entry of one class matrix off by one, for every class: the result
     # is the true table or an AssertionError, never a wrong table and never
-    # another exception, also where the doctored charpoly has no root mod q
+    # another exception, also where a doctored minimal polynomial has no
+    # root mod q
     build = chartab.class_matrix
     poly_roots = modular.poly_roots
-    found = []  # the number of distinct roots of each charpoly
+    found = []  # the number of distinct roots of each minimal polynomial
 
     def counted_roots(coeffs, q):
         roots = poly_roots(coeffs, q)
@@ -660,7 +660,37 @@ def test_dixon_table_of_a_doctored_class_matrix_is_true_or_raises(monkeypatch):
                     assert got == want, (spec, i, entry)
                     outcomes["true"] += 1
     assert outcomes["raised"] and outcomes["true"]
-    assert 0 in found  # a doctored charpoly with no root in F_q
+    assert 0 in found  # a doctored minimal polynomial with no root in F_q
+
+
+def test_dixon_table_of_every_single_entry_bump_of_sym5_is_true_or_raises(monkeypatch):
+    # each of the 7^3 entries (i, j, k) of sym:5's class matrices off by one
+    # in turn: 294 bumps still give the true table and 49 raise, never a
+    # wrong table and never another exception
+    group = symmetric(5)
+    cd = conjugacy_classes(group)
+    c = cd.num_classes
+    want = _table(group).rows
+    mats = [class_matrix(group, cd, i) for i in range(c)]
+    outcomes = {"true": 0, "raised": 0}
+    for i in range(c):
+        for j in range(c):
+            for k in range(c):
+                def doctored(group_, cd_, m, i=i, j=j, k=k):
+                    out = mats[m].copy()
+                    if m == i:
+                        out[j, k] += 1
+                    return out
+
+                monkeypatch.setattr(chartab, "class_matrix", doctored)
+                try:
+                    got = dixon_table(group, cd).rows
+                except AssertionError:
+                    outcomes["raised"] += 1
+                else:
+                    assert got == want, (i, j, k)
+                    outcomes["true"] += 1
+    assert outcomes == {"true": 294, "raised": 49}
 
 
 @pytest.mark.parametrize("factor", [1, 6])

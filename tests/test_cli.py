@@ -99,28 +99,23 @@ def test_dixon_table_bytes_are_unchanged(tmp_path, spec, digest):
     ],
 )
 def test_dixon_split_skips_scalar_actions_and_echelon_lines(tmp_path, monkeypatch, spec, digest):
-    # a space on which a class matrix acts as a scalar cannot split, so it
-    # never reaches charpoly, and a line is kept without an echelon form, so
-    # no one-row matrix reaches rref
-    charpoly, rref = modular.charpoly, modular.rref
-    charpolys, scalar, one_row = [], [], []
+    # a vector that a class matrix B fixes up to its lead entry cannot
+    # split, so it is kept as it is and never reaches minimal_polynomial
+    minimal_polynomial = modular.minimal_polynomial
+    calls, fixed = [], []
 
-    def counted_charpoly(a, q):
-        charpolys.append(a.shape)
-        if (a == a[0, 0] * np.eye(a.shape[0], dtype=np.int64)).all():
-            scalar.append(a.tolist())
-        return charpoly(a, q)
+    def counted(a, x, q):
+        calls.append(None)
+        image = modular.matmul(x, a, q)
+        lead = int(np.flatnonzero(x)[0])
+        if (image == image[lead] * x % q).all():
+            fixed.append(x.tolist())
+        return minimal_polynomial(a, x, q)
 
-    def counted_rref(a, q):
-        if np.asarray(a).shape[0] == 1:
-            one_row.append(np.asarray(a).tolist())
-        return rref(a, q)
-
-    monkeypatch.setattr(modular, "charpoly", counted_charpoly)
-    monkeypatch.setattr(modular, "rref", counted_rref)
+    monkeypatch.setattr(modular, "minimal_polynomial", counted)
     out = tmp_path / "dixon.json"
     assert main(["table", "--group", spec, "--method", "dixon", "--out", str(out)]) == 0
-    assert charpolys and not scalar and not one_row
+    assert calls and not fixed
     if digest is None:
         direct = tmp_path / "direct.json"
         assert main(["table", "--group", spec, "--method", "direct", "--out", str(direct)]) == 0
@@ -130,14 +125,18 @@ def test_dixon_split_skips_scalar_actions_and_echelon_lines(tmp_path, monkeypatc
 
 
 def test_verify_a_on_c2_to_the_8_is_fast_and_unchanged(tmp_path):
-    # C_2^8 has 256 classes, all on the Dixon route; most class matrices act
-    # as scalars on the spaces left to split
-    spec = "perm:" + ";".join(f"({2 * i + 1},{2 * i + 2})" for i in range(8))
-    out = tmp_path / "c2_8.json"
-    proc = _run_cli_process(["verify-a", "--group", spec, "--p", "2", "--out", str(out)], timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    digest = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert digest == "15d7debba24e8ba2db22eb9a18a74408b52404fe78e1ca0d5883349f0429d371"
+    # C_2^r has 2^r classes, all on the Dixon route; each class matrix halves
+    # every vector left to split, so the split builds only r of them and
+    # takes 2^r - 1 minimal polynomials, each of degree 2; r = 8 and 9
+    for rank, digest in [
+        (8, "15d7debba24e8ba2db22eb9a18a74408b52404fe78e1ca0d5883349f0429d371"),
+        (9, "8289b9f5187fba154f052ed0f61e7f5a571600ce14437bd90b14dcb25aa59708"),
+    ]:
+        spec = "perm:" + ";".join(f"({2 * i + 1},{2 * i + 2})" for i in range(rank))
+        out = tmp_path / f"c2_{rank}.json"
+        proc = _run_cli_process(["verify-a", "--group", spec, "--p", "2", "--out", str(out)], timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, rank
 
 
 @pytest.mark.parametrize(
@@ -283,6 +282,31 @@ def test_realize_invalid_field_errors(capsys):
         code, _, err = run(["realize", "--field", field, "--p", "2"], capsys)
         assert code == 1
         assert "error:" in err
+
+
+@pytest.mark.parametrize("spec", ["meta:12:5,,7", "meta:12:5,", "meta:12:,5", "perm:(1,,2)", "perm:(1,2,)"])
+def test_group_spec_refuses_an_empty_generator_token(capsys, spec):
+    # a non-empty list is parsed token by token, never with one dropped
+    code, out, err = run(["table", "--group", spec], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "empty entry" in err
+
+
+@pytest.mark.parametrize("spec", ["fix:12:5,,7", "fix:12:5,", "fix:12:,5"])
+def test_field_spec_refuses_an_empty_generator_token(capsys, spec):
+    code, out, err = run(["realize", "--field", spec, "--p", "2"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "empty entry" in err
+
+
+def test_specs_with_no_generators_keep_their_meaning(capsys):
+    # meta:N: is C_N, and fix:N: fixes nothing, so it is Q(zeta_N)
+    code, out, _ = run(["table", "--group", "meta:12:"], capsys)
+    assert code == 0
+    assert out == run(["table", "--group", "cyclic:12"], capsys)[1].replace('"cyclic:12"', '"meta:12:"')
+    code, out, _ = run(["realize", "--field", "fix:12:", "--p", "2"], capsys)
+    assert code == 0
+    assert out == run(["realize", "--field", "cyclo:12", "--p", "2"], capsys)[1].replace('"cyclo:12"', '"fix:12:"')
 
 
 def _run_cli_process(argv, timeout):

@@ -1,6 +1,6 @@
-"""Linear algebra mod q: rref against the row-by-row loop, kernel, charpoly
-against Faddeev-LeVerrier, root multiplicities, the Lagrange projection
-against the kernel, and the exactness of the float64 and int64 products."""
+"""Linear algebra mod q: minimal polynomials of vectors against the
+eigenbasis and the Krylov rank, root multiplicities, the Lagrange basis,
+and the exactness of the float64 and int64 products."""
 
 import numpy as np
 import pytest
@@ -34,130 +34,6 @@ def _rref_by_rows(a, q):
         pivots.append(c)
         r += 1
     return m[:r], pivots
-
-
-def _charpoly_faddeev(a, q):
-    """The reference: Faddeev-LeVerrier, n matrix products; needs q > n."""
-    a = np.array(a, dtype=np.int64) % q
-    n = a.shape[0]
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    m = np.zeros((n, n), dtype=np.int64)
-    c = 1
-    for k in range(1, n + 1):
-        m = modular.matmul(a, (m + c * np.eye(n, dtype=np.int64)) % q, q)
-        c = (-int(np.trace(m)) * pow(k, -1, q)) % q
-        coeffs[n - k] = c
-    return coeffs
-
-
-def _matrices(q, seed):
-    """Random, rank-deficient and zero matrices mod q, square and not."""
-    rng = np.random.default_rng(seed)
-    out = [np.zeros((3, 4), dtype=np.int64), np.zeros((1, 1), dtype=np.int64)]
-    out.append(rng.integers(-3 * q, 3 * q, size=(4, 6)))  # entries outside [0, q)
-    for rows, cols in [(1, 5), (4, 4), (6, 3), (5, 9), (9, 9)]:
-        out.append(rng.integers(0, q, size=(rows, cols)))
-        k = max(1, min(rows, cols) // 2)
-        left = rng.integers(0, q, size=(rows, k))
-        right = rng.integers(0, q, size=(k, cols))
-        out.append((left @ right) % q)
-        # a repeated row and a zero column
-        dup = rng.integers(0, q, size=(rows, cols))
-        dup[-1] = dup[0]
-        dup[:, 0] = 0
-        out.append(dup)
-    return out
-
-
-@pytest.mark.parametrize("q", PRIMES)
-def test_rref_agrees_with_the_row_loop(q):
-    for a in _matrices(q, q):
-        before = a.copy()
-        got, pivots = modular.rref(a, q)
-        want, want_pivots = _rref_by_rows(a, q)
-        assert pivots == want_pivots
-        assert got.tolist() == want.tolist()
-        assert (a == before).all()
-        assert got.shape[0] == len(pivots)
-        if pivots:
-            assert got[:, pivots].tolist() == np.eye(len(pivots), dtype=np.int64).tolist()
-
-
-def test_rref_of_a_full_rank_square_matrix_is_the_identity():
-    q = 101
-    a = np.array([[2, 1, 0], [0, 3, 1], [1, 0, 5]])
-    got, pivots = modular.rref(a, q)
-    assert pivots == [0, 1, 2]
-    assert got.tolist() == np.eye(3, dtype=np.int64).tolist()
-
-
-@pytest.mark.parametrize("q", PRIMES)
-def test_kernel_is_annihilated_and_has_the_right_dimension(q):
-    for a in _matrices(q, q + 1):
-        basis, free = modular.kernel(a, q)
-        rank = len(modular.rref(a, q)[1])
-        assert basis.shape == (a.shape[1] - rank, a.shape[1])
-        assert basis[:, free].tolist() == np.eye(len(free), dtype=np.int64).tolist()
-        assert not modular.matmul(a, basis.T, q).any()
-        # the basis vectors are independent
-        assert len(modular.rref(basis, q)[1]) == basis.shape[0]
-
-
-@pytest.mark.parametrize("q", PRIMES + [BIG])
-def test_charpoly_satisfies_cayley_hamilton(q):
-    rng = np.random.default_rng(q)
-    for n in range(1, min(q, 8)):
-        a = rng.integers(0, q, size=(n, n))
-        coeffs = modular.charpoly(a, q)
-        assert len(coeffs) == n + 1 and coeffs[n] == 1
-        assert coeffs[n - 1] == -int(np.trace(a)) % q
-        # p(A) by Horner's rule
-        acc = np.zeros((n, n), dtype=np.int64)
-        for c in reversed(coeffs):
-            acc = (modular.matmul(acc, a, q) + c * np.eye(n, dtype=np.int64)) % q
-        assert not acc.any()
-
-
-def test_charpoly_needs_q_above_the_dimension():
-    with pytest.raises(ValueError, match="q > matrix dimension"):
-        modular.charpoly(np.eye(3, dtype=np.int64), 3)
-
-
-def _structured_square_matrices(q):
-    """Zero, scalar, nilpotent Jordan and companion matrices, and matrices
-    whose first subdiagonal entry is 0 with a nonzero entry below it, which
-    forces the Hessenberg row and column swap."""
-    rng = np.random.default_rng(q + 2)
-    out = []
-    for n in range(1, 8):
-        out.append(np.zeros((n, n), dtype=np.int64))
-        out.append(5 * np.eye(n, dtype=np.int64))
-        out.append(np.eye(n, k=1, dtype=np.int64))  # one nilpotent Jordan block
-        companion = np.eye(n, k=-1, dtype=np.int64)
-        companion[:, -1] = rng.integers(0, q, size=n)
-        out.append(companion)
-        if n >= 3:
-            swap = rng.integers(0, q, size=(n, n))
-            swap[1, 0] = 0
-            swap[2, 0] = 1 + int(rng.integers(0, q - 1))
-            out.append(swap)
-            # and a zero subdiagonal that survives: block upper triangular
-            split = rng.integers(0, q, size=(n, n))
-            split[2:, :2] = 0
-            out.append(split)
-    return out
-
-
-@pytest.mark.parametrize("q", PRIMES + [BIG])
-def test_charpoly_agrees_with_faddeev_leverrier(q):
-    square = [a for a in _matrices(q, q + 2) if a.shape[0] == a.shape[1]]
-    for a in square + _structured_square_matrices(q):
-        if q <= a.shape[0]:
-            continue
-        before = a.copy()
-        assert modular.charpoly(a, q) == _charpoly_faddeev(a, q), a.tolist()
-        assert (a == before).all()
 
 
 @pytest.mark.parametrize("q", [999983, BIG])
@@ -232,39 +108,93 @@ def test_lagrange_basis_is_the_identity_on_its_roots(q):
         assert at == np.eye(r, dtype=np.int64).tolist()
 
 
-def _diagonalizable(q, rng, spectrum):
-    """(a, p, p^-1) with p a = diag(spectrum) p mod q for a random
-    invertible p: row i of p is an eigenvector of a, acting on rows, for
-    spectrum[i]."""
-    n = len(spectrum)
+def _similar(q, rng, d):
+    """(a, p, p^-1) with p a = d p mod q for a random invertible p: when d
+    is diagonal, row i of p is an eigenvector of a, acting on rows, for
+    d[i, i]."""
+    n = len(d)
     while True:
         p = rng.integers(0, q, size=(n, n))
-        reduced, pivots = modular.rref(np.hstack([p, np.eye(n, dtype=np.int64)]), q)
+        reduced, pivots = _rref_by_rows(np.hstack([p, np.eye(n, dtype=np.int64)]), q)
         if pivots[:n] == list(range(n)):
             break
     p_inv = reduced[:n, n:]
-    return modular.matmul(p_inv, (np.array(spectrum)[:, None] * p) % q, q), p, p_inv
+    return modular.matmul(p_inv, modular.matmul(d, p, q), q), p, p_inv
+
+
+def _at(poly, x, a, q):
+    """x P(a) by Horner's rule, a acting on rows."""
+    acc = np.zeros(len(x), dtype=np.int64)
+    for c in reversed(poly):
+        acc = (modular.matmul(acc, a, q) + c * x) % q
+    return acc
+
+
+def _check_krylov(poly, krylov, x, a, q):
+    """P is monic and kills x; krylov holds x a^t for t < deg P, and those
+    rows are independent, so no polynomial of lower degree kills x."""
+    deg = len(poly) - 1
+    assert poly[-1] == 1 and all(0 <= c < q for c in poly)
+    assert not _at(poly, x % q, a, q).any()
+    assert krylov.shape == (deg, len(x))
+    row = x % q
+    for t in range(deg):
+        assert krylov[t].tolist() == row.tolist()
+        row = modular.matmul(row, a, q)
+    assert len(_rref_by_rows(krylov, q)[1]) == deg
 
 
 @pytest.mark.parametrize("q", [101, 999983, BIG])
-def test_eigen_components_agree_with_the_kernel(q):
-    # diagonalizable matrices with repeated eigenvalues: each component of
-    # a random x lies in the eigenspace the kernel finds, equals the
-    # projection read off the eigenbasis, and the components sum to x
+def test_minimal_polynomial_is_the_product_over_the_eigenvalues_on_the_support(q):
+    # diagonalizable matrices with repeated eigenvalues: for x a combination
+    # of some rows of the eigenbasis p, P is the product of t - lambda over
+    # the distinct eigenvalues on those rows
     rng = np.random.default_rng(q + 3)
     for mults in ([1, 1], [2, 1], [3], [2, 2, 1], [1, 3, 1, 2], [4, 1, 1, 1, 1]):
         lams = sorted({int(x) for x in rng.integers(0, q, size=4 * len(mults))})[:len(mults)]
         spectrum = [lam for lam, m in zip(lams, mults) for _ in range(m)]
         n = len(spectrum)
-        a, p, p_inv = _diagonalizable(q, rng, spectrum)
-        x = rng.integers(0, q, size=n)
-        comp = modular.eigen_components(a, x, lams, q)
-        assert comp.shape == (len(lams), n)
-        assert (comp.sum(axis=0) % q).tolist() == x.tolist()
-        coords = modular.matmul(x, p_inv, q)  # x = coords @ p
-        for k, (lam, m) in enumerate(zip(lams, mults)):
-            basis, free = modular.kernel((a.T - lam * np.eye(n, dtype=np.int64)) % q, q)
-            assert len(free) == m
-            assert comp[k].tolist() == modular.matmul(comp[k][free], basis, q).tolist()
-            mine = [i for i, s in enumerate(spectrum) if s == lam]
-            assert comp[k].tolist() == modular.matmul(coords[mine], p[mine], q).tolist()
+        a, p, _ = _similar(q, rng, np.diag(spectrum))
+        before = a.copy()
+        for _ in range(4):
+            coeffs = rng.integers(1, q, size=n) * (rng.random(n) < 0.6)
+            x = modular.matmul(coeffs, p, q) - 3 * q  # entries outside [0, q)
+            poly, krylov = modular.minimal_polynomial(a, x, q)
+            want = [1]
+            for lam in sorted({s for s, c in zip(spectrum, coeffs) if c}):
+                want = _times(want, [-lam % q, 1], q)
+            assert poly == want
+            _check_krylov(poly, krylov, x, a, q)
+        assert (a == before).all()
+
+
+@pytest.mark.parametrize("q", [101, 999983, BIG])
+def test_minimal_polynomial_of_a_jordan_block_has_a_repeated_root(q):
+    # a = p^-1 J p for J = lambda I + N, N the shift: x = e_0 p runs along
+    # the block, so P = (t - lambda)^k and its root is not simple
+    rng = np.random.default_rng(q + 4)
+    for k in (2, 3, 5):
+        lam = int(rng.integers(0, q))
+        a, p, _ = _similar(q, rng, (lam * np.eye(k, dtype=np.int64) + np.eye(k, k=1, dtype=np.int64)) % q)
+        poly, krylov = modular.minimal_polynomial(a, p[0], q)
+        want = [1]
+        for _ in range(k):
+            want = _times(want, [-lam % q, 1], q)
+        assert poly == want
+        _check_krylov(poly, krylov, p[0], a, q)
+        assert modular.poly_roots(poly, q) == [(lam, False)]
+        # the last row of p is an eigenvector: degree 1
+        assert modular.minimal_polynomial(a, p[-1], q)[0] == [-lam % q, 1]
+
+
+def test_minimal_polynomial_of_zero_is_one():
+    poly, krylov = modular.minimal_polynomial(np.eye(3, dtype=np.int64), np.zeros(3, dtype=np.int64), 101)
+    assert poly == [1]
+    assert krylov.shape == (0, 3)
+
+
+def test_minimal_polynomial_refuses_a_length_past_the_int64_bound():
+    q = BIG
+    n = (2**63 - 1) // (q - 1) ** 2 + 1
+    with pytest.raises(ValueError, match="2\\^63"):
+        modular.minimal_polynomial(np.zeros((n, 1), dtype=np.int64), np.zeros(n, dtype=np.int64), q)
