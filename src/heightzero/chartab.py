@@ -39,7 +39,7 @@ import numpy as np
 
 from . import modular
 from .cyclotomic import (
-    CycElt, _basis_set, _one_at, _prime_powers, _reduce_terms, _units, isprime, unit_generators, zero
+    CycElt, _basis_set, _one_at, _prime_powers, _units, isprime, unit_generators, zero
 )
 from .fields import AbelianField
 from .groups import ClassData
@@ -87,87 +87,20 @@ class CharacterTable:
         """The first orthogonality relation, exactly; raises on failure.
 
         For rows r <= s, r-major, S_rs = sum_j |K_j| chi_r(g_j)
-        conj(chi_s(g_j)) must be |G| for r = s and 0 otherwise.  The sum is
-        decided on packed integers, with no CycElt arithmetic, and each
-        distinct value object is packed once (every table route makes equal
-        values one object).  Let E be the lcm of the value moduli and D the
-        lcm of the coefficient denominators.
-        A value sum_i a_i zeta_n^i packs as the integer sum_i D a_i 2^(W k_i),
-        where k_i = i E/n (the lane of zeta_E^k_i), and its conjugate packs
-        with lane -k_i mod E instead.  So D^2 S_rs is a sum of c big-int
-        products, read as a polynomial in x = zeta_E of degree <= 2E - 2.  Its
-        lanes are folded mod x^E - 1 and rewritten once in the Zumbroich basis,
-        and they must give |G| D^2 (for r = s) or 0 times the canonical 1 at E.
+        conj(chi_s(g_j)) must be |G| for r = s and 0 otherwise, decided mod m
+        by _class_sums, which is exact once _check_galois_action passes.
 
-        Width.  With A the largest scaled coefficient D |a_i|, lane k of the
-        folded sum collects, per class j, the E products a b with exponents
-        summing to k mod E, each times |K_j|.  So every lane, folded or not,
-        is at most L = E A^2 sum_j |K_j| in absolute value.  W is the least
-        multiple of 8 with L < 2^(W-2) (`_lane_width`).  That leaves one bit
-        for the sign: a bias of 2^(W-2) per lane makes every lane nonnegative
-        and below 2^(W-1).  It leaves one more for the fold, which adds the
-        high lanes onto the low ones.  No lane carries into the next, so the
-        bytes of the folded sum are its lanes.
-
-        Zero sums.  Before the bias, the sum is an integer in base 2^W whose
-        digits, its lanes, are below 2^(W-2) in absolute value.  Such a
-        signed-digit expansion is unique, so the integer is 0 exactly when
-        every lane is 0, the zero polynomial, which passes for r != s.  An
-        off-diagonal pair whose integer is 0 is therefore skipped before the
-        bias, the fold and the basis rewrite; most off-diagonal pairs of a
-        table are such pairs.
-
-        The second relation, sum_r chi_r(g_j) conj(chi_r(g_k)) = |G|/|K_j|
-        for j = k and 0 otherwise, follows from the first and is not summed.
-        Let X be the value matrix and S = diag(|K_j|).  The first relation
-        says X S X*^T = |G| I over Q(zeta_E), with X* the entrywise conjugate.
-        X is square (__init__ checks that the row count is the class count),
-        so X is invertible with X^-1 = S X*^T / |G|.  Then X^-1 X = I gives
-        X*^T X = |G| S^-1, and complex conjugation, a field automorphism,
-        turns that entrywise into the second relation.  What remains of it is
-        that |G|/|K_j| must be an integer, the centralizer order, so every
-        class size must divide |G|; that is checked last."""
-        c = self.num_classes
-        sizes = self.classes.class_sizes
-        values = [row[:c] for row in self.rows]
-        objects = _per_object(values, lambda v: v)
-        e = lcm(*(v.n for v in objects.values()))
-        coeffs = [a for v in objects.values() for a in v.terms.values()]
-        den = lcm(*(a.denominator for a in coeffs))
-        top = max((abs(a.numerator) * (den // a.denominator) for a in coeffs), default=0)
-        w = _lane_width(e * top * top * sum(sizes))
-
-        def pack(v, sign):
-            step = e // v.n
-            return sum(
-                a.numerator * (den // a.denominator) << w * (sign * i * step % e)
-                for i, a in v.terms.items()
-            )
-
-        packed = {i: (pack(v, 1), pack(v, -1)) for i, v in objects.items()}
-        scaled = [[size * packed[id(v)][0] for size, v in zip(sizes, row)] for row in values]
-        conj = [[packed[id(v)][1] for v in row] for row in values]
-        nb, half, high = w // 8, 1 << w - 2, w * e
-        low = (1 << high) - 1
-        bias = half * (((1 << w * (2 * e - 1)) - 1) // ((1 << w) - 1))
-        one = _one_at(e).terms
-        for r, xs in enumerate(scaled):
-            for s in range(r, len(scaled)):
-                acc = sum(map(mul, xs, conj[s]))
-                if r != s and not acc:
-                    continue  # the zero polynomial; see Zero sums
-                acc += bias
-                raw = ((acc & low) + (acc >> high)).to_bytes(e * nb, "little")
-                # lanes below E - 1 carry two biases after the fold, lane E - 1 one
-                lanes = {
-                    k: int.from_bytes(raw[k * nb : k * nb + nb], "little") - 2 * half
-                    for k in range(e)
-                }
-                lanes[e - 1] += half
-                want = self.order * den * den if r == s else 0
-                if _reduce_terms(e, lanes) != {i: want * a for i, a in one.items() if want}:
-                    raise ValueError(f"first orthogonality fails at rows {r},{s}")
-        for j, size in enumerate(sizes):
+        The second relation follows and is not summed.  With X the value
+        matrix, square by __init__, X* its entrywise conjugate and
+        S = diag(|K_j|), the first says X S X*^T = |G| I, so X^-1 =
+        S X*^T / |G| and X*^T X = |G| S^-1, the second relation conjugated.
+        What remains is that each class size divides |G|, checked last."""
+        _check_galois_action(self.classes, self.rows)
+        m, den, sums = _class_sums(self, range(self.num_classes))
+        for r, s, acc in sums:
+            if acc != (self.order * den * den % m if r == s else 0):
+                raise ValueError(f"first orthogonality fails at rows {r},{s}")
+        for j, size in enumerate(self.classes.class_sizes):
             if self.order % size:
                 raise ValueError(f"class {j} has size {size}, not a divisor of the order {self.order}")
 
@@ -222,12 +155,6 @@ def _degree(r, value):
     return int(d)
 
 
-def _lane_width(bound):
-    """The least multiple of 8 bits W with bound < 2^(W-2): the lane width of
-    CharacterTable.check_orthogonality, with a sign bit and a fold bit."""
-    return -(-(bound.bit_length() + 2) // 8) * 8
-
-
 def _sort_rows(rows):
     """Rows sorted trivial first, then by degree and by the values' keys.
 
@@ -256,6 +183,86 @@ def _per_object(rows, f):
     twice (a list of rows)."""
     objects = dict(zip(map(id, chain.from_iterable(rows)), chain.from_iterable(rows)))
     return {i: f(v) for i, v in objects.items()}
+
+
+def _check_galois_action(cd, rows):
+    """Refuse a table on which powering is not the Galois action, the
+    precondition of _class_sums: each value sits at a modulus dividing the
+    exponent e, and for each generator g of (Z/e)*
+    row[pm[j][g]] = row[j].galois(g) (so chi(g_j^k) = sigma_k(chi(g_j)) for
+    every unit k, by induction on word length), while j -> pm[j][g] keeps
+    class sizes and permutes the classes.  Entries compare as the numbers
+    of their values at modulus e, and each sigma_g runs once per value."""
+    e, k = cd.exponent, cd.num_classes
+    sizes, pm = cd.class_sizes, cd.power_map
+    gens = unit_generators(e)
+    number = {}
+    # embed raises ValueError on a modulus that does not divide e
+    numbers = _per_object(rows, lambda v: number.setdefault(v.embed(e), len(number)))
+    # images[i][x]: the number of sigma_(gens[i]) of value x, -1 if no value has it
+    images = [[number.get(v.galois(g), -1) for v in list(number)] for g in gens]
+    cols = [[pm_j[g] for pm_j in pm] for g in gens]
+    for row in rows:
+        x = [numbers[id(v)] for v in row]
+        for g, col, image in zip(gens, cols, images):
+            if [x[i] for i in col] != [image[i] for i in x]:
+                raise ValueError(f"power map under power {g} is not compatible with the values")
+    for g, col in zip(gens, cols):
+        for j, i in enumerate(col):
+            if sizes[i] != sizes[j]:
+                moved = f"class {j} of size {sizes[j]} to class {i} of size {sizes[i]}"
+                raise ValueError(f"power map under power {g} sends {moved}")
+        if len(set(col)) != k:
+            raise ValueError(f"power map under power {g} does not permute the classes")
+
+
+def _class_sums(table, classes):
+    """(m, D, sums): sums yields (r, s, D^2 S_rs mod m) lazily for rows
+    r <= s, r-major, with S_rs = sum over j in classes of |K_j| chi_r(g_j)
+    conj(chi_s(g_j)) and D the lcm of the coefficient denominators.
+
+    zeta_e -> z is a ring map Z[zeta_e] -> Z/m sending conj(v) where
+    zeta_e -> z^-1 sends v, so each distinct value is evaluated twice.  It is
+    exact when _check_galois_action passes and powering by units keeps the
+    classes (all, or the p-regular ones): sigma_k permutes the terms, so
+    D^2 S_rs is a rational integer, and |D^2 S_rs - T| <= sum_j |K_j| L^2 +
+    |G| D^2 < m for a target |T| <= |G| D^2, L the largest l1 norm of a D v."""
+    e, sizes = table.classes.exponent, table.classes.class_sizes
+    values = [[row[j] for j in classes] for row in table.rows]
+    objects = _per_object(values, lambda v: v)
+    den = lcm(*(a.denominator for v in objects.values() for a in v.terms.values()))
+    # D v as (exponent at e, integer coefficient) pairs
+    scaled = {
+        i: [(k * (e // v.n), a.numerator * (den // a.denominator)) for k, a in v.terms.items()]
+        for i, v in objects.items()
+    }
+    top = max((sum(abs(a) for _, a in t) for t in scaled.values()), default=0)
+    m, z = _evaluation_point(e, sum(sizes[j] for j in classes) * top * top + table.order * den * den)
+    powers = [pow(z, k, m) for k in range(e)]
+    at = {
+        i: (sum(a * powers[k] for k, a in t) % m, sum(a * powers[-k] for k, a in t) % m)
+        for i, t in scaled.items()
+    }
+    xs = [[sizes[j] * at[id(v)][0] for j, v in zip(classes, row)] for row in values]
+    ys = [[at[id(v)][1] for v in row] for row in values]
+    sums = ((r, s, sum(map(mul, x, ys[s])) % m) for r, x in enumerate(xs) for s in range(r, len(ys)))
+    return m, den, sums
+
+
+def _evaluation_point(e, bound):
+    """(m, z): m the product of the least primes q = 1 mod e above
+    min(bound, 2^61), as many as make m > bound, and z = _dixon_root(q, e)
+    mod each q by CRT, a root of the e-th cyclotomic polynomial mod m.
+    Primes of fixed size keep residues to a few machine words, and isprime
+    is deterministic at that size."""
+    q = ((min(bound, 1 << 61) - 1) // e + 1) * e + 1
+    m, z = 1, 0
+    while m <= bound:
+        if isprime(q):
+            z += m * ((_dixon_root(q, e) - z) * pow(m, -1, q) % q)
+            m *= q
+        q += e
+    return m, z
 
 
 # ---------------------------------------------------------------------------
@@ -701,13 +708,10 @@ def _check_ingest(order, cd, rows):
     """Reject class data and values that are not those of a finite group.
 
     Power maps are load-bearing (CharacterTable.row_field permutes the rows
-    through them, one Galois orbit at a time, and looks each image up among
-    the rows), so beyond shape and element orders this checks that
-    powering by each generator g of (Z/e)* composes, pm[pm[j][g]][b] =
-    pm[j][g*b], and is compatible with the values, row[pm[j][g]] =
-    row[j].galois(g).  By induction on word length in the generators, that
-    gives chi(g_j^k) = sigma_k(chi(g_j)) for every unit k.  Each sigma_g is
-    applied once per distinct value object, not once per entry."""
+    through them, and the orthogonality sums are exact through them), so
+    beyond shape and element orders this checks that powering by each
+    generator g of (Z/e)* composes, pm[pm[j][g]][b] = pm[j][g*b];
+    check_orthogonality then runs _check_galois_action."""
     e, k = cd.exponent, cd.num_classes
     sizes, orders, pm = cd.class_sizes, cd.element_orders, cd.power_map
     if order < 1 or any(sz < 1 for sz in sizes) or sum(sizes) != order:
@@ -733,13 +737,9 @@ def _check_ingest(order, cd, rows):
         for j in range(k):
             if any(pm[pm[j][g]][b] != pm[j][g * b % e] for b in range(e)):
                 raise ValueError(f"power map of class {j} does not compose under power {g}")
-    images = _per_object(rows, lambda v: [v.galois(g) for g in gens])
     for row in rows:
         if len(row) != k:
             raise ValueError(f"character row has {len(row)} values for {k} classes")
-        for i, g in enumerate(gens):
-            if any(row[pm[j][g]] != images[id(row[j])][i] for j in range(k)):
-                raise ValueError(f"power map under power {g} is not compatible with the values")
 
 
 def table_from_json(obj):
@@ -747,10 +747,9 @@ def table_from_json(obj):
 
     Like the two builders, it works per distinct value: each distinct value
     encoding is parsed once, equal values become one CycElt object, and the
-    Galois images of _check_ingest and the packing of check_orthogonality
-    are computed once per value.  Malformed input, a power map that is not
-    one of a finite group and a table failing orthogonality raise
-    ValueError."""
+    Galois images and the residues of check_orthogonality are computed once
+    per value.  Malformed input, a power map that is not one of a finite
+    group and a table failing orthogonality raise ValueError."""
     try:
         e = _int(obj["exponent"], "exponent")
         if e < 1:

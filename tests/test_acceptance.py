@@ -25,7 +25,6 @@ from heightzero.reports import (
     build_table,
     char_field_report,
     corollary_c_sweep,
-    default_corpus,
     realize_field,
     verify_theorem_A,
 )
@@ -37,12 +36,8 @@ def _report(line):
 
 
 @pytest.fixture(scope="module")
-def corpus_tables():
-    tables = []
-    for spec in default_corpus():
-        t = build_table(spec)
-        tables.append((spec, t, block_partition(t, 2)))
-    return tables
+def corpus_partitions(corpus_tables):
+    return [(spec, t, block_partition(t, 2)) for spec, t in corpus_tables]
 
 
 def _is_squarefree(m):
@@ -57,14 +52,14 @@ def _is_squarefree(m):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_1_height_zero_containment_sweep_p2(corpus_tables):
+def test_criterion_1_height_zero_containment_sweep_p2(corpus_partitions):
     total_rows = 0
-    for spec, t, bp in corpus_tables:
+    for spec, t, bp in corpus_partitions:
         reports, violations = verify_theorem_A(t, 2, bp)
         assert not violations, f"containment violated in {spec}: rows {violations}"
         total_rows += len(reports)
     _report(
-        f"criterion 1: PASS — p=2 containment sweep over {len(corpus_tables)} "
+        f"criterion 1: PASS — p=2 containment sweep over {len(corpus_partitions)} "
         f"groups, {total_rows} height-zero rows, 0 violations"
     )
 
@@ -129,9 +124,9 @@ def test_criterion_5_semidihedral16_counterexample():
     )
 
 
-def test_criterion_6_sigma1_fixed_iff_2_rational_on_corpus(corpus_tables):
+def test_criterion_6_sigma1_fixed_iff_2_rational_on_corpus(corpus_partitions):
     checked = 0
-    for spec, t, bp in corpus_tables:
+    for spec, t, bp in corpus_partitions:
         for r in height_zero_rows(bp):
             fixed = all(sigma_e(v, 1) == v for v in t.rows[r])
             rational2 = field_from_values(t.rows[r]).conductor % 2 == 1

@@ -19,6 +19,7 @@ import pytest
 from sympy import Poly, Symbol, cyclotomic_poly
 
 from heightzero.blocks import Block, BlockPartition, _image, block_partition, height_zero_rows
+from heightzero import chartab
 from heightzero.chartab import dixon_table
 from heightzero.cyclotomic import CycElt, nu_p, root_of_unity, unit_generators
 from heightzero.groups import (
@@ -31,7 +32,7 @@ from heightzero.groups import (
     sl2,
     symmetric,
 )
-from heightzero.reports import build_table, default_corpus
+from heightzero.reports import build_table
 from subgroups import decompose, derived_subgroup, restrict, subgroup_as_group, subgroup_elements
 
 _X = Symbol("x")
@@ -346,15 +347,49 @@ def galois_block_violations(table, partition):
     return out
 
 
-@pytest.fixture(scope="module")
-def corpus_tables():
-    return [build_table(spec) for spec in default_corpus()]
-
-
 @pytest.mark.parametrize("p", [2, 3])
 def test_blocks_are_galois_stable_on_default_corpus(corpus_tables, p):
-    for t in corpus_tables:
+    for _, t in corpus_tables:
         assert galois_block_violations(t, block_partition(t, p)) == [], t.name
+
+
+# ---------------------------------------------------------------------------
+# Osima: blocks read from characteristic zero
+
+
+def osima_partition(table, p):
+    """The p-blocks as linkage classes, with no reduction mod p.
+
+    chi and psi are linked when the sum over the p-regular classes of
+    |K| chi(g) conj(psi(g)) is nonzero, and the p-blocks are the connected
+    components of that relation (Osima's theorem; Navarro, Characters and
+    Blocks of Finite Groups, 1998, ch. 3).  Powering by a unit keeps element
+    orders, so the p-regular classes are Galois-stable, each sum is
+    rational, and the single evaluation of chartab._class_sums decides it
+    exactly.  The blocks come back as lists of rows, ordered by least row,
+    as block_partition orders them."""
+    regular = [j for j, o in enumerate(table.classes.element_orders) if o % p]
+    parent = list(range(len(table.rows)))
+
+    def root(r):
+        while parent[r] != r:
+            parent[r] = r = parent[parent[r]]
+        return r
+
+    _, _, sums = chartab._class_sums(table, regular)
+    for r, s, acc in sums:
+        if acc:
+            parent[max(root(r), root(s))] = min(root(r), root(s))
+    blocks = {}
+    for r in range(len(table.rows)):
+        blocks.setdefault(root(r), []).append(r)
+    return list(blocks.values())
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_osima_linkage_gives_the_blocks_on_default_corpus(corpus_tables, p):
+    for spec, t in corpus_tables:
+        assert osima_partition(t, p) == [b.rows for b in block_partition(t, p)], spec
 
 
 def test_galois_oracle_rejects_doctored_partitions():

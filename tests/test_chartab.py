@@ -3,6 +3,7 @@
 import copy
 import json
 import random
+import time
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
@@ -134,7 +135,7 @@ def test_orthogonality_on_sample_tables():
 
 
 # ---------------------------------------------------------------------------
-# orthogonality: the packed-integer check against the CycElt loop
+# orthogonality: the residue check against the CycElt loop
 
 
 def _orthogonality_oracle(table):
@@ -162,6 +163,27 @@ def _orthogonality_oracle(table):
         None,
     )
     return first, second
+
+
+def _precondition_refusal(table):
+    """The refusal of check_orthogonality's precondition, read with CycElt
+    equality: powering by each generator of (Z/e)* must be compatible with
+    the values, then keep class sizes.  None if it holds."""
+    cd = table.classes
+    pm, sizes = cd.power_map, cd.class_sizes
+    gens = unit_generators(cd.exponent)
+    for row in table.rows:
+        for g in gens:
+            if any(row[pm[j][g]] != row[j].galois(g) for j in range(len(row))):
+                return f"power map under power {g} is not compatible with the values"
+    for g in gens:
+        for j, size in enumerate(sizes):
+            if sizes[pm[j][g]] != size:
+                return (
+                    f"power map under power {g} sends class {j} of size {size}"
+                    f" to class {pm[j][g]} of size {sizes[pm[j][g]]}"
+                )
+    return None
 
 
 def _verdict(table):
@@ -211,7 +233,7 @@ def _edits(e):
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
-def test_packed_orthogonality_agrees_with_the_cyclotomic_loop(data):
+def test_residue_orthogonality_agrees_with_the_cyclotomic_loop(data):
     table = _spec_table(data.draw(st.sampled_from(_ORACLE_SPECS)))
     rows = [list(row) for row in table.rows]
     c, e = table.num_classes, table.classes.exponent
@@ -222,7 +244,9 @@ def test_packed_orthogonality_agrees_with_the_cyclotomic_loop(data):
     first, second = _orthogonality_oracle(mutated)
     # on a square table the second relation never fails while the first holds
     assert second is None or first is not None
-    assert _verdict(mutated) == first
+    # an edit off the power map is refused before any sum: one evaluation
+    # could accept such a table
+    assert _verdict(mutated) == (_precondition_refusal(mutated) or first)
 
 
 def test_orthogonality_does_no_cyclotomic_arithmetic(monkeypatch):
@@ -237,12 +261,12 @@ def test_orthogonality_does_no_cyclotomic_arithmetic(monkeypatch):
         table.check_orthogonality()
 
 
-def _rotated_s3():
+def _rotated_s3(a=1 << 31):
     """S3 with its two nontrivial rows turned by the rational rotation with
-    cos = (a^2 - b^2)/(a^2 + b^2), sin = 2ab/(a^2 + b^2), for a = 2^31,
-    b = 1: both relations still hold, with denominators 2^62 + 1."""
+    cos = (a^2 - b^2)/(a^2 + b^2), sin = 2ab/(a^2 + b^2), for b = 1: both
+    relations still hold, with denominators a^2 + 1 (2^62 + 1 by default)."""
     table = _spec_table("sym:3")
-    a, b = 1 << 31, 1
+    b = 1
     den = a * a + b * b
     cos, sin = Fraction(a * a - b * b, den), Fraction(2 * a * b, den)
     one, x, y = table.rows
@@ -256,22 +280,53 @@ def _rotated_s3():
     )
 
 
-def test_wide_lanes_keep_the_check_exact(monkeypatch):
+def _corrupted(table):
+    """The table with 2^70 added to one entry of row 2."""
+    rows = [list(row) for row in table.rows]
+    rows[2][1] = rows[2][1] + (1 << 70)
+    return _with_rows(table, rows)
+
+
+def test_evaluation_primes_keep_the_check_exact(monkeypatch):
     rotated = _rotated_s3()
     assert _orthogonality_oracle(rotated) == (None, None)
     assert _verdict(rotated) is None
     # a numerator past 2^70 breaks the relations, at the same first pair
-    rows = [list(row) for row in rotated.rows]
-    rows[2][1] = rows[2][1] + (1 << 70)
-    corrupt = _with_rows(rotated, rows)
+    corrupt = _corrupted(rotated)
     first, _ = _orthogonality_oracle(corrupt)
+    points = []
+    point = chartab._evaluation_point
+    monkeypatch.setattr(
+        chartab, "_evaluation_point", lambda e, bound: points.append((e, bound, point(e, bound))) or points[-1][2]
+    )
     assert first is not None and _verdict(corrupt) == first
-    # the proven width is past 64 bits, and 64-bit lanes overflow
-    widths = []
-    width = chartab._lane_width
-    monkeypatch.setattr(chartab, "_lane_width", lambda bound: widths.append(width(bound)) or 64)
-    assert _verdict(rotated) is not None
-    assert widths[0] > 64
+    # the bound is past 2^140, so the modulus is a product of several primes
+    # from 2^61 up, each 1 mod e, with z of order e mod every one of them
+    [(e, bound, (m, z))] = points
+    assert bound > 1 << 140 and m > bound
+    assert pow(z, e, m) == 1
+    assert all(gcd(pow(z, e // r, m) - 1, m) == 1 for r in (2, 3))
+
+
+def test_evaluation_modulus_has_a_root_of_order_e_mod_each_prime():
+    for e in (1, 2, 12, 666):
+        for bound in (1, 10**6, 1 << 61, 1 << 200):
+            m, z = chartab._evaluation_point(e, bound)
+            assert m > bound and pow(z, e, m) == 1 % m
+            assert all(gcd(pow(z, e // r, m) - 1, m) == 1 for r in range(2, e + 1) if e % r == 0)
+
+
+def test_huge_denominators_are_checked_in_well_under_a_second():
+    # denominators 2^2000 + 1 put the bound past 2^4000; the primes still
+    # start at 2^61, so each residue stays a few machine words
+    rotated = _rotated_s3(1 << 1000)
+    corrupt = _corrupted(rotated)
+    start = time.perf_counter()
+    assert _verdict(rotated) is None
+    verdict = _verdict(corrupt)
+    elapsed = time.perf_counter() - start
+    assert verdict == _orthogonality_oracle(corrupt)[0] is not None
+    assert elapsed < 1.0, elapsed
 
 
 def test_orthogonality_rejects_a_class_size_not_dividing_the_order():
@@ -288,11 +343,15 @@ def test_orthogonality_rejects_a_class_size_not_dividing_the_order():
     assert _verdict(table) == "class 1 has size 4, not a divisor of the order 5"
 
 
-@pytest.fixture(scope="module")
-def corpus_tables():
-    from heightzero.reports import build_table, default_corpus
+def test_orthogonality_rejects_a_power_map_that_does_not_permute_the_classes():
+    # both faithful classes of C3 square into class 2: sizes and values keep,
+    # but sigma_2 would not permute the terms of the sums
+    from heightzero.groups import ClassData
 
-    return [(spec, build_table(spec)) for spec in default_corpus()]
+    cd = ClassData([1, 1, 1], [1, 3, 3], [[0, 0, 0], [0, 1, 2], [0, 2, 2]], 3)
+    table = chartab.CharacterTable("fake", 3, cd, [[rational(1)] * 3] * 3)
+    assert _precondition_refusal(table) is None
+    assert _verdict(table) == "power map under power 2 does not permute the classes"
 
 
 def test_orthogonality_on_default_corpus(corpus_tables):

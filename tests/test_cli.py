@@ -657,6 +657,23 @@ def test_ingest_requires_the_identity_class_first(tmp_path, capsys):
     assert err == "error: the class of element order 1 must come first, not at index 1\n"
 
 
+def test_ingest_refuses_a_power_map_that_changes_class_sizes(tmp_path, capsys):
+    # A4 with its two classes of 3-cycles, swapped by the 5th power, given
+    # sizes 5 and 3: the sizes still sum to 12 and every power-map and value
+    # check passes, but sigma_5 would no longer permute the terms of the
+    # orthogonality sums, so their single evaluation would not be exact
+    obj = _table_json(tmp_path, "alt:4")
+    assert [c["size"] for c in obj["classes"]] == [1, 3, 4, 4]
+    assert [c["powermap"]["5"] for c in obj["classes"]] == [0, 1, 3, 2]
+    obj["classes"][2]["size"], obj["classes"][3]["size"] = 5, 3
+    path = tmp_path / "sizes.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(["ingest", "--file", str(path), "--p", "2", "--check", "a"], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == "error: power map under power 5 sends class 2 of size 5 to class 3 of size 3\n"
+
+
 _FUZZ_GROUPS = ("sym:3", "dihedral:8", "quaternion:8")
 _FUZZ_CHECKS = (("a", "2"), ("sigma", "2"), ("blocks", "3"))
 
