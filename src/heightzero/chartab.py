@@ -31,11 +31,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress
 from math import gcd, isqrt, lcm
 from operator import mul
-
-import numpy as np
 
 from . import modular
 from .cyclotomic import (
@@ -270,21 +268,20 @@ def _evaluation_point(e, bound):
 
 
 def class_matrix(group, cd, i):
-    """Class matrix i: m[j, k] = a_ijk = #{x in K_i : x^-1 z_k in K_j}, the
+    """Class matrix i: m[j][k] = a_ijk = #{x in K_i : x^-1 z_k in K_j}, the
     structure constant #{(x, y) in K_i x K_j : x y = z_k} for the fixed rep
     z_k.  x -> x^-1 maps K_i onto its inverse class, so it is read off the
-    members y of that class as #{y : y z_k in K_j}, |K_i| * c products.
+    members y of that class as #{y : y z_k in K_j}, |K_i| * c products, and
+    column k has at most |K_i| nonzero entries.
 
-    Satisfies sum_k m[j, k] * |K_k| = |K_i| * |K_j|.  The counts go into
-    Python lists, converted once: a numpy scalar += costs about a third of a
-    group product."""
+    Satisfies sum_k m[j][k] * |K_k| = |K_i| * |K_j|."""
     c = cd.num_classes
     m = [[0] * c for _ in range(c)]
     cls = cd.class_of
     for y in cd.members[cd.inverse_class[i]]:
         for k, z in enumerate(cd.class_reps):
             m[cls[group.mul(y, z)]][k] += 1
-    return np.array(m, dtype=np.int64)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -321,120 +318,87 @@ def _residue(terms, roots, q):
 
 def _split_eigenspaces(group, cd, q):
     """The common eigenvectors of the class matrices mod q, one per row, each
-    up to a nonzero scalar.
-
-    The split carries vectors only, each a component of the identity
-    coordinate e_0 = sum_chi chi(1)^2 / |G| omega_chi scaled so its first
-    nonzero entry is 1.  Each coefficient of e_0 is nonzero mod q: q = 1
-    mod e rules out q dividing |G|, and chi(1) < q.  So every vector is
-    x = sum_(chi in S) c_chi omega_chi with every c_chi nonzero.
-
-    Class matrix i >= 1 is built only while there are fewer than c vectors,
-    and one product maps every vector by B = M_i^T.  A vector that B fixes
-    up to its lead entry stays as it is.  Any other x has for minimal
-    polynomial under B the product of t - lambda over the distinct
-    eigenvalues lambda of B on S, and is replaced by its components
-    x L_lambda(B), for the Lagrange basis L of those roots: each is exactly
-    the lambda-part of x.  A minimal polynomial without deg-many simple
-    roots in F_q means B is not diagonalizable, and every component must
-    be nonzero and fixed by B up to its lambda.  Class sums are central, so
-    the class matrices commute and a component of a common eigenvector
-    stays one; the split ends with c vectors, one per line, or fails."""
+    up to a nonzero scalar.  Every vector is a component x = sum_(chi in S)
+    c_chi omega_chi of the identity coordinate e_0 = sum_chi chi(1)^2 / |G|
+    omega_chi, so every c_chi is nonzero mod q (q = 1 mod e rules out q | |G|,
+    and chi(1) < q).  Class matrix i >= 1 is built while there are fewer than
+    c vectors, and one product maps every vector by B = M_i^T.  A vector that
+    B fixes up to a scalar stays; any other x has for minimal polynomial the
+    product of t - lambda over the eigenvalues of B on S, and is replaced by
+    its lambda-parts x L_lambda(B), L the Lagrange basis of those roots, which
+    must be deg-many and simple, each part nonzero and fixed by B up to its
+    lambda.  The class matrices commute: the split ends with c lines or fails."""
     c = cd.num_classes
-    vectors = np.eye(c, dtype=np.int64)[:1]
+    field, lanes = modular._Lanes(q, q), modular._Lanes(c, q)
+    vectors = [[1] + [0] * (c - 1)]
+    packed = modular._packed(vectors)  # again each time the vectors change
     for i in range(1, c):
         if len(vectors) >= c:
             break
-        bt = class_matrix(group, cd, i).T
-        images = modular.matmul(vectors, bt, q)
-        lams = images[np.arange(len(vectors)), (vectors != 0).argmax(axis=1)]
-        fixed = (images == lams[:, None] * vectors % q).all(axis=1)
-        if fixed.all():
+        bt = []  # B by its sparse columns, the rows of M_i
+        for row in class_matrix(group, cd, i):
+            js = list(compress(range(c), row))
+            bt.append((js, [row[j] % q for j in js]))
+        fixed = [lam is not None for lam in lanes.eigenvalues(packed, bt)]
+        if all(fixed):
             continue
         comps, roots = [], []
-        for x in vectors[~fixed]:
+        for x in compress(vectors, [not f for f in fixed]):
             poly, krylov = modular.minimal_polynomial(bt, x, q)
-            simple = [lam for lam, one in modular.poly_roots(poly, q) if one]
+            simple = [lam for lam, one in modular.poly_roots(poly, field) if one]
             if len(simple) != len(poly) - 1:
                 raise AssertionError("class matrix not diagonalizable mod q")
-            comps.append(modular.matmul(modular.lagrange(simple, q), krylov, q))
-            roots.extend(simple)
-        comps = np.concatenate(comps)
-        roots = np.array(roots, dtype=np.int64)
-        if not comps.any(axis=1).all() or (
-            modular.matmul(comps, bt, q) != roots[:, None] * comps % q
-        ).any():
+            krylov = [modular._pack(row) for row in krylov]
+            for row in modular.lagrange(simple, q):
+                comps.append([a % q for a in modular._lanes(sum(map(mul, row, krylov)), c)])
+            roots += simple
+        if not all(map(any, comps)) or lanes.eigenvalues(modular._packed(comps), bt) != roots:
             raise AssertionError("eigenline is not fixed by its class matrix mod q")
-        leads = comps[np.arange(len(comps)), (comps != 0).argmax(axis=1)]
-        inv = np.array([pow(v, -1, q) for v in leads.tolist()], dtype=np.int64)
-        vectors = np.concatenate([vectors[fixed], comps * inv[:, None] % q])
+        vectors = list(compress(vectors, fixed)) + comps
+        packed = modular._packed(vectors)
     if len(vectors) != c:
         raise AssertionError("common eigenspaces did not split to lines")
     return vectors
 
 
 def dixon_table(group, cd):
-    """Character table via the Dixon-Schneider modular method.
-
-    The common eigenvectors of the class matrices mod q give every value
-    mod q.  A value chi(g) for g of order o is sum_t m_t zeta_o^t, with m_t
-    the multiplicity of the eigenvalue zeta_o^t of g in a representation
-    affording chi, and the m_t are read off chi(g^l) mod q by a discrete
-    Fourier transform over l < o.  That lift runs once per rational class:
-    for a unit u mod o, chi(g^u) = sigma_u(chi(g)) has m'_{t u mod o} = m_t
-    (Schneider, J. Symb. Comput. 9, 1990), so the classes power_map[j][u] are
-    filled from class j's multiplicities.  Every filled class is checked:
-    its power map must be the u-th power of class j's, and each of its
-    values must reduce to the modular value from its own eigenvector
-    coordinates.  Each value is built once per distinct raw exponent map and
-    interned, so equal values of the table are one CycElt, as in
-    metacyclic_table.
-
-    Values mod q send zeta_e to the root s of order e of `_dixon_root`, which
-    exists as q = 1 mod e: a raw exponent map {k: m_k} reduces to
-    sum m_k s^k mod q.  Any primitive e-th root gives the same table: s^k
-    (k prime to e) lifts each row to sigma_k(chi), and Irr(G) is
-    Galois-stable, so the sorted rows do not change."""
-    c = cd.num_classes
-    n = group.order
-    e = cd.exponent
+    """Character table via the Dixon-Schneider modular method.  The common
+    eigenvectors of the class matrices give every value mod q, zeta_e sent to
+    the root s of `_dixon_root`; another primitive root only permutes the
+    rows by Galois conjugation.  A value chi(g) for g of order o is
+    sum_t m_t zeta_o^t, m_t the multiplicity of the eigenvalue zeta_o^t of g,
+    read off chi(g^l) mod q by a discrete Fourier transform over l < o, once
+    per rational class: chi(g^u) = sigma_u(chi(g)) has m'_{t u mod o} = m_t
+    for a unit u (Schneider, J. Symb. Comput. 9, 1990).  Each class so filled
+    must have the u-th power of class j's power map and reduce to its own
+    values mod q; each value is interned, one CycElt."""
+    c, n, e = cd.num_classes, group.order, cd.exponent
     q = _dixon_prime(e, n, c)
     s = _dixon_root(q, e)
-
     lines = _split_eigenspaces(group, cd, q)
 
-    sizes = cd.class_sizes
-    inv_sizes = [pow(sz, -1, q) for sz in sizes]
-    omegas = []
-    for v in lines:
-        if v[0] == 0:
-            raise AssertionError("central character with zero identity coordinate")
-        omegas.append((v * pow(int(v[0]), -1, q)) % q)
-
+    inv_sizes = [pow(sz, -1, q) for sz in cd.class_sizes]
+    # each line is its central character omega times v[0]
+    if not all(v[0] for v in lines):
+        raise AssertionError("central character with zero identity coordinate")
     degrees = []
-    root = isqrt(n)
-    for om in omegas:
-        t = 0
-        for j in range(c):
-            t = (t + int(om[j]) * int(om[cd.inverse_class[j]]) * inv_sizes[j]) % q
-        dsq = n * pow(t, -1, q) % q
-        d = next((d for d in range(1, root + 1) if d * d % q == dsq), None)
+    for v in lines:
+        t = sum(map(mul, map(mul, v, map(v.__getitem__, cd.inverse_class)), inv_sizes))
+        dsq = n * v[0] ** 2 * pow(t, -1, q) % q
+        d = next((d for d in range(1, isqrt(n) + 1) if d * d % q == dsq), None)
         if d is None:
             raise AssertionError("no integer degree matches modular value")
         degrees.append(d)
     if sum(d * d for d in degrees) != n:
         raise AssertionError("degree recovery failed")
 
-    # values mod q, then a discrete-Fourier lift per rational class
-    vals = np.zeros((c, c), dtype=np.int64)
-    for r, om in enumerate(omegas):
-        vals[r] = (degrees[r] * om * np.array(inv_sizes, dtype=np.int64)) % q
+    scales = [d * pow(v[0], -1, q) for d, v in zip(degrees, lines)]  # chi = d v / (v[0] |K|)
+    cols = list(zip(*([a * w % q for a in map(mul, v, inv_sizes)] for w, v in zip(scales, lines))))
+    del lines
+    packed = [modular._pack(col) for col in cols]
     pm = cd.power_map
     roots = [pow(s, k, q) for k in range(e)]  # zeta_e^k mod q
-    zeta = np.array(roots, dtype=np.int64)
-    # raw exponent map at e -> (its one value object, its image mod q)
-    lifted = {}
-    values = {}
+    lifted, values = {}, {}  # raw exponent map at e -> (its value object, its image mod q)
     columns = [None] * c
     for j in range(c):
         if columns[j] is not None:
@@ -444,13 +408,23 @@ def dixon_table(group, cd):
         powers = pm[j][:o]
         if powers[1 % o] != j:
             raise AssertionError(f"power map of class {j} does not send 1 to {j}")
-        smat = zeta[-step * np.outer(np.arange(o), np.arange(o)) % e]  # zeta_o^(-l t)
-        mult = (modular.matmul(vals[:, powers], smat, q) * pow(o, -1, q)) % q  # rows x o
-        if (mult.sum(axis=1) != degrees).any():
+        # o m_t = sum_l zeta_o^(-l t) chi(g^l) for all rows at once, one sum
+        # per orbit of the units u with g^(u l) ~ g^l for all l: m_(u t) = m_t
+        fixing = [u for u in _units(o) if all(powers[u * l % o] == k for l, k in enumerate(powers))]
+        inverse = [roots[-step * t % e] for t in range(o)]  # zeta_o^-t
+        inv = pow(o, -1, q)
+        modular._check_lanes(o, q)
+        mult = [None] * o
+        for t in range(o):
+            if mult[t] is None:
+                wave = [inverse[l * t % o] for l in range(o)]
+                acc = sum(map(mul, wave, map(packed.__getitem__, powers)))
+                m = [a * inv % q for a in modular._lanes(acc, c)]
+                for u in fixing:
+                    mult[u * t % o] = m
+        if [sum(m) for m in zip(*mult)] != degrees:
             raise AssertionError("multiplicity lift inconsistent with degree")
-        support = [[] for _ in range(c)]
-        for r, t in zip(*np.nonzero(mult)):
-            support[r].append((int(t), int(mult[r, t])))
+        support = [[(t, m[r]) for t, m in enumerate(mult) if m[r]] for r in range(c)]
         for u in _units(o):
             ju = powers[u]
             if columns[ju] is not None:
@@ -458,7 +432,7 @@ def dixon_table(group, cd):
             if pm[ju][:o] != [powers[u * w % o] for w in range(o)]:
                 raise AssertionError(f"power map of class {ju} is not power {u} of class {j}")
             column = []
-            for sup, want in zip(support, vals[:, ju].tolist()):
+            for sup, want in zip(support, cols[ju]):
                 raw = tuple(sorted((t * u % o * step, m) for t, m in sup))
                 hit = lifted.get(raw)
                 if hit is None:

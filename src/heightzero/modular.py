@@ -1,115 +1,141 @@
-"""Exact linear algebra over a prime field F_q, on numpy arrays.
-
-Every result is an exact integer in [0, q), held in int64.  q stays below
-10^7 (the ceiling of the Dixon prime), so a product of two residues is below
-2^47 and fits int64.  `matmul` multiplies two matrices in float64 for the
-BLAS path, and stays exact: it sums over blocks of at most
-(2^53 - 1) // (q - 1)^2 inner indices, so every partial sum is an integer
-below 2^53, and it reduces each block mod q in int64 before adding it
-(Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  A product with a vector
-on either side is summed in int64 directly, which is exact while
-n (q - 1)^2 < 2^63 for n inner indices (n < 92,233 at q < 10^7); such a
-product gains little from BLAS, and int64 saves the two conversions.  Past
-that bound it takes the float64 path.
-
-The Dixon split needs no matrix elimination, only vectors: the roots of
-`minimal_polynomial` and the rows of `lagrange` split a vector into its
-components x L_lambda(a), one eigenvector per root.
-"""
+"""Exact linear algebra over F_q on Python integers.  Vectors of residues
+packed into 64-bit lanes of one int combine at one big-integer multiply-add
+per term, reduced mod q only when unpacked: exact while d (q - 1)^2 < 2^64
+for d products of residues (d < 1.8 10^5 at q < 10^7, the ceiling of the
+Dixon prime).  A matrix a acts on rows, x -> x a, given by the nonzero
+entries of its columns, a[k] = (js, ws) with a_jk = ws[i] for j = js[i]:
+x a costs one step per nonzero entry, and maps many vectors at once when x_j
+packs entry j of each."""
 
 from __future__ import annotations
 
-import numpy as np
+import re
+import struct
+from itertools import compress
+from operator import mul
+
+_MASK = (1 << 64) - 1
 
 
-def as_mod(a, q):
-    return np.asarray(a, dtype=np.int64) % q
+def _check_lanes(terms, q):
+    if terms * (q - 1) ** 2 >= 1 << 64:
+        raise ValueError("packed lanes need d (q - 1)^2 < 2^64 for a sum of d products")
 
 
-def matmul(a, b, q):
-    """a @ b mod q, exact, for a of shape (..., n) and b of shape (n, ...)."""
-    a = as_mod(a, q)
-    b = as_mod(b, q)
-    if (a.ndim == 1 or b.ndim == 1) and a.shape[-1] * (q - 1) ** 2 < 2**63:
-        return a @ b % q
-    a = a.astype(np.float64)
-    b = b.astype(np.float64)
-    block = (2**53 - 1) // (q - 1) ** 2
-    out = (a[..., :block] @ b[:block]).astype(np.int64) % q
-    for s in range(block, a.shape[-1], block):
-        out += (a[..., s:s + block] @ b[s:s + block]).astype(np.int64) % q
-        out %= q
-    return out
+def _pack(xs):
+    return int.from_bytes(struct.pack(f"<{len(xs)}Q", *xs), "little")
+
+
+def _lanes(x, n):
+    return struct.unpack(f"<{n}Q", x.to_bytes(8 * n, "little"))
+
+
+def _times(x, a):
+    """x a, unreduced, for x a list of residues or of packed ints."""
+    return [sum(map(mul, map(x.__getitem__, js), ws)) for js, ws in a]
+
+
+class _Lanes:
+    """n packed lanes mod the odd prime q.  d < 2^64 is a multiple of q iff
+    d q^-1 mod 2^64 <= (2^64 - 1) // q (Granlund and Montgomery, PLDI 1994,
+    section 9), tested in all lanes at once, the even and the odd ones apart
+    so that each product has an empty lane above it.  powers: see poly_roots."""
+
+    def __init__(self, n, q):
+        k = (n + 1) // 2  # pairs of lanes
+        self.q, self.inv = q, pow(q, -1, 1 << 64)
+        self.even, self.bias, self.ones = (_pack([x, 0] * k) for x in (_MASK, _MASK - _MASK // q, 1))
+        self.offset = _pack([q * (q - 1)] * n)  # a multiple of q above any product of residues
+        self.powers = [_pack([1] * n)]
+
+    def nonzero(self, d):
+        """The int with bit 64 k set iff lane k of d is not a multiple of q."""
+        even = self.even
+        flags = [((h & even) * self.inv & even) + self.bias >> 64 & self.ones for h in (d, d >> 64)]
+        return flags[0] | flags[1] << 64
+
+    def eigenvalues(self, packed, a):
+        """For each nonzero vector v of packed = _packed(vectors), lambda if
+        v a = lambda v mod q, else None, testing v a - lambda v + offset."""
+        vectors, rows, cols = packed
+        q, m = self.q, len(vectors)
+        _check_lanes(len(a) + 2, q)
+        view = memoryview(b"".join(y.to_bytes(8 * m, "little") for y in _times(cols, a))).cast("Q")
+        out = []
+        for i, (v, row) in enumerate(zip(vectors, rows)):
+            image = int.from_bytes(view[i::m].tobytes(), "little")
+            lead = next(compress(range(len(v)), v))
+            lam = (image >> 64 * lead & _MASK) * pow(v[lead], -1, q) % q
+            out.append(None if self.nonzero(image + self.offset - lam * row) else lam)
+        return out
+
+
+def _packed(vectors):
+    """The vectors, each packed, and all packed across them: lane i vector i."""
+    return vectors, [_pack(v) for v in vectors], [_pack(col) for col in zip(*vectors)]
 
 
 def minimal_polynomial(a, x, q):
-    """The minimal polynomial of the row vector x under a, acting on rows as
-    x -> x a: the monic P of least degree d with x P(a) = 0, as coefficients
-    [c_0, ..., c_d] ascending, and the Krylov rows x a^t for t < d.
-
-    Krylov row t is reduced against the rows before it, kept in reduced
-    echelon form (each pivot 1, its column 0 in the other rows), so it
-    reduces in one product.  Each row carries, past column n, its
-    combination of the Krylov rows, so the first row that reduces to 0
-    holds P there.  a and x are reduced once; every product is of residues
-    summed in int64, exact while n (q - 1)^2 < 2^63 for n entries."""
-    a = as_mod(a, q)
-    row = as_mod(x, q)
-    n = len(row)
-    if n * (q - 1) ** 2 >= 2**63:
-        raise ValueError("minimal_polynomial needs n (q - 1)^2 < 2^63")
-    krylov, piv = [], []
-    ech = np.zeros((0, 2 * n + 1), dtype=np.int64)
+    """The minimal polynomial of the row vector x under the sparse matrix a
+    of residues: the monic P of least degree d with x P(a) = 0, as
+    coefficients [c_0, ..., c_d] ascending, and the Krylov rows x a^t, t < d.
+    Krylov row t, packed with a 1 in lane n + t for its combination of the
+    Krylov rows, is reduced against the echelon rows before it, one
+    multiply-add each; the first to reduce to 0 in its first n lanes holds P."""
+    n = len(x)
+    _check_lanes(n + 1, q)
+    row = [v % q for v in x]
+    krylov, echelon = [], []  # echelon: (pivot lane, its inverse, packed row)
     while True:
-        r = np.zeros(2 * n + 1, dtype=np.int64)
-        r[:n], r[n + len(krylov)] = row, 1
-        r = (r - r[piv] @ ech) % q
-        nz = r[:n].nonzero()[0]
-        if not len(nz):
-            return r[n:n + len(krylov) + 1].tolist(), np.array(krylov, dtype=np.int64).reshape(-1, n)
-        r = r * pow(int(r[nz[0]]), -1, q) % q
-        ech = np.vstack([(ech - np.outer(ech[:, nz[0]], r)) % q, r])
-        piv.append(nz[0])
+        r = _pack(row) + (1 << 64 * (n + len(krylov)))
+        for piv, inv, e in echelon:
+            c = (r >> 64 * piv & _MASK) * inv % q
+            if c:
+                r += (q - c) * e
+        lanes = [v % q for v in _lanes(r, n + len(krylov) + 1)]
+        piv = next(compress(range(n), lanes), None)
+        if piv is None:
+            return lanes[n:], krylov
+        echelon.append((piv, pow(lanes[piv], -1, q), _pack(lanes)))
         krylov.append(row)
-        row = row @ a % q
+        row = list(map(q.__rmod__, _times(row, a)))
 
 
-def poly_roots(coeffs, q):
+def poly_roots(coeffs, field):
     """The roots in F_q of the polynomial p = sum coeffs[i] x^i, ascending,
     each as (root, simple): simple is whether p'(root) != 0, that is whether
-    the root has multiplicity 1."""
-    xs = np.arange(q, dtype=np.int64)
-    vals = np.zeros(q, dtype=np.int64)
-    for c in reversed(coeffs):
-        vals = (vals * xs + c) % q
-    roots = xs[vals == 0]
-    slope = np.zeros(len(roots), dtype=np.int64)
-    for i in range(len(coeffs) - 1, 0, -1):
-        slope = (slope * roots + i * coeffs[i]) % q
-    return list(zip(roots.tolist(), (slope != 0).tolist()))
+    the root has multiplicity 1.  p is evaluated at every x at once from the
+    powers of field = _Lanes(q, q), lane x of powers[i] holding x^i mod q."""
+    q, powers = field.q, field.powers
+    _check_lanes(len(coeffs), q)
+    while len(powers) < len(coeffs):
+        powers.append(_pack([v * x % q for x, v in enumerate(_lanes(powers[-1], q))]))
+    vals = sum(c % q * p for c, p in zip(coeffs, powers))
+    out = []
+    for zero in re.finditer(b"\x00", field.nonzero(vals).to_bytes(8 * q, "little")[::8]):
+        x, slope = zero.start(), 0
+        for i in range(len(coeffs) - 1, 0, -1):
+            slope = (slope * x + i * coeffs[i]) % q
+        out.append((x, slope != 0))
+    return out
 
 
 def lagrange(roots, q):
     """The Lagrange basis of distinct roots mod q: row k holds the
     coefficients, ascending, of L_k = prod_(j != k) (x - roots[j]) /
-    (roots[k] - roots[j]), so L_k(roots[j]) is 1 for j = k and 0 otherwise.
-
-    L_k is P / (x - roots[k]) / P'(roots[k]) for P = prod (x - roots[j]),
-    so all rows come from P by one synthetic division run on all roots at
-    once: O(r) numpy calls for r roots."""
-    lam = np.asarray(roots, dtype=np.int64) % q
-    r = len(lam)
-    p = np.zeros(r + 1, dtype=np.int64)  # P, ascending
-    p[0] = 1
-    for mu in lam.tolist():
-        p[1:], p[0] = (p[:-1] - mu * p[1:]) % q, -mu * p[0] % q
-    quot = np.zeros((r, r), dtype=np.int64)  # row k: P / (x - roots[k])
-    quot[:, r - 1] = 1
-    for t in range(r - 1, 0, -1):
-        quot[:, t - 1] = (quot[:, t] * lam + p[t]) % q
-    # P'(roots[k]) = (P / (x - roots[k]))(roots[k]), by Horner's rule
-    slope = np.zeros(r, dtype=np.int64)
-    for t in range(r - 1, -1, -1):
-        slope = (slope * lam + quot[:, t]) % q
-    inv = np.array([pow(v, -1, q) for v in slope.tolist()], dtype=np.int64)
-    return quot * inv[:, None] % q
+    (roots[k] - roots[j]) = P / (x - roots[k]) / P'(roots[k]) for
+    P = prod (x - roots[j]), so L_k(roots[j]) is 1 for j = k and 0 otherwise."""
+    p = [1]  # P, ascending
+    for mu in roots:
+        p = [(a - mu * b) % q for a, b in zip([0] + p, p + [0])]
+    rows = []
+    for lam in roots:
+        quot = [1]  # P / (x - lam), descending, by synthetic division
+        for t in range(len(roots) - 1, 0, -1):
+            quot.append((quot[-1] * lam + p[t]) % q)
+        slope = 0  # P'(lam) = (P / (x - lam))(lam), by Horner's rule
+        for v in quot:
+            slope = (slope * lam + v) % q
+        inv = pow(slope, -1, q)
+        rows.append([v * inv % q for v in reversed(quot)])
+    return rows

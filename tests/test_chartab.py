@@ -4,11 +4,11 @@ import copy
 import json
 import random
 import time
+import weakref
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,9 +65,9 @@ def test_class_matrix_counts_products(group):
                 a[cd.class_of[x]][cd.class_of[y]][k] += 1
     for i in range(c):
         m = class_matrix(group, cd, i)
-        assert m.tolist() == a[i]
+        assert m == a[i]
         for j in range(c):
-            total = sum(int(m[j, k]) * cd.class_sizes[k] for k in range(c))
+            total = sum(m[j][k] * cd.class_sizes[k] for k in range(c))
             assert total == cd.class_sizes[i] * cd.class_sizes[j]
 
 
@@ -90,19 +90,26 @@ def test_class_matrix_makes_one_product_per_member_and_rep(group, monkeypatch):
 
 
 def test_dixon_table_allocates_no_cube(monkeypatch):
-    # class matrices come one at a time; no c x c x c structure-constant tensor
-    shapes = []
-    zeros = chartab.np.zeros
+    # class matrices come one at a time; no c x c x c structure-constant
+    # tensor: each is c x c, and none is alive when the next is built
+    build = chartab.class_matrix
+    alive = []
 
-    def recording_zeros(shape, *args, **kwargs):
-        shapes.append(shape if isinstance(shape, tuple) else (shape,))
-        return zeros(shape, *args, **kwargs)
+    class Matrix(list):
+        pass
 
-    monkeypatch.setattr(chartab.np, "zeros", recording_zeros)
+    def tracked(group_, cd_, i):
+        assert all(ref() is None for ref in alive)
+        m = Matrix(build(group_, cd_, i))
+        assert len(m) == cd_.num_classes and all(len(row) == cd_.num_classes for row in m)
+        alive.append(weakref.ref(m))
+        return m
+
+    monkeypatch.setattr(chartab, "class_matrix", tracked)
     for group in (symmetric(4), dihedral(40)):
+        alive.clear()
         _table(group)
-    assert shapes
-    assert all(len(s) <= 2 for s in shapes), shapes
+        assert alive
 
 
 # ---------------------------------------------------------------------------
@@ -653,11 +660,11 @@ def test_dixon_split_checks_every_projected_eigenline(monkeypatch, wrong):
         def one_wrong_row(roots, q, k=k):
             rows = lagrange(roots, q)
             if wrong == "zero":
-                rows[k] = 0
+                rows[k] = [0] * len(roots)
             elif wrong == "other":
                 rows[k] = rows[(k + 1) % len(roots)]
             else:
-                rows[k, 0] = (rows[k, 0] + 1) % q
+                rows[k][0] = (rows[k][0] + 1) % q
             return rows
 
         monkeypatch.setattr(modular, "lagrange", one_wrong_row)
@@ -670,13 +677,13 @@ def test_dixon_split_refuses_a_repeated_root_of_a_minimal_polynomial(monkeypatch
     # minimal polynomial of e_0 is (t - 1)^2, and B is not diagonalizable
     group = symmetric(4)
     cd = conjugacy_classes(group)
-    jordan = np.eye(cd.num_classes, dtype=np.int64)
-    jordan[1, 0] = 1
-    monkeypatch.setattr(chartab, "class_matrix", lambda group_, cd_, i: jordan.copy())
+    jordan = [[int(j == k) for k in range(cd.num_classes)] for j in range(cd.num_classes)]
+    jordan[1][0] = 1
+    monkeypatch.setattr(chartab, "class_matrix", lambda group_, cd_, i: [row[:] for row in jordan])
     with pytest.raises(AssertionError, match="not diagonalizable"):
         dixon_table(group, cd)
     # the block the other way round fixes e_0, which then never splits
-    jordan = jordan.T.copy()
+    jordan = [list(col) for col in zip(*jordan)]
     with pytest.raises(AssertionError, match="did not split to lines"):
         dixon_table(group, cd)
 
@@ -707,7 +714,7 @@ def test_dixon_table_of_a_doctored_class_matrix_is_true_or_raises(monkeypatch):
                 def doctored(group_, cd_, j, i=i, entry=entry):
                     m = build(group_, cd_, j)
                     if j == i:
-                        m[entry] += 1
+                        m[entry[0]][entry[1]] += 1
                     return m
 
                 monkeypatch.setattr(chartab, "class_matrix", doctored)
@@ -736,9 +743,9 @@ def test_dixon_table_of_every_single_entry_bump_of_sym5_is_true_or_raises(monkey
         for j in range(c):
             for k in range(c):
                 def doctored(group_, cd_, m, i=i, j=j, k=k):
-                    out = mats[m].copy()
+                    out = [row[:] for row in mats[m]]
                     if m == i:
-                        out[j, k] += 1
+                        out[j][k] += 1
                     return out
 
                 monkeypatch.setattr(chartab, "class_matrix", doctored)

@@ -10,7 +10,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -99,17 +98,18 @@ def test_dixon_table_bytes_are_unchanged(tmp_path, spec, digest):
     ],
 )
 def test_dixon_split_skips_scalar_actions_and_echelon_lines(tmp_path, monkeypatch, spec, digest):
-    # a vector that a class matrix B fixes up to its lead entry cannot
+    # a vector that a class matrix B fixes up to a scalar cannot
     # split, so it is kept as it is and never reaches minimal_polynomial
     minimal_polynomial = modular.minimal_polynomial
     calls, fixed = [], []
 
     def counted(a, x, q):
         calls.append(None)
-        image = modular.matmul(x, a, q)
-        lead = int(np.flatnonzero(x)[0])
-        if (image == image[lead] * x % q).all():
-            fixed.append(x.tolist())
+        # x a from the sparse columns of a, and whether it is a multiple of x
+        image = [sum(w * x[j] for j, w in zip(js, ws)) % q for js, ws in a]
+        lead = next(k for k, v in enumerate(x) if v)
+        if all(image[k] * x[lead] % q == image[lead] * v % q for k, v in enumerate(x)):
+            fixed.append(list(x))
         return minimal_polynomial(a, x, q)
 
     monkeypatch.setattr(modular, "minimal_polynomial", counted)

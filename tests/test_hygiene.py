@@ -17,10 +17,10 @@
   required.
 * Every import sits at module level: no Import or ImportFrom node lies
   outside the module body, so a module's dependencies are its first lines.
-* No module imports sympy, and numpy is the only third-party package any
-  module imports; every other import is relative or from the standard
-  library.  sympy is the tests' reference, and importing the CLI loads
-  neither sympy nor mpmath.
+* No module imports a third-party package: every import is relative or
+  from the standard library.  sympy is the tests' reference, and importing
+  the CLI loads no module outside the standard library and heightzero; the
+  CLI runs with every installed third-party package made unimportable.
 * The package modules form layers, pinned in LAYERS: cyclotomic and modular
   import no package module, fields, groups and blocks import only
   cyclotomic, and chartab imports only cyclotomic, fields, groups and
@@ -29,7 +29,10 @@
 """
 
 import ast
+import hashlib
 import os
+import pkgutil
+import site
 import subprocess
 import sys
 from pathlib import Path
@@ -264,22 +267,62 @@ def test_no_module_imports_sympy(path):
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_numpy_is_the_only_third_party_import(path):
+def test_no_third_party_import(path):
     packages = set(_imported_packages(ast.parse(path.read_text())))
-    third_party = sorted(packages - sys.stdlib_module_names - {"numpy"})
+    third_party = sorted(packages - sys.stdlib_module_names)
     assert not third_party, f"{path.name}: third-party imports {third_party}"
 
 
 def test_importing_the_cli_loads_no_sympy():
+    # nor any module outside the standard library and heightzero; what the
+    # interpreter loads before the import (site's .pth hooks) is not counted
     env = dict(os.environ, PYTHONPATH=str(SOURCES[0].parent.parent))
     probe = (
-        "import sys, heightzero.cli; "
-        "print(sorted(m for m in sys.modules if m.startswith(('sympy', 'mpmath'))))"
+        "import sys; before = set(sys.modules); import heightzero.cli; "
+        "print(sorted(m for m in sys.modules if m.startswith(('sympy', 'mpmath')))); "
+        "print(sorted(m for m in set(sys.modules) - before "
+        "if m.split('.')[0] not in sys.stdlib_module_names | {'heightzero'}))"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split("\n")[:2] == ["[]", "[]"]
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (["table", "--group", "sl2:7", "--method", "dixon"],
+         "7db6eb9242f87a0ec75e4dec9998da4513ca2ade5997755c6a1c9fbdb99caef5"),
+        (["realize", "--field", "cyclo:13", "--p", "2", "--cross-check"],
+         "f87dd2464f7b0fa1011001b40dbe1b6025ede65a373322edbb7afac7f6f51096"),
+    ],
+)
+def test_the_cli_runs_with_every_third_party_package_stubbed_out(tmp_path, argv, digest):
+    # a stub that raises ImportError, first on PYTHONPATH, for each top-level
+    # package installed in site-packages; packages the interpreter imports
+    # at start-up, before any heightzero code, keep their own
+    startup = subprocess.run(
+        [sys.executable, "-c", "import sys; print(*sys.modules)"], capture_output=True, text=True, check=True
+    ).stdout.split()
+    sites = [*site.getsitepackages(), site.getusersitepackages()]
+    names = [m.name for m in pkgutil.iter_modules(sites) if m.ispkg and m.name.isidentifier()]
+    names = [name for name in names if name not in startup and not name.startswith("_")]
+    stubs = tmp_path / "stubs"
+    for name in names:
+        (stubs / name).mkdir(parents=True)
+        (stubs / name / "__init__.py").write_text("raise ImportError('stubbed out')\n")
+    src = SOURCES[0].parent.parent
+    env = dict(os.environ, PYTHONPATH=f"{stubs}{os.pathsep}{src}")
+    probe = subprocess.run([sys.executable, "-c", f"import {names[0]}"], env=env, capture_output=True)
+    assert probe.returncode != 0
+    out = tmp_path / "out.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "heightzero.cli", *argv, "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 # package modules each layer may import; reports and cli sit above them all
