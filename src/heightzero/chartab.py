@@ -329,7 +329,7 @@ def _split_eigenspaces(group, cd, q):
     must be deg-many and simple, each part nonzero and fixed by B up to its
     lambda.  The class matrices commute: the split ends with c lines or fails."""
     c = cd.num_classes
-    field, lanes = modular._Lanes(q, q), modular._Lanes(c, q)
+    lanes, roots_mod_q = modular._Lanes(c, q), modular.poly_roots(q)
     vectors = [[1] + [0] * (c - 1)]
     packed = modular._packed(vectors)  # again each time the vectors change
     for i in range(1, c):
@@ -345,7 +345,7 @@ def _split_eigenspaces(group, cd, q):
         comps, roots = [], []
         for x in compress(vectors, [not f for f in fixed]):
             poly, krylov = modular.minimal_polynomial(bt, x, q)
-            simple = [lam for lam, one in modular.poly_roots(poly, field) if one]
+            simple = [lam for lam, one in roots_mod_q(poly) if one]
             if len(simple) != len(poly) - 1:
                 raise AssertionError("class matrix not diagonalizable mod q")
             krylov = [modular._pack(row) for row in krylov]
@@ -378,7 +378,6 @@ def dixon_table(group, cd):
     lines = _split_eigenspaces(group, cd, q)
 
     inv_sizes = [pow(sz, -1, q) for sz in cd.class_sizes]
-    # each line is its central character omega times v[0]
     if not all(v[0] for v in lines):
         raise AssertionError("central character with zero identity coordinate")
     degrees = []
@@ -394,7 +393,6 @@ def dixon_table(group, cd):
 
     scales = [d * pow(v[0], -1, q) for d, v in zip(degrees, lines)]  # chi = d v / (v[0] |K|)
     cols = list(zip(*([a * w % q for a in map(mul, v, inv_sizes)] for w, v in zip(scales, lines))))
-    del lines
     packed = [modular._pack(col) for col in cols]
     pm = cd.power_map
     roots = [pow(s, k, q) for k in range(e)]  # zeta_e^k mod q

@@ -7,14 +7,14 @@ entries of its columns, a[k] = (js, ws) with a_jk = ws[i] for j = js[i]:
 x a costs one step per nonzero entry, and maps many vectors at once when x_j
 packs entry j of each."""
 
-from __future__ import annotations
-
 import re
 import struct
 from itertools import compress
+from math import prod
 from operator import mul
 
 _MASK = (1 << 64) - 1
+_BLOCK = 1 << 12  # lanes of x at which a root finder evaluates at once
 
 
 def _check_lanes(terms, q):
@@ -39,14 +39,12 @@ class _Lanes:
     """n packed lanes mod the odd prime q.  d < 2^64 is a multiple of q iff
     d q^-1 mod 2^64 <= (2^64 - 1) // q (Granlund and Montgomery, PLDI 1994,
     section 9), tested in all lanes at once, the even and the odd ones apart
-    so that each product has an empty lane above it.  powers: see poly_roots."""
+    so that each product has an empty lane above it."""
 
     def __init__(self, n, q):
-        k = (n + 1) // 2  # pairs of lanes
-        self.q, self.inv = q, pow(q, -1, 1 << 64)
-        self.even, self.bias, self.ones = (_pack([x, 0] * k) for x in (_MASK, _MASK - _MASK // q, 1))
-        self.offset = _pack([q * (q - 1)] * n)  # a multiple of q above any product of residues
-        self.powers = [_pack([1] * n)]
+        ones = ((1 << 128 * ((n + 1) // 2)) - 1) // ((1 << 128) - 1)  # 1 in each even lane
+        self.q, self.inv, self.ones = q, pow(q, -1, 1 << 64), ones
+        self.even, self.bias = _MASK * ones, (_MASK - _MASK // q) * ones
 
     def nonzero(self, d):
         """The int with bit 64 k set iff lane k of d is not a multiple of q."""
@@ -56,17 +54,17 @@ class _Lanes:
 
     def eigenvalues(self, packed, a):
         """For each nonzero vector v of packed = _packed(vectors), lambda if
-        v a = lambda v mod q, else None, testing v a - lambda v + offset."""
+        v a = lambda v mod q, else None, testing v a + (q - lambda) v."""
         vectors, rows, cols = packed
         q, m = self.q, len(vectors)
         _check_lanes(len(a) + 2, q)
         view = memoryview(b"".join(y.to_bytes(8 * m, "little") for y in _times(cols, a))).cast("Q")
         out = []
         for i, (v, row) in enumerate(zip(vectors, rows)):
-            image = int.from_bytes(view[i::m].tobytes(), "little")
             lead = next(compress(range(len(v)), v))
-            lam = (image >> 64 * lead & _MASK) * pow(v[lead], -1, q) % q
-            out.append(None if self.nonzero(image + self.offset - lam * row) else lam)
+            lam = view[i + m * lead] * pow(v[lead], -1, q) % q
+            image = int.from_bytes(view[i::m].tobytes(), "little")
+            out.append(None if self.nonzero(image + (q - lam) * row) else lam)
         return out
 
 
@@ -101,23 +99,30 @@ def minimal_polynomial(a, x, q):
         row = list(map(q.__rmod__, _times(row, a)))
 
 
-def poly_roots(coeffs, field):
-    """The roots in F_q of the polynomial p = sum coeffs[i] x^i, ascending,
-    each as (root, simple): simple is whether p'(root) != 0, that is whether
-    the root has multiplicity 1.  p is evaluated at every x at once from the
-    powers of field = _Lanes(q, q), lane x of powers[i] holding x^i mod q."""
-    q, powers = field.q, field.powers
-    _check_lanes(len(coeffs), q)
-    while len(powers) < len(coeffs):
-        powers.append(_pack([v * x % q for x, v in enumerate(_lanes(powers[-1], q))]))
-    vals = sum(c % q * p for c, p in zip(coeffs, powers))
-    out = []
-    for zero in re.finditer(b"\x00", field.nonzero(vals).to_bytes(8 * q, "little")[::8]):
-        x, slope = zero.start(), 0
-        for i in range(len(coeffs) - 1, 0, -1):
-            slope = (slope * x + i * coeffs[i]) % q
-        out.append((x, slope != 0))
-    return out
+def poly_roots(q):
+    """The root finder of F_q: coefficients of p = sum c_i x^i, ascending ->
+    its roots, ascending, each as (root, p'(root) != 0).  p is evaluated at
+    x = b + y for n = min(q, _BLOCK) y at once, from packed lanes of each y^i
+    mod q kept for the next p, its coefficients shifted by n for each block."""
+    n = min(q, _BLOCK)
+    lanes, powers = _Lanes(n, q), [_pack([1] * n)]
+
+    def roots(coeffs):
+        _check_lanes(len(coeffs), q)
+        while len(powers) < len(coeffs):
+            powers.append(_pack([v * y % q for y, v in enumerate(_lanes(powers[-1], n))]))
+        shifted, found = [c % q for c in coeffs], []
+        for b in range(0, q, n):
+            if b:  # p(b - n + y) -> p(b + y), by Ruffini's rule
+                for i in range(len(shifted) - 1):
+                    for k in range(len(shifted) - 2, i - 1, -1):
+                        shifted[k] = (shifted[k] + n * shifted[k + 1]) % q
+            zeros = lanes.nonzero(sum(map(mul, shifted, powers))).to_bytes(8 * n, "little")
+            found += [b + y.start() for y in re.finditer(b"\x00", zeros[: 8 * (q - b) : 8])]
+        slope = [i * c for i, c in enumerate(coeffs)][1:]  # p', ascending
+        return [(x, sum(c * pow(x, i, q) for i, c in enumerate(slope)) % q != 0) for x in found]
+
+    return roots
 
 
 def lagrange(roots, q):
@@ -133,9 +138,6 @@ def lagrange(roots, q):
         quot = [1]  # P / (x - lam), descending, by synthetic division
         for t in range(len(roots) - 1, 0, -1):
             quot.append((quot[-1] * lam + p[t]) % q)
-        slope = 0  # P'(lam) = (P / (x - lam))(lam), by Horner's rule
-        for v in quot:
-            slope = (slope * lam + v) % q
-        inv = pow(slope, -1, q)
+        inv = pow(prod(lam - mu for mu in roots if mu != lam), -1, q)  # 1 / P'(lam)
         rows.append([v * inv % q for v in reversed(quot)])
     return rows

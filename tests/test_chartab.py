@@ -697,10 +697,15 @@ def test_dixon_table_of_a_doctored_class_matrix_is_true_or_raises(monkeypatch):
     poly_roots = modular.poly_roots
     found = []  # the number of distinct roots of each minimal polynomial
 
-    def counted_roots(coeffs, q):
-        roots = poly_roots(coeffs, q)
-        found.append(len(roots))
-        return roots
+    def counted_roots(q):
+        find = poly_roots(q)
+
+        def counted(coeffs):
+            roots = find(coeffs)
+            found.append(len(roots))
+            return roots
+
+        return counted
 
     monkeypatch.setattr(modular, "poly_roots", counted_roots)
     outcomes = {"true": 0, "raised": 0}

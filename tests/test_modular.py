@@ -98,11 +98,10 @@ def test_eigenvalues_of_many_vectors_at_once(q):
     lams = [rng.randrange(q) for _ in range(6)]
     lams[1] = lams[0]
     a = [[lams[j] if j == k else 0 for k in range(6)] for j in range(6)]
-    lanes = modular._Lanes(6, q)
     vectors = [[rng.randrange(1, q) if k in support else 0 for k in range(6)]
                for support in ([0], [0, 1], [0, 2], [3], [2, 4, 5], [5])]
     want = [lams[0], lams[0], None, lams[3], None, lams[5]]
-    assert lanes.eigenvalues(modular._packed(vectors), _sparse(a, q)) == want
+    assert modular._Lanes(6, q).eigenvalues(modular._packed(vectors), _sparse(a, q)) == want
 
 
 def _times_poly(f, g, q):
@@ -130,27 +129,31 @@ def _brute_roots(poly, q):
 @pytest.mark.parametrize("q", [3, 5, 7, 73, 101, 2437, 999983])
 def test_poly_roots_tells_simple_roots_from_repeated_ones(q):
     rng = random.Random(q)
-    field = modular._Lanes(q, q)  # one table of powers serves every polynomial
     nonresidue = next(a for a in range(2, q) if pow(a, (q - 1) // 2, q) == q - 1)
-    small = q < 10**4  # at 999983 degree <= 4: each power of the table is 8q bytes
+    # roots at both ends of F_q and, past one block of x, on both sides of
+    # the block edges
+    edges = [x for b in range(modular._BLOCK, q, modular._BLOCK) for x in (b - 1, b)]
+    edges = [0, 1, q - 1] + edges[:3] + edges[-3:]
+    finder = modular.poly_roots(q)  # one table of powers kept across polynomials
     for _ in range(20):
-        roots = sorted({rng.randrange(q) for _ in range(rng.randint(1, 4 if small else 2))})
-        mults = [rng.randint(1, 3 if small else 1) for _ in roots]
+        draws = range(rng.randint(1, 4))
+        roots = sorted({rng.choice(edges) if rng.random() < 0.5 else rng.randrange(q) for _ in draws})
+        mults = [rng.randint(1, 3) for _ in roots]
         poly = [1]
         for r, m in zip(roots, mults):
             for _ in range(m):
                 poly = _times_poly(poly, [-r % q, 1], q)
         want = [(r, m == 1) for r, m in zip(roots, mults)]
-        assert modular.poly_roots(poly, field) == want
+        assert modular.poly_roots(q)(poly) == want
         # x^2 - a for a non-residue a adds no root
-        assert modular.poly_roots(_times_poly(poly, [-nonresidue % q, 0, 1], q), field) == want
-        if small:
+        assert finder(_times_poly(poly, [-nonresidue % q, 0, 1], q)) == want
+        if q < 10**4:
             assert want == _brute_roots(poly, q)
             # a polynomial of random coefficients: split, repeated or rootless
             poly = [rng.randrange(q) for _ in range(rng.randint(1, 6))] + [1]
-            assert modular.poly_roots(poly, field) == _brute_roots(poly, q)
-    assert modular.poly_roots([-nonresidue % q, 0, 1], field) == []
-    assert modular.poly_roots([rng.randrange(1, q)], field) == []  # a nonzero constant
+            assert finder(poly) == modular.poly_roots(q)(poly) == _brute_roots(poly, q)
+    assert modular.poly_roots(q)([-nonresidue % q, 0, 1]) == []
+    assert modular.poly_roots(q)([rng.randrange(1, q)]) == []  # a nonzero constant
 
 
 @pytest.mark.parametrize("q", [101, 999983, BIG])
@@ -243,8 +246,7 @@ def test_minimal_polynomial_of_a_jordan_block_has_a_repeated_root(q):
             want = _times_poly(want, [-lam % q, 1], q)
         assert poly == want
         _check_krylov(poly, krylov, p[0], a, q)
-        if q < BIG:  # the table of powers of F_q takes 8q bytes a power
-            assert modular.poly_roots(poly, modular._Lanes(q, q)) == [(lam, False)]
+        assert modular.poly_roots(q)(poly) == [(lam, False)]
         # the last row of p is an eigenvector: degree 1
         assert modular.minimal_polynomial(_sparse(a, q), p[-1], q)[0] == [-lam % q, 1]
 
