@@ -99,14 +99,10 @@ def block_partition(table, p):
     character must reduce to algebraic integers; a failure means the table
     data is corrupt and raises ValueError.
 
-    The exact division and the reduction run once per distinct (value
-    object, class size, degree) of the table, not once per entry: every
-    table route makes equal values one object, and a value repeats about 22
-    times per table over the default corpus.  The cache is keyed on id(value),
-    stable while the table holds every value, so no entry pays for a
-    CycElt hash or comparison; equal values that are distinct objects only
-    compute their image twice.  Each distinct image is interned to a small
-    int, so a signature is a tuple of ints.
+    The exact division and the reduction run once per distinct (value,
+    class size, degree) of the table, read through its cells (see
+    chartab._intern), not once per entry.  Each distinct image is numbered
+    by a small int, so a signature is a tuple of ints.
     """
     if not isprime(p):
         raise ValueError(f"{p} is not prime")
@@ -116,15 +112,16 @@ def block_partition(table, p):
     # omega_chi(K_j) = |K_j| chi(g_j) / chi(1), divided out exactly on each
     # Zumbroich coefficient of chi(g_j); the basis is integral, so the value
     # is an algebraic integer iff every quotient is an integer
-    sizes = table.classes.class_sizes
+    sizes, values = table.classes.class_sizes, table.values
     images = {}
     ids = {}
     signatures = {}
-    for r, (row, degree) in enumerate(zip(table.rows, table.degrees)):
+    for r, (cell, degree) in enumerate(zip(table.cells, table.degrees)):
         sig = []
-        for size, value in zip(sizes, row):
-            image = images.get((id(value), size, degree))
+        for size, x in zip(sizes, cell):
+            image = images.get((x, size, degree))
             if image is None:
+                value = values[x]
                 coeffs = {}
                 for k, c in value.terms.items():
                     q, rem = divmod(size * c.numerator, degree * c.denominator)
@@ -134,7 +131,7 @@ def block_partition(table, p):
                         )
                     coeffs[k] = q
                 key = _image(p, eprime, value.n, coeffs)
-                image = images[id(value), size, degree] = ids.setdefault(key, len(ids))
+                image = images[x, size, degree] = ids.setdefault(key, len(ids))
             sig.append(image)
         signatures.setdefault(tuple(sig), []).append(r)
 
@@ -147,7 +144,7 @@ def block_partition(table, p):
         defect = nu_order - vmin
         heights = [v - vmin for v in vals]
         blocks.append(Block(len(blocks), rows, defect, heights))
-    return BlockPartition(p, blocks, len(table.rows))
+    return BlockPartition(p, blocks, len(table.cells))
 
 
 def height_zero_rows(partition):

@@ -21,10 +21,8 @@ trivial character first, then by degree and a lexicographic value encoding,
 so tables are reproducible bit-for-bit.
 
 A table holds far fewer distinct values than entries (the default corpus:
-84,544 entries, 3,764 distinct values).  Both routes, and table_from_json
-for ingested tables, make equal values one CycElt object, and the row sort,
-the JSON encoding, the ingest checks, the orthogonality check and the block
-reduction do their per-value work once per distinct value.
+84,544 entries, 3,764 distinct values); CharacterTable keeps each once, see
+_intern.
 """
 
 from __future__ import annotations
@@ -54,28 +52,34 @@ __all__ = [
 
 
 class CharacterTable:
-    """Irr(G) as rows of exact cyclotomic values over the classes."""
+    """Irr(G) as rows of exact cyclotomic values over the classes, kept as
+    the distinct values and each row's indices into them (see _intern)."""
 
     def __init__(self, name, order, classes, rows):
         self.name = name
         self.order = order
         self.classes = classes
-        self.rows = [tuple(r) for r in rows]
-        # read once per distinct value object at class 0, keyed by id as in
-        # _per_object; the first row holding it names a bad degree
+        self.values, self.cells = _intern(rows)
+        # read once per distinct value at class 0; the first row holding it
+        # names a bad degree
         degrees = {}
-        for r, row in enumerate(self.rows):
-            if id(row[0]) not in degrees:
-                degrees[id(row[0])] = _degree(r, row[0])
-        self.degrees = [degrees[id(row[0])] for row in self.rows]
-        if len(self.rows) != classes.num_classes:
+        for r, cell in enumerate(self.cells):
+            if cell[0] not in degrees:
+                degrees[cell[0]] = _degree(r, self.values[cell[0]])
+        self.degrees = [degrees[cell[0]] for cell in self.cells]
+        if len(self.cells) != classes.num_classes:
             raise ValueError("row count != class count")
         if sum(d * d for d in self.degrees) != order:
             raise ValueError("sum of squared degrees != group order")
-        if any(v != _one_at(v.n) for v in self.rows[0]):
+        if any(self.values[c] != _one_at(self.values[c].n) for c in self.cells[0]):
             raise ValueError("row 0 is not the trivial character")
-        # (generators of (Z/e)*, row index, row -> field), made by the first row_field
+        # (Galois permutations, row index, row -> field), made by _galois_maps
         self._galois = None
+
+    @property
+    def rows(self):
+        """The rows as tuples of values, rebuilt from values and cells."""
+        return [tuple(map(self.values.__getitem__, cell)) for cell in self.cells]
 
     @property
     def num_classes(self):
@@ -93,7 +97,7 @@ class CharacterTable:
         S = diag(|K_j|), the first says X S X*^T = |G| I, so X^-1 =
         S X*^T / |G| and X*^T X = |G| S^-1, the second relation conjugated.
         What remains is that each class size divides |G|, checked last."""
-        _check_galois_action(self.classes, self.rows)
+        _check_galois_action(self)
         m, den, sums = _class_sums(self, range(self.num_classes))
         for r, s, acc in sums:
             if acc != (self.order * den * den % m if r == s else 0):
@@ -102,34 +106,39 @@ class CharacterTable:
             if self.order % size:
                 raise ValueError(f"class {j} has size {size}, not a divisor of the order {self.order}")
 
+    def _galois_maps(self):
+        """(perms, index, fields), made once: each generator g of (Z/e)* with
+        j -> power_map[j][g], the row of each cell tuple, the fields found."""
+        if self._galois is None:
+            pm = self.classes.power_map
+            perms = [(g, [pm_j[g] for pm_j in pm]) for g in unit_generators(self.classes.exponent)]
+            self._galois = perms, {cell: r for r, cell in enumerate(self.cells)}, {}
+        return self._galois
+
     def row_field(self, r):
         """Q(chi_r), the field of values of row r, as an AbelianField.
 
         In a table sigma_k(chi(g_j)) = chi(g_j^k), so sigma_k sends a row to
         the row j -> chi(g_{power_map[j][k]}).  Irr(G) is Galois-stable, so the
-        image is again a row; it is looked up by value (every table route puts
-        its values at the exponent e, where equal values hash alike).  The
-        first request for a row of a Galois orbit runs one breadth-first
-        search over the orbit under the generators g of (Z/e)*, recording the
-        unit w(x) that reached each row x.  The Schreier elements
-        w(x) g w(x^g)^-1 generate the stabilizer of chi_r, the fixer of
-        Q(chi_r), so the field is built once and kept, as one object, for
-        every row of the orbit; no cyclotomic arithmetic is done.  Equal to
+        image is again a row; it is looked up by its cells.  The first request
+        for a row of a Galois orbit runs one breadth-first search over the
+        orbit under the generators g of (Z/e)*, recording the unit w(x) that
+        reached each row x.  The Schreier elements w(x) g w(x^g)^-1 generate
+        the stabilizer of chi_r, the fixer of Q(chi_r), so the field is built
+        once and kept, as one object, for every row of the orbit; no
+        cyclotomic arithmetic is done.  Equal to
         fields.field_from_values(self.rows[r]) whenever the power map is a
         genuine one (table_from_json checks ingested maps); an image that is
         not a row raises ValueError."""
         e = self.classes.exponent
-        if self._galois is None:
-            self._galois = unit_generators(e), {row: s for s, row in enumerate(self.rows)}, {}
-        gens, index, fields = self._galois
+        perms, index, fields = self._galois_maps()
         if r in fields:
             return fields[r]
-        pm = self.classes.power_map
         orbit, word, schreier = [r], {r: 1}, []
         for x in orbit:
-            row, wx = self.rows[x], word[x]
-            for g in gens:
-                y = index.get(tuple([row[pm_j[g]] for pm_j in pm]))
+            cell, wx = self.cells[x], word[x]
+            for g, perm in perms:
+                y = index.get(tuple(map(cell.__getitem__, perm)))
                 if y is None:
                     raise ValueError(f"the image of row {x} under sigma_{g} is not a row")
                 if y in word:
@@ -153,37 +162,39 @@ def _degree(r, value):
     return int(d)
 
 
-def _sort_rows(rows):
-    """Rows sorted trivial first, then by degree and by the values' keys.
-
-    Each distinct value object is keyed once, and rows compare the
-    order-preserving ranks of those keys.  Ranks come from keys, not from
-    value equality: equal values at different moduli have different keys."""
-    rows = list(rows)
-    keys = _per_object(rows, CycElt.key)
-    rank = {k: i for i, k in enumerate(sorted(set(keys.values())))}
-    rank = {i: rank[k] for i, k in keys.items()}
-    degrees = {}
-
-    def key(row):
-        head = id(row[0])
-        if head not in degrees:
-            degrees[head] = row[0].to_rational()
-        trivial = all(v == _one_at(v.n) for v in row)
-        return (not trivial, degrees[head], tuple(map(rank.__getitem__, map(id, row))))
-
-    return sorted(rows, key=key)
-
-
-def _per_object(rows, f):
-    """f(v) for each distinct value object v of the rows, keyed by id(v); a
-    built table has one object per distinct value.  rows must be iterable
-    twice (a list of rows)."""
+def _intern(rows):
+    """(values, cells): the distinct values of the rows, each the first
+    object met, in the order of their keys, and each row as a tuple of
+    indices into values, so cells compare as the keys of their values do.
+    The one owner of value identity: one id() pass over the entries, and
+    only distinct objects are hashed, so equal values at one modulus (where
+    they hash alike) are one index and one object in every table, and
+    per-value work reads values through cells once per distinct value."""
+    rows = [tuple(row) for row in rows]
     objects = dict(zip(map(id, chain.from_iterable(rows)), chain.from_iterable(rows)))
-    return {i: f(v) for i, v in objects.items()}
+    values = sorted(dict.fromkeys(objects.values()), key=CycElt.key)
+    number = {v: i for i, v in enumerate(values)}
+    index = {i: number[v] for i, v in objects.items()}
+    return values, [tuple(map(index.__getitem__, map(id, row))) for row in rows]
 
 
-def _check_galois_action(cd, rows):
+def _sort_rows(rows):
+    """Rows sorted trivial first, then by degree and by the values' keys,
+    read off the cells of _intern.  Keys, not value equality, order the
+    values: equal values at different moduli have different keys."""
+    rows = list(rows)
+    values, cells = _intern(rows)
+    one = [v == _one_at(v.n) for v in values]
+    degree = {i: values[i].to_rational() for i in {cell[0] for cell in cells}}
+
+    def key(r):
+        cell = cells[r]
+        return (not all(map(one.__getitem__, cell)), degree[cell[0]], cell)
+
+    return [rows[r] for r in sorted(range(len(rows)), key=key)]
+
+
+def _check_galois_action(table):
     """Refuse a table on which powering is not the Galois action, the
     precondition of _class_sums: each value sits at a modulus dividing the
     exponent e, and for each generator g of (Z/e)*
@@ -191,33 +202,33 @@ def _check_galois_action(cd, rows):
     every unit k, by induction on word length), while j -> pm[j][g] keeps
     class sizes and permutes the classes.  Entries compare as the numbers
     of their values at modulus e, and each sigma_g runs once per value."""
-    e, k = cd.exponent, cd.num_classes
-    sizes, pm = cd.class_sizes, cd.power_map
-    gens = unit_generators(e)
+    cd = table.classes
+    e, k, sizes = cd.exponent, cd.num_classes, cd.class_sizes
+    perms = table._galois_maps()[0]
     number = {}
     # embed raises ValueError on a modulus that does not divide e
-    numbers = _per_object(rows, lambda v: number.setdefault(v.embed(e), len(number)))
-    # images[i][x]: the number of sigma_(gens[i]) of value x, -1 if no value has it
-    images = [[number.get(v.galois(g), -1) for v in list(number)] for g in gens]
-    cols = [[pm_j[g] for pm_j in pm] for g in gens]
-    for row in rows:
-        x = [numbers[id(v)] for v in row]
-        for g, col, image in zip(gens, cols, images):
-            if [x[i] for i in col] != [image[i] for i in x]:
+    numbers = [number.setdefault(v.embed(e), len(number)) for v in table.values]
+    # images[i][x]: the number of sigma_g of value x for the i-th g, -1 if no value has it
+    images = [[number.get(v.galois(g), -1) for v in list(number)] for g, _ in perms]
+    for cell in table.cells:
+        x = list(map(numbers.__getitem__, cell))
+        for (g, perm), image in zip(perms, images):
+            if [x[i] for i in perm] != [image[i] for i in x]:
                 raise ValueError(f"power map under power {g} is not compatible with the values")
-    for g, col in zip(gens, cols):
-        for j, i in enumerate(col):
+    for g, perm in perms:
+        for j, i in enumerate(perm):
             if sizes[i] != sizes[j]:
                 moved = f"class {j} of size {sizes[j]} to class {i} of size {sizes[i]}"
                 raise ValueError(f"power map under power {g} sends {moved}")
-        if len(set(col)) != k:
+        if len(set(perm)) != k:
             raise ValueError(f"power map under power {g} does not permute the classes")
 
 
 def _class_sums(table, classes):
     """(m, D, sums): sums yields (r, s, D^2 S_rs mod m) lazily for rows
     r <= s, r-major, with S_rs = sum over j in classes of |K_j| chi_r(g_j)
-    conj(chi_s(g_j)) and D the lcm of the coefficient denominators.
+    conj(chi_s(g_j)) and D the lcm of the coefficient denominators of the
+    table's values.
 
     zeta_e -> z is a ring map Z[zeta_e] -> Z/m sending conj(v) where
     zeta_e -> z^-1 sends v, so each distinct value is evaluated twice.  It is
@@ -225,24 +236,22 @@ def _class_sums(table, classes):
     classes (all, or the p-regular ones): sigma_k permutes the terms, so
     D^2 S_rs is a rational integer, and |D^2 S_rs - T| <= sum_j |K_j| L^2 +
     |G| D^2 < m for a target |T| <= |G| D^2, L the largest l1 norm of a D v."""
-    e, sizes = table.classes.exponent, table.classes.class_sizes
-    values = [[row[j] for j in classes] for row in table.rows]
-    objects = _per_object(values, lambda v: v)
-    den = lcm(*(a.denominator for v in objects.values() for a in v.terms.values()))
+    e = table.classes.exponent
+    sizes = [table.classes.class_sizes[j] for j in classes]
+    den = lcm(*(a.denominator for v in table.values for a in v.terms.values()))
     # D v as (exponent at e, integer coefficient) pairs
-    scaled = {
-        i: [(k * (e // v.n), a.numerator * (den // a.denominator)) for k, a in v.terms.items()]
-        for i, v in objects.items()
-    }
-    top = max((sum(abs(a) for _, a in t) for t in scaled.values()), default=0)
-    m, z = _evaluation_point(e, sum(sizes[j] for j in classes) * top * top + table.order * den * den)
+    scaled = [
+        [(k * (e // v.n), a.numerator * (den // a.denominator)) for k, a in v.terms.items()]
+        for v in table.values
+    ]
+    top = max((sum(abs(a) for _, a in t) for t in scaled), default=0)
+    m, z = _evaluation_point(e, sum(sizes) * top * top + table.order * den * den)
     powers = [pow(z, k, m) for k in range(e)]
-    at = {
-        i: (sum(a * powers[k] for k, a in t) % m, sum(a * powers[-k] for k, a in t) % m)
-        for i, t in scaled.items()
-    }
-    xs = [[sizes[j] * at[id(v)][0] for j, v in zip(classes, row)] for row in values]
-    ys = [[at[id(v)][1] for v in row] for row in values]
+    at = [sum(a * powers[k] for k, a in t) % m for t in scaled]
+    conj = [sum(a * powers[-k] for k, a in t) % m for t in scaled]
+    cols = [[cell[j] for j in classes] for cell in table.cells]
+    xs = [list(map(mul, sizes, map(at.__getitem__, col))) for col in cols]
+    ys = [list(map(conj.__getitem__, col)) for col in cols]
     sums = ((r, s, sum(map(mul, x, ys[s])) % m) for r, x in enumerate(xs) for s in range(r, len(ys)))
     return m, den, sums
 
@@ -371,7 +380,8 @@ def dixon_table(group, cd):
     per rational class: chi(g^u) = sigma_u(chi(g)) has m'_{t u mod o} = m_t
     for a unit u (Schneider, J. Symb. Comput. 9, 1990).  Each class so filled
     must have the u-th power of class j's power map and reduce to its own
-    values mod q; each value is interned, one CycElt."""
+    values mod q; each raw exponent map is lifted once (equal values:
+    _intern)."""
     c, n, e = cd.num_classes, group.order, cd.exponent
     q = _dixon_prime(e, n, c)
     s = _dixon_root(q, e)
@@ -396,7 +406,7 @@ def dixon_table(group, cd):
     packed = [modular._pack(col) for col in cols]
     pm = cd.power_map
     roots = [pow(s, k, q) for k in range(e)]  # zeta_e^k mod q
-    lifted, values = {}, {}  # raw exponent map at e -> (its value object, its image mod q)
+    lifted = {}  # raw exponent map at e -> (its value, its image mod q)
     columns = [None] * c
     for j in range(c):
         if columns[j] is not None:
@@ -435,8 +445,7 @@ def dixon_table(group, cd):
                 hit = lifted.get(raw)
                 if hit is None:
                     terms = dict(raw)
-                    v = CycElt(e, terms)
-                    hit = lifted[raw] = (values.setdefault(v, v), _residue(terms, roots, q))
+                    hit = lifted[raw] = (CycElt(e, terms), _residue(terms, roots, q))
                 if hit[1] != want:
                     raise AssertionError(f"lifted value at class {ju} disagrees with its value mod q")
                 column.append(hit[0])
@@ -495,8 +504,7 @@ def metacyclic_table(group, cd):
     its raw exponent map at e is {(y e/n + shift) mod e: |O|/|O'|} over y in
     O', with zeta_e^shift = mu(h).  O' is one of the orbits already listed,
     found by j0 c mod n, so a value depends only on (O', |O|, shift); it is
-    built once per such key and interned by value, so equal values of the
-    table are one object."""
+    built once per such key (equal values: _intern)."""
     n, H = group.meta_params
     e = cd.exponent
     reps = [group.elements[i] for i in cd.class_reps]
@@ -512,12 +520,10 @@ def metacyclic_table(group, cd):
         if h == 1 % n
     ]
 
-    # each value is built once per (O', |O|, shift), see the docstring, and
-    # then interned by value, so equal values of the table are one object
+    # each value is built once per (O', |O|, shift), see the docstring
     orbit_of = {x: i for i, orb in enumerate(orbits) for x in orb}
     step = e // n
     nought = zero(e)
-    values = {v: v for v in (nought, _one_at(e))}
     sums = {}
     rows = []
     for orb in orbits:
@@ -541,8 +547,7 @@ def metacyclic_table(group, cd):
                     m = size // len(image)
                     # the stabilizer-character root is folded into the raw
                     # exponents so reduction happens once per distinct sum
-                    v = CycElt(e, {(y * step + shift) % e: m for y in image})
-                    v = sums[o, size, shift] = values.setdefault(v, v)
+                    v = sums[o, size, shift] = CycElt(e, {(y * step + shift) % e: m for y in image})
                 row.append(v)
             rows.append(tuple(row))
 
@@ -619,13 +624,12 @@ def cyc_from_json(obj, e):
 
 
 def _values_from_json(irr, e):
-    """The rows of irr as CycElt at modulus e, one object per distinct value.
+    """The rows of irr as CycElt at modulus e.
 
     cyc_from_json runs once per distinct encoding, keyed on the entry's exact
     JSON content: each scalar is keyed with its type, so 1, 1.0 and true,
-    which Python finds equal, never share a key.  Encodings of one value, at
-    different moduli say, are then interned by value."""
-    parsed, values = {}, {}
+    which Python finds equal, never share a key (equal values: _intern)."""
+    parsed = {}
 
     def value(obj):
         try:
@@ -636,17 +640,16 @@ def _values_from_json(irr, e):
             # malformed, or unhashable: cyc_from_json raises its own message
             return cyc_from_json(obj, e)
         if v is None:
-            v = cyc_from_json(obj, e)
-            v = parsed[key] = values.setdefault(v, v)
+            v = parsed[key] = cyc_from_json(obj, e)
         return v
 
     return [[value(obj) for obj in row] for row in irr]
 
 
 def table_to_json(table):
-    """The table as JSON; each distinct value object is encoded once."""
+    """The table as JSON; each distinct value is encoded once."""
     cd = table.classes
-    encoded = _per_object(table.rows, cyc_to_json)
+    encoded = [cyc_to_json(v) for v in table.values]
     return {
         "name": table.name,
         "order": table.order,
@@ -659,7 +662,7 @@ def table_to_json(table):
             }
             for j in range(cd.num_classes)
         ],
-        "irr": [[encoded[id(v)] for v in row] for row in table.rows],
+        "irr": [list(map(encoded.__getitem__, cell)) for cell in table.cells],
     }
 
 
@@ -717,11 +720,10 @@ def _check_ingest(order, cd, rows):
 def table_from_json(obj):
     """Ingest an externally produced table JSON (the table_to_json format).
 
-    Like the two builders, it works per distinct value: each distinct value
-    encoding is parsed once, equal values become one CycElt object, and the
-    Galois images and the residues of check_orthogonality are computed once
-    per value.  Malformed input, a power map that is not one of a finite
-    group and a table failing orthogonality raise ValueError."""
+    Each distinct value encoding is parsed once, and the table's checks work
+    once per distinct value (see _intern).  Malformed input, a power map that
+    is not one of a finite group and a table failing orthogonality raise
+    ValueError."""
     try:
         e = _int(obj["exponent"], "exponent")
         if e < 1:

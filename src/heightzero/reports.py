@@ -307,7 +307,7 @@ def sweep_theorem_A(specs, p, progress):
                 "route": route,
                 "q": _dixon_prime(e, table.order, table.num_classes) if route == "dixon" else None,
                 "f": len(subgroup_closure(e // p ** nu_p(e, p), [p])),
-                "values": len({v for row in table.rows for v in row}),
+                "values": len(table.values),
                 "galois_orbits": len({id(table.row_field(r)) for r in range(table.num_classes)}),
             }
             progress(groups_out[-1], facts)
@@ -403,7 +403,8 @@ def realize_field(field, p, cross_check_dixon):
     if cross_check_dixon and cert.valid:
         # both tables share cd, so equal rows give the Dixon row the same
         # field and the same height as the certified one
-        cert.dixon_checked = dixon_table(group, cd).rows == table.rows
+        dixon = dixon_table(group, cd)
+        cert.dixon_checked = (dixon.values, dixon.cells) == (table.values, table.cells)
         if not cert.dixon_checked:
             raise AssertionError("independent table construction disagrees")
     return cert
@@ -444,7 +445,7 @@ def sigma_check(table):
     """
     partition = block_partition(table, 2)
     out = []
-    for r in range(len(table.rows)):
+    for r in range(table.num_classes):
         field = table.row_field(r)
         cond = field.conductor
         out.append(

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from heightzero.blocks import block_report_json
 from heightzero.cyclotomic import CycElt, _units, root_of_unity, unit_generators, zero
 from heightzero.fields import field_from_values
 from heightzero.groups import (
@@ -205,7 +206,8 @@ def _with_rows(table, rows):
     """The table with its rows replaced, past the constructor's checks: the
     relations are a property of the values alone."""
     out = copy.copy(table)
-    out.rows = [tuple(row) for row in rows]
+    out.values, out.cells = chartab._intern(rows)
+    out._galois = None
     return out
 
 
@@ -1082,18 +1084,24 @@ def test_row_field_matches_galois_scan_on_dixon_tables(group):
 
 @pytest.mark.parametrize("spec", ["meta:12:11", "sl2:5"])
 def test_row_field_matches_galois_scan_on_ingested_tables(spec):
-    # ingest makes one object per distinct value; a table with a fresh CycElt
-    # per entry still finds the images of rows, by value, not by object
+    # ingest makes one object per distinct value, and so does the constructor
+    # for a table given a fresh CycElt per entry: it interns them by value,
+    # and every per-value fact reads the same as on the ingested table
     from heightzero.reports import build_table
 
     t = table_from_json(table_to_json(build_table(spec)))
     assert len({id(v) for row in t.rows for v in row}) == len({v for row in t.rows for v in row})
     fresh = [[CycElt(v.n, v.terms, reduced=True) for v in row] for row in t.rows]
     loose = chartab.CharacterTable(t.name, t.order, t.classes, fresh)
-    assert len({id(v) for row in loose.rows for v in row}) > len({v for row in loose.rows for v in row})
+    assert len({id(v) for row in loose.rows for v in row}) == len(loose.values)
+    assert len(loose.values) < len({id(v) for row in fresh for v in row})
+    assert loose.values == t.values and loose.cells == t.cells
+    assert table_to_json(loose) == table_to_json(t)
+    for p in (2, 3):
+        assert block_report_json(loose, p) == block_report_json(t, p)
     for table in (t, loose):
         for r, row in enumerate(table.rows):
-            assert table.row_field(r) == field_from_values(row), (spec, r)
+            assert table.row_field(r) == field_from_values(row) == t.row_field(r), (spec, r)
 
 
 @pytest.mark.parametrize("spec", ["meta:12:11", "sl2:5", "alt:7"])

@@ -15,6 +15,9 @@
 * Every defaulted parameter is also left unset by at least one call in src/;
   a default every caller overrides is never used, and the parameter is
   required.
+* The builtin id is used only in the functions of ID_USERS: a table's
+  values are interned in one place, chartab._intern, and every other
+  per-value reader indexes them through the table's cells.
 * Every import sits at module level: no Import or ImportFrom node lies
   outside the module body, so a module's dependencies are its first lines.
 * No module imports a third-party package: every import is relative or
@@ -159,6 +162,42 @@ def test_every_public_definition_is_referenced(path):
     assert not unexpected, f"public names unreferenced in src/ {unexpected}"
     stale = sorted(allowed - unreferenced.keys())
     assert not stale, f"UNREFERENCED_PUBLIC names referenced or gone: {stale}"
+
+
+# functions in src/ that may use the builtin id, each for a reason
+ID_USERS = {
+    "chartab._intern": "the one owner of value identity: one id() pass makes "
+    "equal values one index of CharacterTable.values",
+    "reports.sweep_theorem_A": "the galois_orbits fact counts row_field objects, "
+    "one per Galois orbit of rows",
+}
+
+
+def _id_users(path):
+    """Where the file reads the name id: each module-level function or
+    method of a module-level class that does, by qualified name; a read
+    anywhere else is named after its class or the module."""
+
+    def reads(node):
+        return any(isinstance(n, ast.Name) and n.id == "id" for n in ast.walk(node))
+
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if reads(item):
+                    name = item.name if isinstance(item, ast.FunctionDef) else "<body>"
+                    yield f"{path.stem}.{node.name}.{name}"
+        elif reads(node):
+            name = node.name if isinstance(node, ast.FunctionDef) else "<module>"
+            yield f"{path.stem}.{name}"
+
+
+def test_id_is_used_only_where_value_identity_is_owned():
+    users = {name for path in SOURCES for name in _id_users(path)}
+    unexpected = sorted(users - ID_USERS.keys())
+    assert not unexpected, f"id() outside ID_USERS: {unexpected}"
+    stale = sorted(ID_USERS.keys() - users)
+    assert not stale, f"ID_USERS names that use no id(): {stale}"
 
 
 # functions whose defaults no call in src/ needs to pass

@@ -2,7 +2,7 @@
 
 import pytest
 
-from heightzero import reports
+from heightzero import chartab, reports
 from heightzero.cyclotomic import root_of_unity
 from heightzero.fields import (
     AbelianField,
@@ -212,9 +212,11 @@ def test_cross_check_catches_one_wrong_dixon_value(monkeypatch, where):
 
     def one_value_off(group, cd):
         table = true_dixon_table(group, cd)
-        r = realized if where == "realized row" else (realized + 1) % len(table.rows)
-        row = table.rows[r]
-        table.rows[r] = row[:-1] + (row[-1] + row[0],)
+        rows = table.rows
+        r = realized if where == "realized row" else (realized + 1) % len(rows)
+        row = rows[r]
+        rows[r] = row[:-1] + (row[-1] + row[0],)
+        table.values, table.cells = chartab._intern(rows)
         return table
 
     monkeypatch.setattr(reports, "dixon_table", one_value_off)
