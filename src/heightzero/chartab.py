@@ -16,9 +16,9 @@ Two independent construction routes:
   zeta_n^(y c) is |O|/|O'| times the sum over O' = (j0 c) H, since y -> y c
   maps O = j0 H onto O' H-equivariantly; dixon cross-checks it.
 
-All values are exact CycElt at modulus exponent(G); rows are sorted with the
-trivial character first, then by degree and a lexicographic value encoding,
-so tables are reproducible bit-for-bit.
+All values are exact CycElt at modulus exponent(G).  Each builder puts the
+trivial character first and _canonical sorts the other rows by degree and
+then by the keys of their values, so tables are reproducible bit-for-bit.
 
 A table holds far fewer distinct values than entries (the default corpus:
 84,544 entries, 3,764 distinct values); CharacterTable keeps each once, see
@@ -53,7 +53,9 @@ __all__ = [
 
 class CharacterTable:
     """Irr(G) as rows of exact cyclotomic values over the classes, kept as
-    the distinct values and each row's indices into them (see _intern)."""
+    the distinct values and each row's indices into them (see _intern).  The
+    rows keep the given order; a built table is interned once and then
+    ordered in place by _canonical."""
 
     def __init__(self, name, order, classes, rows):
         self.name = name
@@ -178,20 +180,13 @@ def _intern(rows):
     return values, [tuple(map(index.__getitem__, map(id, row))) for row in rows]
 
 
-def _sort_rows(rows):
-    """Rows sorted trivial first, then by degree and by the values' keys,
-    read off the cells of _intern.  Keys, not value equality, order the
-    values: equal values at different moduli have different keys."""
-    rows = list(rows)
-    values, cells = _intern(rows)
-    one = [v == _one_at(v.n) for v in values]
-    degree = {i: values[i].to_rational() for i in {cell[0] for cell in cells}}
-
-    def key(r):
-        cell = cells[r]
-        return (not all(map(one.__getitem__, cell)), degree[cell[0]], cell)
-
-    return [rows[r] for r in sorted(range(len(rows)), key=key)]
+def _canonical(table):
+    """Put a built table's rows in order, in place: row 0, the trivial
+    character, stays first, and the rest sort by degree, then by cells,
+    which compare as the keys of their values (see _intern)."""
+    rest = sorted(zip(table.degrees[1:], table.cells[1:]))
+    for r, (degree, cell) in enumerate(rest, 1):
+        table.degrees[r], table.cells[r] = degree, cell
 
 
 def _check_galois_action(table):
@@ -451,8 +446,11 @@ def dixon_table(group, cd):
                 column.append(hit[0])
             columns[ju] = column
 
-    rows = _sort_rows(zip(*columns))
-    return CharacterTable(group.name, n, cd, rows)
+    one = _one_at(e)
+    rows = sorted(zip(*columns), key=lambda row: any(v != one for v in row))  # trivial first
+    table = CharacterTable(group.name, n, cd, rows)
+    _canonical(table)
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +510,8 @@ def metacyclic_table(group, cd):
     # H-orbits on Z/n (exponents of Irr(C_n)).  H acts on Irr(C_n) by
     # j -> h j, as conjugation acts on C_n, (x, k)(c, 1)(x, k)^-1 = (k c, 1),
     # so the orbits are the classes inside C_n, read as the c of each (c, 1).
-    # They come in class order, not sorted; the row sort below makes the
-    # output independent of that order
+    # They come in class order, not sorted; _canonical makes the output
+    # independent of that order
     orbits = [
         [group.elements[x][0] for x in members]
         for members, (_, h) in zip(cd.members, reps)
@@ -526,6 +524,7 @@ def metacyclic_table(group, cd):
     nought = zero(e)
     sums = {}
     rows = []
+    # class 0 is the identity, so orbit {0} and the trivial mus[0] make row 0 the trivial character
     for orb in orbits:
         j0, size = orb[0], len(orb)
         stab = tuple(h for h in H if (h * j0) % n == j0)
@@ -551,10 +550,9 @@ def metacyclic_table(group, cd):
                 row.append(v)
             rows.append(tuple(row))
 
-    if len(rows) != cd.num_classes:
-        raise AssertionError("metacyclic construction produced wrong row count")
-    rows = _sort_rows(rows)
-    return CharacterTable(group.name, group.order, cd, rows)
+    table = CharacterTable(group.name, group.order, cd, rows)
+    _canonical(table)
+    return table
 
 
 # ---------------------------------------------------------------------------

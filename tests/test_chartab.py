@@ -369,9 +369,24 @@ def test_orthogonality_on_default_corpus(corpus_tables):
 
 
 def test_trivial_row_first_and_degree_sorted():
-    t = _table(symmetric(4))
-    assert all(v == rational(1, v.n) for v in t.rows[0])
-    assert t.degrees == sorted(t.degrees)
+    from heightzero.reports import build_table
+
+    # sym:4 takes the Dixon route, meta:12:11 the direct one
+    for spec in ("sym:4", "meta:12:11"):
+        t = build_table(spec)
+        assert all(v == rational(1, v.n) for v in t.rows[0])
+        assert t.degrees == sorted(t.degrees)
+        for r in range(2, len(t.cells)):
+            if t.degrees[r - 1] == t.degrees[r]:
+                assert t.cells[r - 1] < t.cells[r], (spec, r)
+        # the order is the table's own: _canonical restores it from any
+        # order of the rows after the trivial one
+        rows = t.rows
+        shuffled = chartab.CharacterTable(t.name, t.order, t.classes, [rows[0]] + rows[:0:-1])
+        assert shuffled.cells != t.cells
+        chartab._canonical(shuffled)
+        assert shuffled.values == t.values and shuffled.cells == t.cells
+        assert table_to_json(shuffled) == table_to_json(t)
 
 
 def test_a5_degree3_rows_have_conductor_5():
@@ -953,6 +968,19 @@ def _name_not_a_string(obj):
     obj["name"] = [1, 2]
 
 
+def _swap_rows_0_and_1(obj):
+    obj["irr"][0], obj["irr"][1] = obj["irr"][1], obj["irr"][0]
+
+
+def _drop_last_row(obj):
+    del obj["irr"][-1]
+
+
+def _row_2_copies_row_1(obj):
+    # degrees 1, 1, 1
+    obj["irr"][2] = copy.deepcopy(obj["irr"][1])
+
+
 def _coefficient(text):
     # -1 at modulus 6 is z^2 + z^4; int() reads each of these texts as 1
     def mutate(obj):
@@ -984,6 +1012,9 @@ def _coefficient(text):
         (symmetric(3), _coefficient(" 1_0/10"), "is not ASCII"),
         (symmetric(3), _coefficient("1/1\n"), "is not ASCII"),
         (symmetric(3), _coefficient("\uff11/1"), "is not ASCII"),
+        (symmetric(3), _swap_rows_0_and_1, "row 0 is not the trivial character"),
+        (symmetric(3), _drop_last_row, "row count != class count"),
+        (symmetric(3), _row_2_copies_row_1, "sum of squared degrees != group order"),
     ],
 )
 def test_ingest_validates_class_data(group, mutate, match):
@@ -1039,7 +1070,16 @@ def test_ingest_interns_values_but_never_encodings_that_validate_differently(ear
 def test_ingest_parses_and_conjugates_once_per_value(monkeypatch, spec):
     from heightzero.reports import build_table
 
+    # a table, built or ingested, interns its rows once
+    intern, interns = chartab._intern, []
+
+    def counted_intern(rows):
+        interns.append(rows)
+        return intern(rows)
+
+    monkeypatch.setattr(chartab, "_intern", counted_intern)
     obj = json.loads(json.dumps(table_to_json(build_table(spec))))
+    assert len(interns) == 1
     entries = [v for row in obj["irr"] for v in row]
     encodings = {json.dumps(v, sort_keys=True) for v in entries}
     parse, galois = chartab.cyc_from_json, CycElt.galois
@@ -1056,6 +1096,7 @@ def test_ingest_parses_and_conjugates_once_per_value(monkeypatch, spec):
     monkeypatch.setattr(chartab, "cyc_from_json", counted_parse)
     monkeypatch.setattr(CycElt, "galois", counted_galois)
     t = table_from_json(obj)
+    assert len(interns) == 2
     values = {v for row in t.rows for v in row}
     assert len(encodings) < len(entries)
     assert 0 < len(parses) <= len(encodings)
