@@ -31,20 +31,14 @@ __all__ = [
 # reduction of cyclotomic integers modulo p
 
 
-def _image(p, eprime, n, coeffs):
-    """Image of sum c_j zeta_n^j, for the map coeffs: j -> integer c_j, in
-    Z[zeta_e'] / p with e' prime to p: zeta_{p^a} goes to 1 and zeta_{n'} to
-    zeta_{e'}^(e' / n').  The value is the sorted tuple of the nonzero
-    (exponent, coefficient mod p) pairs of its Zumbroich form at e', a Z-basis
-    of Z[zeta_e'], so two values have equal images exactly when they are
+def _image(p, eprime, step, coeffs):
+    """Image of sum c_j zeta_e^j, for the map coeffs: j -> integer c_j, in
+    Z[zeta_e'] / p, e = p^a e' with e' prime to p: zeta_e = zeta_{p^a}^alpha
+    zeta_{e'}^step by CRT, step = (p^a)^-1 mod e' (0 if e' = 1), and zeta_{p^a}
+    goes to 1.  The value is the sorted tuple of the nonzero (exponent,
+    coefficient mod p) pairs of its Zumbroich form at e', a Z-basis of
+    Z[zeta_e'], so two values have equal images exactly when they are
     congruent modulo every maximal ideal above p."""
-    a = nu_p(n, p)
-    nprime = n // p**a
-    if eprime % nprime:
-        raise ValueError(f"modulus {n} has p'-part {nprime}, not dividing {eprime}")
-    # zeta_n = zeta_{p^a}^alpha * zeta_{n'}^beta with the CRT exponents;
-    # zeta_{p^a} |-> 1, so only the n'-component survives (step 0 if n' = 1)
-    step = eprime // nprime * pow(p**a, -1, nprime)
     raw = {}
     for j, c in coeffs.items():
         k = j * step % eprime
@@ -101,13 +95,15 @@ def block_partition(table, p):
 
     The exact division and the reduction run once per distinct (value,
     class size, degree) of the table, read through its cells (see
-    chartab._intern), not once per entry.  Each distinct image is numbered
+    chartab._intern), not once per entry; every value sits at the exponent,
+    so one step of _image serves them all.  Each distinct image is numbered
     by a small int, so a signature is a tuple of ints.
     """
     if not isprime(p):
         raise ValueError(f"{p} is not prime")
     e = table.classes.exponent
     eprime = e // p ** nu_p(e, p)
+    step = pow(e // eprime, -1, eprime)
 
     # omega_chi(K_j) = |K_j| chi(g_j) / chi(1), divided out exactly on each
     # Zumbroich coefficient of chi(g_j); the basis is integral, so the value
@@ -130,20 +126,18 @@ def block_partition(table, p):
                             f"central character of row {r} is not an algebraic integer"
                         )
                     coeffs[k] = q
-                key = _image(p, eprime, value.n, coeffs)
+                key = _image(p, eprime, step, coeffs)
                 image = images[x, size, degree] = ids.setdefault(key, len(ids))
             sig.append(image)
         signatures.setdefault(tuple(sig), []).append(r)
 
     nu_order = nu_p(table.order, p)
     blocks = []
-    for rows in sorted(signatures.values(), key=lambda rs: rs[0]):
-        degs = [table.degrees[r] for r in rows]
-        vals = [nu_p(d, p) for d in degs]
+    # a signature enters at its least row, and rows come in ascending order
+    for rows in signatures.values():
+        vals = [nu_p(table.degrees[r], p) for r in rows]
         vmin = min(vals)
-        defect = nu_order - vmin
-        heights = [v - vmin for v in vals]
-        blocks.append(Block(len(blocks), rows, defect, heights))
+        blocks.append(Block(len(blocks), rows, nu_order - vmin, [v - vmin for v in vals]))
     return BlockPartition(p, blocks, len(table.cells))
 
 

@@ -61,7 +61,7 @@ class CharacterTable:
         self.name = name
         self.order = order
         self.classes = classes
-        self.values, self.cells = _intern(rows)
+        self.values, self.cells = _intern(rows, classes.exponent)
         # read once per distinct value at class 0; the first row holding it
         # names a bad degree
         degrees = {}
@@ -73,7 +73,7 @@ class CharacterTable:
             raise ValueError("row count != class count")
         if sum(d * d for d in self.degrees) != order:
             raise ValueError("sum of squared degrees != group order")
-        if any(self.values[c] != _one_at(self.values[c].n) for c in self.cells[0]):
+        if {self.values[c] for c in self.cells[0]} != {_one_at(classes.exponent)}:
             raise ValueError("row 0 is not the trivial character")
         # (Galois permutations, row index, row -> field), made by _galois_maps
         self._galois = None
@@ -164,16 +164,17 @@ def _degree(r, value):
     return int(d)
 
 
-def _intern(rows):
-    """(values, cells): the distinct values of the rows, each the first
-    object met, in the order of their keys, and each row as a tuple of
-    indices into values, so cells compare as the keys of their values do.
-    The one owner of value identity: one id() pass over the entries, and
-    only distinct objects are hashed, so equal values at one modulus (where
-    they hash alike) are one index and one object in every table, and
-    per-value work reads values through cells once per distinct value."""
+def _intern(rows, e):
+    """(values, cells): the distinct values of the rows, written at the
+    exponent e, in the order of their keys, and each row as indices into
+    values, so cells compare as the keys of their values do.  The one owner
+    of value identity and modulus: one id() pass over the entries, then each
+    distinct object is embedded at e (ValueError if its modulus does not
+    divide e) and hashed once, so equal values are one index and one object
+    in every table, and per-value work runs once per distinct value."""
     rows = [tuple(row) for row in rows]
     objects = dict(zip(map(id, chain.from_iterable(rows)), chain.from_iterable(rows)))
+    objects = {i: v.embed(e) for i, v in objects.items()}
     values = sorted(dict.fromkeys(objects.values()), key=CycElt.key)
     number = {v: i for i, v in enumerate(values)}
     index = {i: number[v] for i, v in objects.items()}
@@ -191,31 +192,26 @@ def _canonical(table):
 
 def _check_galois_action(table):
     """Refuse a table on which powering is not the Galois action, the
-    precondition of _class_sums: each value sits at a modulus dividing the
-    exponent e, and for each generator g of (Z/e)*
+    precondition of _class_sums: for each generator g of (Z/e)*
     row[pm[j][g]] = row[j].galois(g) (so chi(g_j^k) = sigma_k(chi(g_j)) for
     every unit k, by induction on word length), while j -> pm[j][g] keeps
-    class sizes and permutes the classes.  Entries compare as the numbers
-    of their values at modulus e, and each sigma_g runs once per value."""
-    cd = table.classes
-    e, k, sizes = cd.exponent, cd.num_classes, cd.class_sizes
+    class sizes and permutes the classes.  Values are distinct and at e (see
+    _intern), so entries compare as indices; sigma_g runs once per value."""
+    sizes = table.classes.class_sizes
     perms = table._galois_maps()[0]
-    number = {}
-    # embed raises ValueError on a modulus that does not divide e
-    numbers = [number.setdefault(v.embed(e), len(number)) for v in table.values]
-    # images[i][x]: the number of sigma_g of value x for the i-th g, -1 if no value has it
-    images = [[number.get(v.galois(g), -1) for v in list(number)] for g, _ in perms]
+    index = {v: i for i, v in enumerate(table.values)}
+    # images[i][x]: the index of sigma_g of value x for the i-th g, -1 if no value has it
+    images = [[index.get(v.galois(g), -1) for v in table.values] for g, _ in perms]
     for cell in table.cells:
-        x = list(map(numbers.__getitem__, cell))
         for (g, perm), image in zip(perms, images):
-            if [x[i] for i in perm] != [image[i] for i in x]:
+            if [cell[i] for i in perm] != [image[i] for i in cell]:
                 raise ValueError(f"power map under power {g} is not compatible with the values")
     for g, perm in perms:
         for j, i in enumerate(perm):
             if sizes[i] != sizes[j]:
                 moved = f"class {j} of size {sizes[j]} to class {i} of size {sizes[i]}"
                 raise ValueError(f"power map under power {g} sends {moved}")
-        if len(set(perm)) != k:
+        if len(set(perm)) != len(sizes):
             raise ValueError(f"power map under power {g} does not permute the classes")
 
 
@@ -223,7 +219,7 @@ def _class_sums(table, classes):
     """(m, D, sums): sums yields (r, s, D^2 S_rs mod m) lazily for rows
     r <= s, r-major, with S_rs = sum over j in classes of |K_j| chi_r(g_j)
     conj(chi_s(g_j)) and D the lcm of the coefficient denominators of the
-    table's values.
+    table's values, which sit at the exponent e (see _intern).
 
     zeta_e -> z is a ring map Z[zeta_e] -> Z/m sending conj(v) where
     zeta_e -> z^-1 sends v, so each distinct value is evaluated twice.  It is
@@ -235,10 +231,7 @@ def _class_sums(table, classes):
     sizes = [table.classes.class_sizes[j] for j in classes]
     den = lcm(*(a.denominator for v in table.values for a in v.terms.values()))
     # D v as (exponent at e, integer coefficient) pairs
-    scaled = [
-        [(k * (e // v.n), a.numerator * (den // a.denominator)) for k, a in v.terms.items()]
-        for v in table.values
-    ]
+    scaled = [[(k, a.numerator * (den // a.denominator)) for k, a in v.terms.items()] for v in table.values]
     top = max((sum(abs(a) for _, a in t) for t in scaled), default=0)
     m, z = _evaluation_point(e, sum(sizes) * top * top + table.order * den * den)
     powers = [pow(z, k, m) for k in range(e)]
@@ -593,15 +586,14 @@ _COEFFICIENT = re.compile(r"-?[0-9]+/[0-9]+")
 
 
 def cyc_from_json(obj, e):
-    """One value entry of a table of exponent e, rewritten at modulus e.
+    """One value entry of a table of exponent e, at its own modulus.
 
     The entry is {"n": modulus, "terms": [[basis exponent, "num/den"], ...]}.
-    Its modulus must divide e, so the value lies in Q(zeta_e), where the
-    Galois action of (Z/e)* is defined; at one modulus, equal values hash
-    alike.  The exponents must be distinct Zumbroich basis exponents at the
-    modulus, and each coefficient a fraction of ASCII integers matching
-    -?[0-9]+/[0-9]+, not necessarily reduced.  A malformed entry raises;
-    table_from_json reports every such error as ValueError."""
+    Its modulus must divide e, checked before its basis is built; the table
+    writes it at e (see _intern).  The exponents must be distinct Zumbroich
+    basis exponents at the modulus, and each coefficient a fraction of ASCII
+    integers matching -?[0-9]+/[0-9]+, not necessarily reduced.  A malformed
+    entry raises; table_from_json reports every such error as ValueError."""
     n = _int(obj["n"], "modulus")
     if n < 1 or e % n:
         raise ValueError(f"value modulus {n} does not divide the exponent {e}")
@@ -618,11 +610,11 @@ def cyc_from_json(obj, e):
         # checked after the parse, so text it refuses keeps its message
         if not _COEFFICIENT.fullmatch(frac):
             raise ValueError(f"coefficient {frac!r} is not ASCII -?[0-9]+/[0-9]+")
-    return CycElt(n, terms, reduced=True).embed(e)
+    return CycElt(n, terms, reduced=True)
 
 
 def _values_from_json(irr, e):
-    """The rows of irr as CycElt at modulus e.
+    """The rows of irr as CycElt, each at a modulus dividing e.
 
     cyc_from_json runs once per distinct encoding, keyed on the entry's exact
     JSON content: each scalar is keyed with its type, so 1, 1.0 and true,

@@ -28,6 +28,7 @@ from .blocks import block_report_json
 from .chartab import table_from_json, table_to_json
 from .cyclotomic import isprime
 from .reports import (
+    _integer,
     build_table,
     corollary_c_sweep,
     default_corpus,
@@ -234,11 +235,15 @@ def cmd_ingest(args):
     return 0
 
 
-def _prime(value):
+def _int_arg(value):
     try:
-        p = int(value)
+        return _integer(value)
     except ValueError:
         raise argparse.ArgumentTypeError(f"{value!r} is not an integer") from None
+
+
+def _prime(value):
+    p = _int_arg(value)
     if not isprime(p):
         raise argparse.ArgumentTypeError(f"{p} is not prime")
     return p
@@ -299,7 +304,7 @@ def build_parser():
     p_re.set_defaults(func=cmd_realize)
 
     p_cc = sub.add_parser("corollary-c", help="quadratic-field sweep (CSV)")
-    p_cc.add_argument("--max", type=int, required=True)
+    p_cc.add_argument("--max", type=_int_arg, required=True)
     p_cc.add_argument("--out", default="-")
     p_cc.set_defaults(func=cmd_corollary_c)
 

@@ -370,8 +370,8 @@ class CycElt:
 
     def __hash__(self):
         """Hash of (n, terms).  Equal values at one modulus hash alike, as
-        every value of a CharacterTable does (all sit at the table exponent);
-        loose values at different moduli still hash apart even when equal."""
+        every value of a CharacterTable does (_intern puts all at the table
+        exponent); loose values at different moduli hash apart even when equal."""
         if self._hash is None:
             h = hash((self.n, tuple(sorted(self.terms.items()))))
             object.__setattr__(self, "_hash", h)

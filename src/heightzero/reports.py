@@ -67,13 +67,21 @@ __all__ = [
 # spec mini-languages
 
 
+def _integer(text):
+    """Every integer of a spec, and the CLI's --p and --max: ASCII -?[0-9]+,
+    where int() alone also reads a "+", spaces, "_" and non-ASCII digits."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"{text!r} is not an ASCII integer -?[0-9]+")
+    return int(text)
+
+
 def _integers(text):
     """The comma-separated integers of a spec, none for an empty text; an
     empty token, as in '5,,7' or '5,', is refused."""
     tokens = text.split(",") if text else []
     if "" in tokens:
         raise ValueError(f"empty entry in {text!r}")
-    return [int(t) for t in tokens]
+    return [_integer(t) for t in tokens]
 
 
 def _parse_perm_spec(body):
@@ -128,9 +136,9 @@ def parse_group_spec(spec):
     kind = parts[0]
     try:
         if kind in _ONE_INTEGER_FAMILIES and len(parts) == 2:
-            return _ONE_INTEGER_FAMILIES[kind](int(parts[1]))
+            return _ONE_INTEGER_FAMILIES[kind](_integer(parts[1]))
         if kind == "meta" and len(parts) == 3:
-            n = int(parts[1])
+            n = _integer(parts[1])
             hgens = _integers(parts[2])
             return semidirect_cn_h(n, hgens, name=spec.strip())
         if kind == "perm" and len(parts) >= 2:
@@ -164,8 +172,8 @@ def parse_field_spec(spec):
 
 
 def _capped(text, what):
-    """int(text), refused when its absolute value is above ORDER_CAP."""
-    v = int(text)
+    """_integer(text), refused when its absolute value is above ORDER_CAP."""
+    v = _integer(text)
     if abs(v) > ORDER_CAP:
         raise ValueError(f"|{what}| = {abs(v)} is above the cap {ORDER_CAP}")
     return v

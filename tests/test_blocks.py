@@ -447,8 +447,11 @@ def test_height_zero_restricts_to_height_zero_constituents(p):
 
 
 def _reduce(p, eprime, x):
-    """The library's image of the integral CycElt x in Z[zeta_e'] / p."""
-    return _image(p, eprime, x.n, {j: int(c) for j, c in x.terms.items()})
+    """The library's image of the integral CycElt x in Z[zeta_e'] / p, read
+    with x written at e = lcm(n, e' p^a), n = p^a n' its modulus, n' | e'."""
+    e = lcm(x.n, eprime * p ** nu_p(x.n, p))
+    y = x.embed(e)
+    return _image(p, eprime, pow(e // eprime, -1, eprime), {j: int(c) for j, c in y.terms.items()})
 
 
 def _lift(eprime, image):

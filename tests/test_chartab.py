@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heightzero.blocks import block_report_json
-from heightzero.cyclotomic import CycElt, _units, root_of_unity, unit_generators, zero
+from heightzero.cyclotomic import CycElt, _one_at, _units, root_of_unity, unit_generators, zero
 from heightzero.fields import field_from_values
 from heightzero.groups import (
     FiniteGroup,
@@ -206,7 +206,7 @@ def _with_rows(table, rows):
     """The table with its rows replaced, past the constructor's checks: the
     relations are a property of the values alone."""
     out = copy.copy(table)
-    out.values, out.cells = chartab._intern(rows)
+    out.values, out.cells = chartab._intern(rows, table.classes.exponent)
     out._galois = None
     return out
 
@@ -901,6 +901,32 @@ def test_ingest_puts_every_value_at_the_exponent():
     assert len({v for row in t2.rows for v in row}) == distinct
 
 
+def test_a_hand_built_value_off_the_exponent_is_refused():
+    # zeta_5 is not in Q(zeta_6), so it cannot be written at the exponent of S3
+    t = _table(symmetric(3))
+    rows = t.rows
+    rows[2] = (rows[2][0], root_of_unity(5, 1), rows[2][2])
+    with pytest.raises(ValueError, match="cannot embed modulus 5 into 6"):
+        chartab.CharacterTable(t.name, t.order, t.classes, rows)
+
+
+def test_equal_values_at_different_moduli_are_one_index():
+    # 1 at modulus 1 and 1 at the exponent are one value of a hand-built table
+    t = _table(symmetric(3))
+    rows = t.rows
+    rows[0] = (rational(1), _one_at(t.classes.exponent), rational(1))
+    mixed = chartab.CharacterTable(t.name, t.order, t.classes, rows)
+    assert len(set(mixed.cells[0])) == 1
+    assert (mixed.values, mixed.cells) == (t.values, t.cells)
+
+
+def test_every_corpus_value_sits_at_the_exponent(corpus_tables):
+    for spec, t in corpus_tables:
+        back = table_from_json(table_to_json(t))
+        e = t.classes.exponent
+        assert all(v.n == e for v in t.values + back.values), spec
+
+
 def test_ingest_rejects_corrupt_values():
     t = _table(symmetric(3))
     obj = table_to_json(t)
@@ -1073,9 +1099,9 @@ def test_ingest_parses_and_conjugates_once_per_value(monkeypatch, spec):
     # a table, built or ingested, interns its rows once
     intern, interns = chartab._intern, []
 
-    def counted_intern(rows):
+    def counted_intern(rows, e):
         interns.append(rows)
-        return intern(rows)
+        return intern(rows, e)
 
     monkeypatch.setattr(chartab, "_intern", counted_intern)
     obj = json.loads(json.dumps(table_to_json(build_table(spec))))

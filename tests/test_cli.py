@@ -299,6 +299,36 @@ def test_field_spec_refuses_an_empty_generator_token(capsys, spec):
     assert err.startswith("error:") and "empty entry" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-a", "--group", "cyclic:1_0", "--p", "2"],
+        ["table", "--group", "sym:+3"],
+        ["table", "--group", "sym:\u0663"],
+        ["table", "--group", "meta:1_2:5"],
+        ["table", "--group", "perm:(1,2_0)"],
+        ["realize", "--field", "cyclo:1_2", "--p", "2"],
+        ["blocks", "--group", "sym:3", "--p", "\u0662"],
+        ["corollary-c", "--max", "1_0"],
+    ],
+)
+def test_integers_of_specs_and_options_are_ascii(capsys, argv):
+    # int() alone also reads a "+", "_" separators, spaces and non-ASCII digits
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refuses --p and --max
+        code = exc.code
+    out = capsys.readouterr()
+    assert (code, out.out) == (1, "")
+    assert out.err.splitlines()[-1].startswith("error: ")
+
+
+def test_spaces_inside_permutation_cycles_stay_allowed(capsys):
+    code, out, _ = run(["table", "--group", "perm:( 1 , 2 )(3 ,4); (1, 3)"], capsys)
+    assert code == 0
+    assert json.loads(out)["order"] == 8
+
+
 def test_specs_with_no_generators_keep_their_meaning(capsys):
     # meta:N: is C_N, and fix:N: fixes nothing, so it is Q(zeta_N)
     code, out, _ = run(["table", "--group", "meta:12:"], capsys)

@@ -18,6 +18,9 @@
 * The builtin id is used only in the functions of ID_USERS: a table's
   values are interned in one place, chartab._intern, and every other
   per-value reader indexes them through the table's cells.
+* CycElt.embed is called only in the functions of EMBED_USERS: chartab._intern
+  writes every table value at the table exponent, so no reader of a table
+  handles a value's modulus again.
 * Every import sits at module level: no Import or ImportFrom node lies
   outside the module body, so a module's dependencies are its first lines.
 * No module imports a third-party package: every import is relative or
@@ -173,31 +176,57 @@ ID_USERS = {
 }
 
 
-def _id_users(path):
-    """Where the file reads the name id: each module-level function or
-    method of a module-level class that does, by qualified name; a read
-    anywhere else is named after its class or the module."""
+def _reads_id(node):
+    return isinstance(node, ast.Name) and node.id == "id"
 
-    def reads(node):
-        return any(isinstance(n, ast.Name) and n.id == "id" for n in ast.walk(node))
+
+def _calls_embed(node):
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "embed"
+
+
+def _users(path, uses):
+    """Where the file has a node for which uses holds: each module-level
+    function or method of a module-level class that does, by qualified
+    name; a use anywhere else is named after its class or the module."""
+
+    def has(node):
+        return any(map(uses, ast.walk(node)))
 
     for node in ast.parse(path.read_text()).body:
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if reads(item):
+                if has(item):
                     name = item.name if isinstance(item, ast.FunctionDef) else "<body>"
                     yield f"{path.stem}.{node.name}.{name}"
-        elif reads(node):
+        elif has(node):
             name = node.name if isinstance(node, ast.FunctionDef) else "<module>"
             yield f"{path.stem}.{name}"
 
 
 def test_id_is_used_only_where_value_identity_is_owned():
-    users = {name for path in SOURCES for name in _id_users(path)}
+    users = {name for path in SOURCES for name in _users(path, _reads_id)}
     unexpected = sorted(users - ID_USERS.keys())
     assert not unexpected, f"id() outside ID_USERS: {unexpected}"
     stale = sorted(ID_USERS.keys() - users)
     assert not stale, f"ID_USERS names that use no id(): {stale}"
+
+
+# functions in src/ that may call CycElt.embed, each for a reason
+EMBED_USERS = {
+    "chartab._intern": "the one owner of the value modulus: each distinct value "
+    "of a CharacterTable is written at the table exponent once",
+    "fields.field_from_values": "loose values, outside any table, meet at the lcm "
+    "of their moduli for the Galois scan",
+    "cyclotomic.CycElt._unify": "arithmetic on two values runs at the lcm of their moduli",
+}
+
+
+def test_embed_is_called_only_where_the_value_modulus_is_owned():
+    users = {name for path in SOURCES for name in _users(path, _calls_embed)}
+    unexpected = sorted(users - EMBED_USERS.keys())
+    assert not unexpected, f".embed() outside EMBED_USERS: {unexpected}"
+    stale = sorted(EMBED_USERS.keys() - users)
+    assert not stale, f"EMBED_USERS names that call no .embed(): {stale}"
 
 
 # functions whose defaults no call in src/ needs to pass

@@ -216,7 +216,7 @@ def test_cross_check_catches_one_wrong_dixon_value(monkeypatch, where):
         r = realized if where == "realized row" else (realized + 1) % len(rows)
         row = rows[r]
         rows[r] = row[:-1] + (row[-1] + row[0],)
-        table.values, table.cells = chartab._intern(rows)
+        table.values, table.cells = chartab._intern(rows, table.classes.exponent)
         return table
 
     monkeypatch.setattr(reports, "dixon_table", one_value_off)
