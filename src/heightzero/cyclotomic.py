@@ -19,7 +19,6 @@ from operator import index
 __all__ = [
     "CycElt",
     "isprime",
-    "root_of_unity",
     "zero",
     "sigma_unit",
     "zumbroich_exponents",
@@ -398,13 +397,6 @@ def _coerce(v, n=1):
 
 def zero(n):
     return CycElt(n, {}, reduced=True)
-
-
-def root_of_unity(n, j):
-    """zeta_n^j in canonical form."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    return CycElt(n, {j % n: Fraction(1)})
 
 
 @lru_cache(maxsize=None)

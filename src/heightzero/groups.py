@@ -75,6 +75,11 @@ class FiniteGroup:
     def mul(self, i, j):
         return self.index[self._mul_elems(self.elements[i], self.elements[j])]
 
+    def mul_each(self, i, js):
+        """[mul(i, j) for j in js]: element i times each element of js."""
+        x, elements, index, mul = self.elements[i], self.elements, self.index, self._mul_elems
+        return [index[mul(x, elements[j])] for j in js]
+
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
 

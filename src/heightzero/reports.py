@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from importlib import resources
 
-from .cyclotomic import _prime_powers, nu_p, root_of_unity, sigma_unit, subgroup_closure
+from .cyclotomic import _prime_powers, nu_p, sigma_unit, subgroup_closure
 from .fields import (
     AbelianField,
     conductor_parts,
@@ -385,8 +385,9 @@ def realize_field(field, p, cross_check_dixon):
     cd = conjugacy_classes(group)
     table = metacyclic_table(group, cd)
 
-    # induce the faithful linear character c |-> zeta_n^c of C_n <= G
-    lam = {group.index[(c, 1 % n)]: root_of_unity(n, c) for c in range(n)}
+    # induce the faithful linear character c |-> zeta_n^c = zeta_e^(c e/n) of C_n <= G
+    step = cd.exponent // n
+    lam = {group.index[(c, 1 % n)]: c * step for c in range(n)}
     induced = induce_linear(cd, lam)
     # H acts faithfully on the characters of C_n, so the induced character is
     # irreducible and must literally be a table row

@@ -18,7 +18,6 @@ from heightzero.cyclotomic import (
     _coerce,
     _prime_powers,
     _units,
-    root_of_unity,
     sigma_unit,
     subgroup_closure,
     zumbroich_exponents,
@@ -38,6 +37,13 @@ def element_order(g, i):
 def inverse(g, i):
     """The element j of the group g with i j = 1, by search."""
     return next(j for j in range(g.order) if g.mul(i, j) == 0)
+
+
+def root_of_unity(n, j):
+    """zeta_n^j in canonical form."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    return CycElt(n, {j % n: Fraction(1)})
 
 
 def rational(v, n=1):

@@ -21,7 +21,7 @@ from sympy import Poly, Symbol, cyclotomic_poly
 from heightzero.blocks import Block, BlockPartition, _image, block_partition, height_zero_rows
 from heightzero import chartab
 from heightzero.chartab import dixon_table
-from heightzero.cyclotomic import CycElt, nu_p, root_of_unity, unit_generators
+from heightzero.cyclotomic import CycElt, nu_p, unit_generators
 from heightzero.groups import (
     alternating,
     conjugacy_classes,
@@ -33,6 +33,7 @@ from heightzero.groups import (
     symmetric,
 )
 from heightzero.reports import build_table
+from oracles import root_of_unity
 from subgroups import decompose, derived_subgroup, restrict, subgroup_as_group, subgroup_elements
 
 _X = Symbol("x")

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from heightzero.blocks import block_report_json
-from heightzero.cyclotomic import CycElt, _one_at, _units, root_of_unity, unit_generators, zero
+from heightzero.cyclotomic import CycElt, _one_at, _units, unit_generators, zero
 from heightzero.fields import field_from_values
 from heightzero.groups import (
     FiniteGroup,
@@ -38,7 +38,7 @@ from heightzero.chartab import (
     table_to_json,
 )
 from heightzero.reports import parse_group_spec
-from oracles import all_subgroups, rational
+from oracles import all_subgroups, rational, root_of_unity
 from subgroups import decompose, derived_subgroup, inner_product, restrict, subgroup_as_group
 
 
@@ -74,20 +74,26 @@ def test_class_matrix_counts_products(group):
 
 @pytest.mark.parametrize("group", [sl2(7), symmetric(5), dihedral(12)], ids=lambda g: g.name)
 def test_class_matrix_makes_one_product_per_member_and_rep(group, monkeypatch):
-    # |K_i| * c products each, and no table of inverses on the way
+    # |K_i| * c products each, c per member through mul_each, and no table
+    # of inverses on the way
     cd = conjugacy_classes(group)
     calls = []
-    mul = FiniteGroup.mul
+    mul, mul_each = FiniteGroup.mul, FiniteGroup.mul_each
 
     def counted(self, i, j):
-        calls.append(None)
+        calls.append(1)
         return mul(self, i, j)
 
+    def counted_each(self, i, js):
+        calls.append(len(js))
+        return mul_each(self, i, js)
+
     monkeypatch.setattr(FiniteGroup, "mul", counted)
+    monkeypatch.setattr(FiniteGroup, "mul_each", counted_each)
     for i in range(cd.num_classes):
         calls.clear()
         class_matrix(group, cd, i)
-        assert len(calls) == cd.class_sizes[i] * cd.num_classes
+        assert calls == [cd.num_classes] * cd.class_sizes[i]
 
 
 def test_dixon_table_allocates_no_cube(monkeypatch):
@@ -477,6 +483,37 @@ def test_direct_route_matches_dixon_on_spec(spec):
     assert direct == table_to_json(build_table(spec, "dixon"))
 
 
+def test_direct_route_matches_dixon_on_the_realize_family(monkeypatch):
+    # the C_n x| H of realize's field fix:n:gens for every meta:n:gens of the
+    # corpus, built as realize_field builds it; the same loop counts the
+    # split's steps, which the class order keeps at 343 minimal polynomials
+    # and 647 class matrices (in class-index order: 915 and 843)
+    from heightzero.reports import default_corpus, parse_field_spec
+
+    build, minpoly = chartab.class_matrix, modular.minimal_polynomial
+    steps = {"minimal polynomials": 0, "class matrices": 0}
+
+    def counted_matrix(group_, cd_, i):
+        steps["class matrices"] += 1
+        return build(group_, cd_, i)
+
+    def counted_minpoly(*args):
+        steps["minimal polynomials"] += 1
+        return minpoly(*args)
+
+    monkeypatch.setattr(chartab, "class_matrix", counted_matrix)
+    monkeypatch.setattr(modular, "minimal_polynomial", counted_minpoly)
+    specs = [spec for spec in default_corpus() if spec.startswith("meta:")]
+    assert len(specs) == 116
+    for spec in specs:
+        field = parse_field_spec("fix:" + spec.split(":", 1)[1])
+        n = field.conductor
+        group = semidirect_cn_h(n, sorted(field.fixer)) if n > 1 else cyclic(1)
+        cd = conjugacy_classes(group)
+        assert metacyclic_table(group, cd).rows == dixon_table(group, cd).rows, spec
+    assert steps == {"minimal polynomials": 343, "class matrices": 647}
+
+
 @pytest.mark.parametrize(
     "build,group",
     [pytest.param(metacyclic_table, g, id=g.name)
@@ -644,15 +681,16 @@ def test_dixon_table_rejects_a_power_map_sent_to_a_wrong_conjugate(group):
     [
         ("cyclic:37", 1),
         ("sym:5", 1),
-        ("sl2:7", 7),
-        ("quaternion:64", 11),
-        ("alt:7", 7),
-        ("meta:40:1,9,13,37", 24),
+        ("sl2:7", 3),
+        ("quaternion:64", 3),
+        ("alt:7", 3),
+        ("meta:40:1,9,13,37", 18),
     ],
 )
 def test_dixon_split_builds_a_class_matrix_only_while_a_vector_is_unsplit(monkeypatch, spec, built):
-    # the split stops at c vectors, so it builds no more class matrices
-    # than the common eigenspaces need
+    # the split visits the classes by descending element order times
+    # min(|K_i|, c), ties by index, and stops at c vectors, so it builds no
+    # more class matrices than the common eigenspaces need in that order
     build = chartab.class_matrix
     calls = []
 
@@ -661,8 +699,12 @@ def test_dixon_split_builds_a_class_matrix_only_while_a_vector_is_unsplit(monkey
         return build(group_, cd_, i)
 
     monkeypatch.setattr(chartab, "class_matrix", counted)
-    _table(parse_group_spec(spec))
-    assert calls == list(range(1, built + 1))
+    group = parse_group_spec(spec)
+    cd = conjugacy_classes(group)
+    c = cd.num_classes
+    order = sorted(range(1, c), key=lambda j: (-cd.element_orders[j] * min(cd.class_sizes[j], c), j))
+    dixon_table(group, cd)
+    assert calls == order[:built]
 
 
 @pytest.mark.parametrize("wrong", ["zero", "other", "shifted"])
@@ -853,7 +895,7 @@ def test_induce_linear_from_a4_to_s4():
     # index-2 subgroup: the even permutations
     a4 = derived_subgroup(g)
     assert len(a4) == 12
-    lam = {i: rational(1) for i in a4}
+    lam = {i: 0 for i in a4}
     ind = induce_linear(cd, lam)
     mults = decompose(ind, t)
     # 1_{A4}^{S4} = trivial + sign

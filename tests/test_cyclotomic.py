@@ -26,14 +26,13 @@ from heightzero.cyclotomic import (
     _strong_probable_prime,
     isprime,
     nu_p,
-    root_of_unity,
     sigma_unit,
     subgroup_closure,
     unit_generators,
     zero,
     zumbroich_exponents,
 )
-from oracles import conductor_of_element, rational, sigma_e
+from oracles import conductor_of_element, rational, root_of_unity, sigma_e
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from math import gcd, lcm
 import pytest
 from sympy import factorint, legendre_symbol
 
-from heightzero.cyclotomic import CycElt, root_of_unity, subgroup_closure, unit_generators
+from heightzero.cyclotomic import CycElt, subgroup_closure, unit_generators
 from heightzero.fields import (
     AbelianField,
     conductor_parts,
@@ -19,7 +19,7 @@ from heightzero.fields import (
     quadratic_field,
     rational_field,
 )
-from oracles import all_subgroups, compositum, legendre_quadratic_field, rational
+from oracles import all_subgroups, compositum, legendre_quadratic_field, rational, root_of_unity
 
 
 # ---------------------------------------------------------------------------

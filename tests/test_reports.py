@@ -3,7 +3,6 @@
 import pytest
 
 from heightzero import chartab, reports
-from heightzero.cyclotomic import root_of_unity
 from heightzero.fields import (
     AbelianField,
     cyclotomic_field,
@@ -26,7 +25,7 @@ from heightzero.reports import (
     sweep_theorem_A,
     verify_theorem_A,
 )
-from oracles import compositum, sigma_e
+from oracles import compositum, root_of_unity, sigma_e
 
 
 # ---------------------------------------------------------------------------
