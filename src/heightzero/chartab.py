@@ -5,11 +5,12 @@ Two independent construction routes:
 * dixon_table: the Dixon-Schneider modular method (class matrices over F_q,
   built one at a time from the class members, in descending order of
   element order times min(|K_i|, c), the classes likely to separate the
-  most characters first; common eigenvectors split off the identity
-  coordinate: each vector the next class matrix does not fix is replaced by
-  its components along the roots of its minimal polynomial, through the
-  Lagrange basis; discrete-Fourier lift of the values back to the
-  cyclotomic field of the group exponent, once per rational class);
+  most characters first, and a class conjugate to an earlier one last;
+  common eigenvectors split off the identity coordinate: each vector the
+  next class matrix does not fix is replaced by its components along the
+  roots of its minimal polynomial, through the Lagrange basis;
+  discrete-Fourier lift of the values back to the cyclotomic field of the
+  group exponent, once per rational class and Galois orbit of rows);
 * metacyclic_table: a direct Clifford-theoretic construction for C_n x| H
   with H <= (Z/n)*, the route for every group that carries meta_params
   (cyclic, dihedral, semidihedral, meta and the realizer's groups), which
@@ -328,20 +329,28 @@ def _split_eigenspaces(group, cd, q):
     come by descending o_i * min(|K_i|, c), o_i the element order, ties by
     index: the eigenvalues of M_i are |K_i| chi(g_i)/chi(1), and a class
     with elements of large order and many members tends to tell more
-    characters apart, so fewer vectors are left to split.  On the C_n x| H
-    of the 116 realized fields fix:n:H of the default corpus this makes 343
-    minimal polynomials and 647 class matrices, against 915 and 843 in
-    index order (tests/test_chartab.py pins both totals).  A vector that
-    B fixes up to a scalar stays; any other x has for minimal polynomial the
-    product of t - lambda over the eigenvalues of B on S, and is replaced by
-    its lambda-parts x L_lambda(B), L the Lagrange basis of those roots, which
-    must be deg-many and simple, each part nonzero and fixed by B up to its
+    characters apart, so fewer vectors are left to split.  A class K_(i^u), u
+    a unit, conjugate to an earlier K_i comes after all the others: sigma_u
+    sends omega_chi(K_i) = omega_psi(K_i) to the same equality at K_(i^u), so
+    it splits a vector only through a coincidence mod q.  On the C_n x| H of
+    the 116 realized fields fix:n:H of the default corpus this makes 327
+    minimal polynomials and 252 class matrices, against 343 and 647 by the
+    key alone (tests/test_chartab.py pins the totals).  A vector that B fixes
+    up to a scalar stays; any other x has for minimal polynomial the product
+    of t - lambda over the eigenvalues of B on S, and is replaced by its
+    lambda-parts x L_lambda(B), L the Lagrange basis of those roots, which
+    must be distinct and deg-many, each part nonzero and fixed by B up to its
     lambda.  The class matrices commute: the split ends with c lines or fails."""
-    c = cd.num_classes
+    c, orders = cd.num_classes, cd.element_orders
+    order = sorted(range(1, c), key=lambda j: (-orders[j] * min(cd.class_sizes[j], c), j))
+    first = {}  # each rational class -> its first class in that order
+    for j in order:
+        first.setdefault(frozenset(cd.power_map[j][u] for u in _units(orders[j])), j)
+    order.sort(key=lambda j, leaders=set(first.values()): j not in leaders)  # stable
     lanes, roots_mod_q = modular._Lanes(c, q), modular.poly_roots(q)
     vectors = [[1] + [0] * (c - 1)]
     packed = modular._packed(vectors)  # again each time the vectors change
-    for i in sorted(range(1, c), key=lambda j: (-cd.element_orders[j] * min(cd.class_sizes[j], c), j)):
+    for i in order:
         if len(vectors) >= c:
             break
         bt = []  # B by its sparse columns, the rows of M_i
@@ -354,13 +363,13 @@ def _split_eigenspaces(group, cd, q):
         comps, roots = [], []
         for x in compress(vectors, [not f for f in fixed]):
             poly, krylov = modular.minimal_polynomial(bt, x, q)
-            simple = [lam for lam, one in roots_mod_q(poly) if one]
-            if len(simple) != len(poly) - 1:
+            found = roots_mod_q(poly)
+            if len(found) != len(poly) - 1:
                 raise AssertionError("class matrix not diagonalizable mod q")
             krylov = [modular._pack(row) for row in krylov]
-            for row in modular.lagrange(simple, q):
+            for row in modular.lagrange(found, q):
                 comps.append([a % q for a in modular._lanes(sum(map(mul, row, krylov)), c)])
-            roots += simple
+            roots += found
         if not all(map(any, comps)) or lanes.eigenvalues(modular._packed(comps), bt) != roots:
             raise AssertionError("eigenline is not fixed by its class matrix mod q")
         vectors = list(compress(vectors, fixed)) + comps
@@ -381,7 +390,11 @@ def dixon_table(group, cd):
     for a unit u (Schneider, J. Symb. Comput. 9, 1990).  Each class so filled
     must have the u-th power of class j's power map and reduce to its own
     values mod q; each raw exponent map is lifted once (equal values:
-    _intern)."""
+    _intern).  Only one row per Galois orbit is lifted: sigma_g chi mod q is
+    chi mod q with the classes permuted by j -> pm[j][g], which must be a
+    row of the same degree, and the orbits, found by a breadth-first search
+    as in row_field, as many as the rational classes (Brauer's permutation
+    lemma); every other row reads its representative's values there."""
     c, n, e = cd.num_classes, group.order, cd.exponent
     q = _dixon_prime(e, n, c)
     s = _dixon_root(q, e)
@@ -402,15 +415,29 @@ def dixon_table(group, cd):
         raise AssertionError("degree recovery failed")
 
     scales = [d * pow(v[0], -1, q) for d, v in zip(degrees, lines)]  # chi = d v / (v[0] |K|)
-    cols = list(zip(*([a * w % q for a in map(mul, v, inv_sizes)] for w, v in zip(scales, lines))))
+    residues = [tuple(a * w % q for a in map(mul, v, inv_sizes)) for w, v in zip(scales, lines)]
+    pm, index = cd.power_map, {x: r for r, x in enumerate(residues)}
+    perms = [(g, [pm_j[g] for pm_j in pm]) for g in unit_generators(e)]
+    reps, source = [], {}  # source[y] = (r, u): y[j] = r[pm[j][u]], r the representative
+    for r in filter(lambda r: r not in source, range(c)):
+        reps.append(r)
+        source[r], orbit = (r, 1), [r]
+        for x in orbit:
+            for g, perm in perms:
+                y = index.get(tuple(map(residues[x].__getitem__, perm)))
+                if y is None or degrees[y] != degrees[r]:
+                    raise AssertionError(f"sigma_{g} of row {x} mod q is no row of its degree")
+                if y not in source:
+                    source[y] = (r, source[x][1] * g % e)
+                    orbit.append(y)
+    cols = list(zip(*map(residues.__getitem__, reps)))
     packed = [modular._pack(col) for col in cols]
-    pm = cd.power_map
     roots = [pow(s, k, q) for k in range(e)]  # zeta_e^k mod q
     lifted = {}  # raw exponent map at e -> (its value, its image mod q)
     columns = [None] * c
-    for j in range(c):
-        if columns[j] is not None:
-            continue
+    rational = 0  # classes j filling the columns of their rational class
+    for j in filter(lambda j: columns[j] is None, range(c)):
+        rational += 1
         o = cd.element_orders[j]
         step = e // o
         powers = pm[j][:o]
@@ -427,12 +454,12 @@ def dixon_table(group, cd):
             if mult[t] is None:
                 wave = [inverse[l * t % o] for l in range(o)]
                 acc = sum(map(mul, wave, map(packed.__getitem__, powers)))
-                m = [a * inv % q for a in modular._lanes(acc, c)]
+                m = [a * inv % q for a in modular._lanes(acc, len(reps))]
                 for u in fixing:
                     mult[u * t % o] = m
-        if [sum(m) for m in zip(*mult)] != degrees:
+        if [sum(m) for m in zip(*mult)] != [degrees[r] for r in reps]:
             raise AssertionError("multiplicity lift inconsistent with degree")
-        support = [[(t, m[r]) for t, m in enumerate(mult) if m[r]] for r in range(c)]
+        support = [[(t, m[r]) for t, m in enumerate(mult) if m[r]] for r in range(len(reps))]
         for u in _units(o):
             ju = powers[u]
             if columns[ju] is not None:
@@ -451,8 +478,12 @@ def dixon_table(group, cd):
                 column.append(hit[0])
             columns[ju] = column
 
+    if rational != len(reps):  # Brauer's permutation lemma
+        raise AssertionError(f"{len(reps)} Galois orbits of rows but {rational} rational classes")
+    cells = dict(zip(reps, zip(*columns)))
+    rows = [cells[y] if y == r else tuple(cells[r][pm_j[u]] for pm_j in pm) for y, (r, u) in source.items()]
     one = _one_at(e)
-    rows = sorted(zip(*columns), key=lambda row: any(v != one for v in row))  # trivial first
+    rows.sort(key=lambda row: any(v != one for v in row))  # trivial first
     table = CharacterTable(group.name, n, cd, rows)
     _canonical(table)
     return table

@@ -10,7 +10,7 @@ packs entry j of each."""
 import re
 import struct
 from itertools import compress
-from math import prod
+from math import isqrt, prod
 from operator import mul
 
 _MASK = (1 << 64) - 1
@@ -101,26 +101,34 @@ def minimal_polynomial(a, x, q):
 
 def poly_roots(q):
     """The root finder of F_q: coefficients of p = sum c_i x^i, ascending ->
-    its roots, ascending, each as (root, p'(root) != 0).  p is evaluated at
-    x = b + y for n = min(q, _BLOCK) y at once, from packed lanes of each y^i
-    mod q kept for the next p, its coefficients shifted by n for each block."""
-    n = min(q, _BLOCK)
-    lanes, powers = _Lanes(n, q), [_pack([1] * n)]
+    its distinct roots, ascending.  i k = T(i + k) - T(i) - T(k) for
+    T(m) = m (m - 1) / 2, so at x = w^(b + k), w the least generator of
+    F_q*, w^T(k) p(x) = sum_i a_i w^T(i + k) with a_i = c_i w^(b i - T(i)):
+    a block of n = min(q - 1, _BLOCK) points, k < n, costs d + 1 products and
+    one product of the packed a_i, reversed, with the packed w^T(m), m < n + d,
+    kept for the next p ((n + d) 8 bytes); x = 0 is tested alone."""
+    n = min(q - 1, _BLOCK)
+    # w generates F_q* iff w^((q - 1) / r) != 1 for each divisor r > 1 of q - 1
+    divisors = {x for r in range(1, isqrt(q - 1) + 1) if (q - 1) % r == 0 for x in (r, (q - 1) // r)} - {1}
+    w = next(x for x in range(2, q) if all(pow(x, (q - 1) // r, q) != 1 for r in divisors))
+    lanes, table, packed = _Lanes(n, q), [1], 1  # w^T(m) for m < len(table), and it packed
 
     def roots(coeffs):
-        _check_lanes(len(coeffs), q)
-        while len(powers) < len(coeffs):
-            powers.append(_pack([v * y % q for y, v in enumerate(_lanes(powers[-1], n))]))
-        shifted, found = [c % q for c in coeffs], []
-        for b in range(0, q, n):
-            if b:  # p(b - n + y) -> p(b + y), by Ruffini's rule
-                for i in range(len(shifted) - 1):
-                    for k in range(len(shifted) - 2, i - 1, -1):
-                        shifted[k] = (shifted[k] + n * shifted[k + 1]) % q
-            zeros = lanes.nonzero(sum(map(mul, shifted, powers))).to_bytes(8 * n, "little")
-            found += [b + y.start() for y in re.finditer(b"\x00", zeros[: 8 * (q - b) : 8])]
-        slope = [i * c for i, c in enumerate(coeffs)][1:]  # p', ascending
-        return [(x, sum(c * pow(x, i, q) for i, c in enumerate(slope)) % q != 0) for x in found]
+        nonlocal packed
+        d = len(coeffs) - 1
+        _check_lanes(d + 1, q)
+        if len(table) < n + d:  # w^T(m + 1) = w^T(m) w^m
+            for m in range(len(table) - 1, n + d - 1):
+                table.append(table[-1] * pow(w, m, q) % q)
+            packed = _pack(table)
+        a = [c * pow(t, -1, q) % q for c, t in zip(coeffs, table)]  # at b = 0
+        step = [pow(w, n * i, q) for i in range(d + 1)]  # b -> b + n
+        found = [] if coeffs[0] % q else [0]
+        for b in range(0, q - 1, n):
+            zeros = lanes.nonzero(_pack(a[::-1]) * packed >> 64 * d).to_bytes(8 * n, "little")
+            found += [pow(w, b + k.start(), q) for k in re.finditer(b"\x00", zeros[: 8 * (q - 1 - b) : 8])]
+            a = [x * y % q for x, y in zip(a, step)]
+        return sorted(found)
 
     return roots
 

@@ -3,11 +3,13 @@
 import copy
 import json
 import random
+import sys
 import time
 import weakref
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -486,12 +488,15 @@ def test_direct_route_matches_dixon_on_spec(spec):
 def test_direct_route_matches_dixon_on_the_realize_family(monkeypatch):
     # the C_n x| H of realize's field fix:n:gens for every meta:n:gens of the
     # corpus, built as realize_field builds it; the same loop counts the
-    # split's steps, which the class order keeps at 343 minimal polynomials
-    # and 647 class matrices (in class-index order: 915 and 843)
+    # split's steps, which the rational-first class order keeps at 327
+    # minimal polynomials and 252 class matrices (by the key alone: 343 and
+    # 647; in class-index order: 915 and 843), and the rows the lift's
+    # discrete Fourier transforms carry, one per Galois orbit: 683 of 1,971
     from heightzero.reports import default_corpus, parse_field_spec
 
-    build, minpoly = chartab.class_matrix, modular.minimal_polynomial
+    build, minpoly, lanes = chartab.class_matrix, modular.minimal_polynomial, modular._lanes
     steps = {"minimal polynomials": 0, "class matrices": 0}
+    widths = set()  # the lane counts dixon_table itself unpacks, per table
 
     def counted_matrix(group_, cd_, i):
         steps["class matrices"] += 1
@@ -501,17 +506,28 @@ def test_direct_route_matches_dixon_on_the_realize_family(monkeypatch):
         steps["minimal polynomials"] += 1
         return minpoly(*args)
 
+    def counted_lanes(x, n):
+        if sys._getframe(1).f_code is dixon_table.__code__:
+            widths.add(n)
+        return lanes(x, n)
+
     monkeypatch.setattr(chartab, "class_matrix", counted_matrix)
     monkeypatch.setattr(modular, "minimal_polynomial", counted_minpoly)
+    monkeypatch.setattr(modular, "_lanes", counted_lanes)
     specs = [spec for spec in default_corpus() if spec.startswith("meta:")]
     assert len(specs) == 116
+    lifted = rows = 0
     for spec in specs:
         field = parse_field_spec("fix:" + spec.split(":", 1)[1])
         n = field.conductor
         group = semidirect_cn_h(n, sorted(field.fixer)) if n > 1 else cyclic(1)
         cd = conjugacy_classes(group)
         assert metacyclic_table(group, cd).rows == dixon_table(group, cd).rows, spec
-    assert steps == {"minimal polynomials": 343, "class matrices": 647}
+        (width,) = widths
+        widths.clear()
+        lifted, rows = lifted + width, rows + cd.num_classes
+    assert steps == {"minimal polynomials": 327, "class matrices": 252}
+    assert (lifted, rows) == (683, 1971)
 
 
 @pytest.mark.parametrize(
@@ -677,20 +693,52 @@ def test_dixon_table_rejects_a_power_map_sent_to_a_wrong_conjugate(group):
 
 
 @pytest.mark.parametrize(
+    "spec,refused",
+    [
+        pytest.param("meta:13:1,3,9", {AssertionError: 42}, id="meta:13:1,3,9"),
+        pytest.param("sl2:7", {AssertionError: 110}, id="sl2:7"),
+        pytest.param("meta:40:1,9,13,37", {AssertionError: 752, ValueError: 4}, id="meta:40:1,9,13,37"),
+    ],
+)
+def test_dixon_table_refuses_every_line_off_by_one(monkeypatch, spec, refused):
+    # 1 added mod q to one coordinate j >= 1 of one line, for every line and
+    # every such j: the lift reads one row per Galois orbit and takes every
+    # other row as a permuted row, which must be a row of the same degree, so
+    # each case raises; ValueError where the sum that gives a degree is 0 mod q
+    group = parse_group_spec(spec)
+    cd = conjugacy_classes(group)
+    c = cd.num_classes
+    q = chartab._dixon_prime(cd.exponent, group.order, c)
+    lines = chartab._split_eigenspaces(group, cd, q)
+    outcomes = {}
+    for r in range(c):
+        for j in range(1, c):
+            doctored = [v[:] for v in lines]
+            doctored[r][j] = (doctored[r][j] + 1) % q
+            monkeypatch.setattr(chartab, "_split_eigenspaces", lambda group_, cd_, q_, v=doctored: v)
+            with pytest.raises((AssertionError, ValueError)) as info:
+                dixon_table(group, cd)
+            outcomes[info.type] = outcomes.get(info.type, 0) + 1
+    assert outcomes == refused
+
+
+@pytest.mark.parametrize(
     "spec,built",
     [
         ("cyclic:37", 1),
         ("sym:5", 1),
-        ("sl2:7", 3),
+        ("sl2:7", 2),
         ("quaternion:64", 3),
-        ("alt:7", 3),
-        ("meta:40:1,9,13,37", 18),
+        ("alt:7", 2),
+        ("meta:40:1,9,13,37", 9),
     ],
 )
 def test_dixon_split_builds_a_class_matrix_only_while_a_vector_is_unsplit(monkeypatch, spec, built):
     # the split visits the classes by descending element order times
-    # min(|K_i|, c), ties by index, and stops at c vectors, so it builds no
-    # more class matrices than the common eigenspaces need in that order
+    # min(|K_i|, c), ties by index, the first class of each rational class
+    # before every class Galois conjugate to an earlier one, and stops at c
+    # vectors, so it builds no more class matrices than the common
+    # eigenspaces need in that order
     build = chartab.class_matrix
     calls = []
 
@@ -703,6 +751,12 @@ def test_dixon_split_builds_a_class_matrix_only_while_a_vector_is_unsplit(monkey
     cd = conjugacy_classes(group)
     c = cd.num_classes
     order = sorted(range(1, c), key=lambda j: (-cd.element_orders[j] * min(cd.class_sizes[j], c), j))
+    units = [u for u in range(cd.exponent) if gcd(u, cd.exponent) == 1]
+    first = {}  # rational class -> its first class in that order
+    for j in order:
+        first.setdefault(frozenset(cd.power_map[j][u] for u in units), j)
+    leaders = set(first.values())
+    order = [j for j in order if j in leaders] + [j for j in order if j not in leaders]
     dixon_table(group, cd)
     assert calls == order[:built]
 
@@ -1172,6 +1226,96 @@ def test_ingest_parses_and_conjugates_once_per_value(monkeypatch, spec):
 
 
 # ---------------------------------------------------------------------------
+# Frobenius-Schur counts: every power map checked against the values
+
+
+def _frobenius_schur(table):
+    """nu(power_map, n): nu_n(chi) = |G|^-1 sum_j |K_j| chi(g_j^n) for each row,
+    g_j^n read from power_map.  Through a genuine power map the sum is |G|
+    times an integer of absolute value at most chi(1) (Frobenius; Isaacs
+    1976, ch. 4), so one evaluation mod m > 2 D |G| max chi(1) decides it, D
+    the lcm of the coefficient denominators, as in chartab._class_sums; a
+    sum that is no such integer raises AssertionError."""
+    cd = table.classes
+    e, order = cd.exponent, table.order
+    den = lcm(*(a.denominator for v in table.values for a in v.terms.values()))
+    m, z = chartab._evaluation_point(e, 2 * den * order * max(table.degrees))
+    at = [sum(a.numerator * (den // a.denominator) * pow(z, k, m) for k, a in v.terms.items()) % m
+          for v in table.values]
+
+    def nu(power_map, n):
+        weights = [0] * cd.num_classes  # |G| nu_n(chi) = sum_k weights[k] chi(g_k)
+        for size, powers in zip(cd.class_sizes, power_map):
+            weights[powers[n % e]] += size
+        out = []
+        for degree, cell in zip(table.degrees, table.cells):
+            acc = sum(map(mul, weights, map(at.__getitem__, cell))) % m
+            value, rest = divmod(acc - m if 2 * acc > m else acc, den * order)
+            assert not rest and abs(value) <= degree, f"nu_{n} is no integer of absolute value <= chi(1)"
+            out.append(value)
+        return out
+
+    return nu
+
+
+def _check_frobenius_schur(table, nu, power_map, ns):
+    """For each n in ns, sum_chi chi(1) nu_n(chi) = #{x : x^n = 1}, the sum of
+    |K_j| over the element orders o_j dividing n; for n = 2 also nu_2(chi) in
+    {-1, 0, 1}, nonzero exactly when chi is real: when -1 is in the fixer of
+    the field row_field gives."""
+    cd = table.classes
+    for n in ns:
+        nus = nu(power_map, n)
+        roots = sum(size for size, o in zip(cd.class_sizes, cd.element_orders) if n % o == 0)
+        assert sum(map(mul, table.degrees, nus)) == roots, f"sum of chi(1) nu_{n}(chi) is not {roots}"
+        if n == 2:
+            real = [-1 % f.conductor in f.fixer for f in map(table.row_field, range(cd.num_classes))]
+            assert set(nus) <= {-1, 0, 1} and [v != 0 for v in nus] == real, "nu_2 disagrees with reality"
+
+
+def _divisors(e):
+    return [n for n in range(1, e + 1) if e % n == 0]
+
+
+def test_frobenius_schur_counts_on_default_corpus(corpus_tables):
+    pairs = 0
+    for spec, t in corpus_tables:
+        ns = _divisors(t.classes.exponent)
+        _check_frobenius_schur(t, _frobenius_schur(t), t.classes.power_map, ns + [2])  # 2 for odd e too
+        pairs += len(ns)
+    assert pairs == 1215
+
+
+@pytest.mark.parametrize("spec", ["sym:6", "alt:7", "sl2:13"])
+def test_frobenius_schur_counts_on_dixon_tables(spec):
+    t = _spec_table(spec)
+    _check_frobenius_schur(t, _frobenius_schur(t), t.classes.power_map, _divisors(t.classes.exponent))
+
+
+@pytest.mark.parametrize(
+    "spec,moves",
+    [("sl2:13", 182), ("sym:6", 68), ("alt:7", 52), ("meta:63:2,8", 210), ("quaternion:64", 64)],
+)
+def test_frobenius_schur_refuses_every_power_map_entry_moved(spec, moves):
+    # the power map entry of class j at a divisor n > 1 of e, sent to another
+    # class of the same element order: the counts refuse every such map, 576
+    # over these five groups
+    t = _spec_table(spec)
+    cd, nu = t.classes, _frobenius_schur(t)
+    cases = 0
+    for n in _divisors(cd.exponent)[1:]:
+        for j in range(cd.num_classes):
+            was = cd.power_map[j][n % cd.exponent]
+            for k in range(cd.num_classes):
+                if k != was and cd.element_orders[k] == cd.element_orders[was]:
+                    bad = [row[:] for row in cd.power_map]
+                    bad[j][n % cd.exponent] = k
+                    with pytest.raises(AssertionError):
+                        _check_frobenius_schur(t, nu, bad, [n])
+                    cases += 1
+    assert cases == moves
+
+
 # fields of values: the power-map route against the Galois scan
 
 

@@ -1,13 +1,14 @@
 """Linear algebra mod q: minimal polynomials of vectors against the
-eigenbasis and the Krylov rank, root multiplicities, the Lagrange basis,
+eigenbasis and the Krylov rank, distinct roots, the Lagrange basis,
 and the exactness of packed products and of the all-lanes tests."""
 
 import random
 
 import pytest
-from sympy import prevprime
+from sympy import prevprime, primitive_root
 
-from heightzero import modular
+from heightzero import chartab, modular
+from heightzero.groups import conjugacy_classes, cyclic
 
 # the largest prime below 10^7 is the ceiling of the Dixon prime
 BIG = prevprime(10**7)
@@ -121,20 +122,24 @@ def _horner(coeffs, x, q):
 
 
 def _brute_roots(poly, q):
-    """(x, p'(x) != 0) for every root x in F_q, by evaluation at each x."""
-    slope = [i * c for i, c in enumerate(poly)][1:]
-    return [(x, _horner(slope, x, q) != 0) for x in range(q) if _horner(poly, x, q) == 0]
+    """Every root x in F_q, ascending, by evaluation at each x."""
+    return [x for x in range(q) if _horner(poly, x, q) == 0]
 
 
 @pytest.mark.parametrize("q", [3, 5, 7, 73, 101, 2437, 999983])
 def test_poly_roots_tells_simple_roots_from_repeated_ones(q):
+    # the distinct roots, ascending: a root of multiplicity m > 1 appears
+    # once, so a polynomial of degree d splits into simple roots exactly when
+    # it has d of them
     rng = random.Random(q)
     nonresidue = next(a for a in range(2, q) if pow(a, (q - 1) // 2, q) == q - 1)
-    # roots at both ends of F_q and, past one block of x, on both sides of
-    # the block edges
-    edges = [x for b in range(modular._BLOCK, q, modular._BLOCK) for x in (b - 1, b)]
-    edges = [0, 1, q - 1] + edges[:3] + edges[-3:]
-    finder = modular.poly_roots(q)  # one table of powers kept across polynomials
+    # roots at 0 and at both ends of F_q*, at the last point w^(q - 2) of the
+    # least generator w, and, past one block of points w^k, on both sides of
+    # the block edges w^(b n - 1) and w^(b n)
+    w, n = primitive_root(q), min(q - 1, modular._BLOCK)
+    edges = [pow(w, x, q) for b in range(n, q - 1, n) for x in (b - 1, b)]
+    edges = [0, 1, q - 1, pow(w, q - 2, q)] + edges[:3] + edges[-3:]
+    finder = modular.poly_roots(q)  # one table of w^T(m) kept across polynomials
     for _ in range(20):
         draws = range(rng.randint(1, 4))
         roots = sorted({rng.choice(edges) if rng.random() < 0.5 else rng.randrange(q) for _ in draws})
@@ -143,12 +148,11 @@ def test_poly_roots_tells_simple_roots_from_repeated_ones(q):
         for r, m in zip(roots, mults):
             for _ in range(m):
                 poly = _times_poly(poly, [-r % q, 1], q)
-        want = [(r, m == 1) for r, m in zip(roots, mults)]
-        assert modular.poly_roots(q)(poly) == want
+        assert modular.poly_roots(q)(poly) == roots
         # x^2 - a for a non-residue a adds no root
-        assert finder(_times_poly(poly, [-nonresidue % q, 0, 1], q)) == want
+        assert finder(_times_poly(poly, [-nonresidue % q, 0, 1], q)) == roots
         if q < 10**4:
-            assert want == _brute_roots(poly, q)
+            assert roots == _brute_roots(poly, q)
             # a polynomial of random coefficients: split, repeated or rootless
             poly = [rng.randrange(q) for _ in range(rng.randint(1, 6))] + [1]
             assert finder(poly) == modular.poly_roots(q)(poly) == _brute_roots(poly, q)
@@ -232,7 +236,7 @@ def test_minimal_polynomial_is_the_product_over_the_eigenvalues_on_the_support(q
 
 
 @pytest.mark.parametrize("q", [101, 999983, BIG])
-def test_minimal_polynomial_of_a_jordan_block_has_a_repeated_root(q):
+def test_minimal_polynomial_of_a_jordan_block_has_a_repeated_root(monkeypatch, q):
     # a = p^-1 J p for J = lambda I + N, N the shift: x = e_0 p runs along
     # the block, so P = (t - lambda)^k and its root is not simple
     rng = random.Random(q + 4)
@@ -246,7 +250,14 @@ def test_minimal_polynomial_of_a_jordan_block_has_a_repeated_root(q):
             want = _times_poly(want, [-lam % q, 1], q)
         assert poly == want
         _check_krylov(poly, krylov, p[0], a, q)
-        assert modular.poly_roots(q)(poly) == [(lam, False)]
+        assert modular.poly_roots(q)(poly) == [lam]
+        # so the split refuses a class matrix M with B = M^T = J: e_0 J runs
+        # along the block, and its minimal polynomial (t - lambda)^k has one
+        # distinct root, not k
+        group = cyclic(k)
+        monkeypatch.setattr(chartab, "class_matrix", lambda group_, cd_, i: [list(col) for col in zip(*jordan)])
+        with pytest.raises(AssertionError, match="not diagonalizable mod q"):
+            chartab._split_eigenspaces(group, conjugacy_classes(group), q)
         # the last row of p is an eigenvector: degree 1
         assert modular.minimal_polynomial(_sparse(a, q), p[-1], q)[0] == [-lam % q, 1]
 
