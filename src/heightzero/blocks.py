@@ -11,7 +11,8 @@ Sending zeta_{p^a} to 1 maps Z[zeta_e] onto Z[zeta_e'] / p, e' the p'-part of
 the exponent e, with that radical as kernel; there, congruence is equality of
 the coefficients mod p in the Zumbroich basis.  No residue field is built.
 Defect and heights then come from p-valuations of the group order and the
-row degrees.
+row degrees, and a row of p-defect zero is a block by itself, read from its
+degree with no reduction.
 """
 
 from __future__ import annotations
@@ -85,57 +86,79 @@ class BlockPartition:
         return len(self.blocks)
 
 
+def _central_terms(value, size, degree, r):
+    """The Zumbroich coefficients of omega = size * value / degree, divided
+    out exactly; the basis is integral, so omega is an algebraic integer iff
+    every quotient is an integer, and otherwise this raises ValueError
+    naming row r."""
+    coeffs = {}
+    for k, c in value.terms.items():
+        q, rem = divmod(size * c.numerator, degree * c.denominator)
+        if rem:
+            raise ValueError(f"central character of row {r} is not an algebraic integer")
+        coeffs[k] = q
+    return coeffs
+
+
 def block_partition(table, p):
     """Partition of the rows of `table` into p-blocks.
 
     Returns a BlockPartition whose blocks are ordered by their least row
     index; within a block, rows keep table order.  Each row's central
     character must reduce to algebraic integers; a failure means the table
-    data is corrupt and raises ValueError.
+    data is corrupt and raises ValueError naming the first failing row.
 
-    The exact division and the reduction run once per distinct (value,
-    class size, degree) of the table, read through its cells (see
-    chartab._intern), not once per entry; every value sits at the exponent,
-    so one step of _image serves them all.  Each distinct image is numbered
-    by a small int, so a signature is a tuple of ints.
+    A row of p-defect zero, nu_p(chi(1)) = nu_p(|G|), is a block by itself,
+    of defect 0 (Brauer-Nesbitt; Navarro, Characters and Blocks of Finite
+    Groups, 1998, ch. 3), so it is read from its degree and never reduced;
+    its central character is still checked integral, once per distinct
+    (value, class size) at its degree.  Every other row gets a signature:
+    the division and the reduction run once per distinct (value, class
+    size, degree) of the table, read through its cells (see chartab._intern),
+    not once per entry; every value sits at the exponent, so one step of
+    _image serves them all.  Each distinct image is numbered by a small int,
+    so a signature is a tuple of ints.
     """
     if not isprime(p):
         raise ValueError(f"{p} is not prime")
     e = table.classes.exponent
     eprime = e // p ** nu_p(e, p)
     step = pow(e // eprime, -1, eprime)
+    nu_order = nu_p(table.order, p)
+    nu_degree = {d: nu_p(d, p) for d in set(table.degrees)}
 
-    # omega_chi(K_j) = |K_j| chi(g_j) / chi(1), divided out exactly on each
-    # Zumbroich coefficient of chi(g_j); the basis is integral, so the value
-    # is an algebraic integer iff every quotient is an integer
     sizes, values = table.classes.class_sizes, table.values
+    groups = []  # the row lists of the blocks, in order of their least row
+    checked = {}  # degree of defect zero -> the (value, size) pairs checked at it
     images = {}
     ids = {}
     signatures = {}
     for r, (cell, degree) in enumerate(zip(table.cells, table.degrees)):
+        if nu_degree[degree] == nu_order:
+            seen = checked.setdefault(degree, set())
+            fresh = set(zip(cell, sizes)).difference(seen)
+            for x, size in fresh:
+                _central_terms(values[x], size, degree, r)
+            seen |= fresh
+            groups.append([r])
+            continue
         sig = []
         for size, x in zip(sizes, cell):
             image = images.get((x, size, degree))
             if image is None:
-                value = values[x]
-                coeffs = {}
-                for k, c in value.terms.items():
-                    q, rem = divmod(size * c.numerator, degree * c.denominator)
-                    if rem:
-                        raise ValueError(
-                            f"central character of row {r} is not an algebraic integer"
-                        )
-                    coeffs[k] = q
-                key = _image(p, eprime, step, coeffs)
+                key = _image(p, eprime, step, _central_terms(values[x], size, degree, r))
                 image = images[x, size, degree] = ids.setdefault(key, len(ids))
             sig.append(image)
-        signatures.setdefault(tuple(sig), []).append(r)
+        sig = tuple(sig)
+        rows = signatures.get(sig)
+        if rows is None:
+            rows = signatures[sig] = []
+            groups.append(rows)
+        rows.append(r)
 
-    nu_order = nu_p(table.order, p)
     blocks = []
-    # a signature enters at its least row, and rows come in ascending order
-    for rows in signatures.values():
-        vals = [nu_p(table.degrees[r], p) for r in rows]
+    for rows in groups:
+        vals = [nu_degree[table.degrees[r]] for r in rows]
         vmin = min(vals)
         blocks.append(Block(len(blocks), rows, nu_order - vmin, [v - vmin for v in vals]))
     return BlockPartition(p, blocks, len(table.cells))

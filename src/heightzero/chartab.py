@@ -688,6 +688,7 @@ def table_to_json(table):
     """The table as JSON; each distinct value is encoded once."""
     cd = table.classes
     encoded = [cyc_to_json(v) for v in table.values]
+    keys = list(map(str, range(cd.exponent)))
     return {
         "name": table.name,
         "order": table.order,
@@ -696,7 +697,7 @@ def table_to_json(table):
             {
                 "size": cd.class_sizes[j],
                 "element_order": cd.element_orders[j],
-                "powermap": {str(k): cd.power_map[j][k] for k in range(cd.exponent)},
+                "powermap": dict(zip(keys, cd.power_map[j])),
             }
             for j in range(cd.num_classes)
         ],
@@ -711,10 +712,19 @@ def _int(value, what):
     return value
 
 
-def _parse_power_map(entries, e):
-    if len(entries) != e:
-        raise ValueError(f"power map has {len(entries)} entries, expected exponent {e}")
-    return [_int(entries[str(a)], "power map entry") for a in range(e)]
+def _parse_power_map(entries, keys):
+    """One class's power map, read at the keys str(a), a < e, in one pass
+    and type-checked in bulk; if that fails, the entries are read again one
+    by one, so the first missing key or bad entry raises its own message."""
+    if len(entries) != len(keys):
+        raise ValueError(f"power map has {len(entries)} entries, expected exponent {len(keys)}")
+    try:
+        row = list(map(entries.__getitem__, keys))
+        if set(map(type, row)) == {int}:
+            return row
+    except KeyError:
+        pass
+    return [_int(entries[a], "power map entry") for a in keys]
 
 
 def _check_ingest(order, cd, rows):
@@ -724,7 +734,8 @@ def _check_ingest(order, cd, rows):
     through them, and the orthogonality sums are exact through them), so
     beyond shape and element orders this checks that powering by each
     generator g of (Z/e)* composes, pm[pm[j][g]][b] = pm[j][g*b];
-    check_orthogonality then runs _check_galois_action."""
+    check_orthogonality then runs _check_galois_action.  Each check compares
+    a whole power-map row with one built row."""
     e, k = cd.exponent, cd.num_classes
     sizes, orders, pm = cd.class_sizes, cd.element_orders, cd.power_map
     if order < 1 or any(sz < 1 for sz in sizes) or sum(sizes) != order:
@@ -737,18 +748,21 @@ def _check_ingest(order, cd, rows):
     # CharacterTable reads every degree from class 0
     if ones[0] != 0:
         raise ValueError(f"the class of element order 1 must come first, not at index {ones[0]}")
-    for j in range(k):
-        if any(not 0 <= c < k for c in pm[j]):
+    expected = {}  # element order o -> the orders o / gcd(o, a) of the powers, a < e
+    for j, row in enumerate(pm):
+        if min(row) < 0 or max(row) >= k:
             raise ValueError(f"power map of class {j} names a class out of range")
-        if pm[j][0] != 0 or pm[j][1 % e] != j:
+        if row[0] != 0 or row[1 % e] != j:
             raise ValueError(f"power map of class {j} must send 0 to the identity and 1 to {j}")
         o = orders[j]
-        if any(orders[c] != o // gcd(o, a) for a, c in enumerate(pm[j])):
+        if o not in expected:
+            expected[o] = [o // gcd(o, a) for a in range(e)]
+        if list(map(orders.__getitem__, row)) != expected[o]:
             raise ValueError(f"power map of class {j} disagrees with the element orders")
-    gens = unit_generators(e)
-    for g in gens:
-        for j in range(k):
-            if any(pm[pm[j][g]][b] != pm[j][g * b % e] for b in range(e)):
+    for g in unit_generators(e):
+        at = [g * b % e for b in range(e)]
+        for j, row in enumerate(pm):
+            if pm[row[g]] != list(map(row.__getitem__, at)):
                 raise ValueError(f"power map of class {j} does not compose under power {g}")
     for row in rows:
         if len(row) != k:
@@ -769,7 +783,8 @@ def table_from_json(obj):
         classes = obj["classes"]
         sizes = [_int(c["size"], "class size") for c in classes]
         orders = [_int(c["element_order"], "element order") for c in classes]
-        pmap = [_parse_power_map(c["powermap"], e) for c in classes]
+        keys = list(map(str, range(e)))
+        pmap = [_parse_power_map(c["powermap"], keys) for c in classes]
         order = _int(obj["order"], "order")
         rows = _values_from_json(obj["irr"], e)
         name = obj.get("name", "ingest")

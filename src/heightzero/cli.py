@@ -21,7 +21,6 @@ import functools
 import json
 import sys
 import time
-from itertools import repeat
 from json.encoder import encode_basestring_ascii
 
 from .blocks import block_report_json
@@ -63,34 +62,45 @@ def _scalar(obj):
 def _chunks(obj, out, pad):
     """Append to the list out the text json.dumps(obj, indent=2,
     sort_keys=True) gives obj, for obj on a line indented by pad.  Each
-    scalar is one chunk with the separator and key before it.  A key that is
-    not a str raises TypeError in encode_basestring_ascii."""
+    scalar is one chunk with the separator and key before it, encoded by one
+    _SCALARS lookup; any other value goes to _chunks again, which recurses
+    into a dict, list or tuple and raises TypeError in _scalar for the rest.
+    A key that is not a str raises TypeError in encode_basestring_ascii."""
     kind = type(obj)
-    keyed = kind is dict
-    if keyed:
-        items = sorted(obj.items())
-        opening, closing = "{", "}"
+    if kind is dict:
+        if not obj:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep, comma = "{\n" + inner, ",\n" + inner
+        encoder = _SCALARS.get
+        for key, value in sorted(obj.items()):
+            encode = encoder(type(value))
+            if encode is None:
+                out.append(sep + encode_basestring_ascii(key) + ": ")
+                _chunks(value, out, inner)
+            else:
+                out.append(sep + encode_basestring_ascii(key) + ": " + encode(value))
+            sep = comma
+        out.append("\n" + pad + "}")
     elif kind is list or kind is tuple:
-        items = zip(repeat(None), obj)
-        opening, closing = "[", "]"
+        if not obj:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep, comma = "[\n" + inner, ",\n" + inner
+        encoder = _SCALARS.get
+        for value in obj:
+            encode = encoder(type(value))
+            if encode is None:
+                out.append(sep)
+                _chunks(value, out, inner)
+            else:
+                out.append(sep + encode(value))
+            sep = comma
+        out.append("\n" + pad + "]")
     else:
         out.append(_scalar(obj))
-        return
-    if not obj:
-        out.append(opening + closing)
-        return
-    inner = pad + "  "
-    sep = opening + "\n" + inner
-    for key, value in items:
-        head = sep + encode_basestring_ascii(key) + ": " if keyed else sep
-        kind = type(value)
-        if kind is dict or kind is list or kind is tuple:
-            out.append(head)
-            _chunks(value, out, inner)
-        else:
-            out.append(head + _scalar(value))
-        sep = ",\n" + inner
-    out.append("\n" + pad + closing)
 
 
 def _write(pieces, path):

@@ -440,21 +440,26 @@ def nu_p(n, p):
     return v
 
 
+# a unit table holds phi(n) ints, and the corollary-c sweep asks for one per
+# discriminant, each once; a table's moduli repeat within a few calls, so the
+# last 16 keep nearly every hit at a bounded size
+@lru_cache(maxsize=16)
 def _units(n):
     if n == 1:
         return (0,)
     return tuple(k for k in range(1, n) if gcd(k, n) == 1)
 
 
+@lru_cache(maxsize=None)
 def unit_generators(n):
-    """Generators of (Z/n)*, n >= 1: each unit, in increasing order, that the
-    earlier picks do not generate."""
+    """Generators of (Z/n)*, n >= 1, as a tuple: each unit, in increasing
+    order, that the earlier picks do not generate."""
     gens, have = [], subgroup_closure(n, [])
     for k in _units(n):
         if k not in have:
             gens.append(k)
             have = subgroup_closure(n, gens)
-    return gens
+    return tuple(gens)
 
 
 def subgroup_closure(n, gens):

@@ -207,6 +207,21 @@ def test_corrupt_table_detected_by_integrality():
         block_partition(tampered, 3)
 
 
+def test_corrupt_defect_zero_row_detected_by_integrality():
+    # at p = 5, prime to |S3|, every row has p-defect zero and is a block by
+    # itself without a reduction; its central character is still checked
+    from heightzero.chartab import CharacterTable
+    from oracles import rational
+
+    t = _dixon(symmetric(3))
+    assert all(nu_p(d, 5) == nu_p(t.order, 5) for d in t.degrees)
+    rows = [list(r) for r in t.rows]
+    rows[2][2] = rational(Fraction(1, 3))
+    tampered = CharacterTable(t.name, t.order, t.classes, rows)
+    with pytest.raises(ValueError, match="^central character of row 2 is not an algebraic integer$"):
+        block_partition(tampered, 5)
+
+
 # ---------------------------------------------------------------------------
 # partition axioms
 
@@ -314,6 +329,65 @@ def test_partition_galois_stable():
             base = [sorted(b.rows) for b in block_partition(t, p)]
             moved = [sorted(perm[r] for r in b.rows) for b in block_partition(mapped, p)]
             assert sorted(map(tuple, base)) == sorted(map(tuple, moved))
+
+
+# ---------------------------------------------------------------------------
+# the all-rows signature partition
+
+
+def reference_partition(table, p):
+    """(blocks, signatures): the block partition with every row reduced,
+    rows of p-defect zero included, and each row's signature.  Rows with
+    equal signatures share a block; blocks are (rows, defect, heights),
+    ordered by least row."""
+    e = table.classes.exponent
+    eprime = e // p ** nu_p(e, p)
+    step = pow(e // eprime, -1, eprime)
+    sizes, values = table.classes.class_sizes, table.values
+    images, signatures = {}, []
+    for cell, degree in zip(table.cells, table.degrees):
+        sig = []
+        for size, x in zip(sizes, cell):
+            if (x, size, degree) not in images:
+                omega = values[x].scalar_mul(Fraction(size, degree))
+                assert all(c.denominator == 1 for c in omega.terms.values())
+                coeffs = {k: int(c) for k, c in omega.terms.items()}
+                images[x, size, degree] = _image(p, eprime, step, coeffs)
+            sig.append(images[x, size, degree])
+        signatures.append(tuple(sig))
+    by_sig = {}
+    for r, sig in enumerate(signatures):
+        by_sig.setdefault(sig, []).append(r)
+    nu_order = nu_p(table.order, p)
+    blocks = []
+    for rows in by_sig.values():
+        vals = [nu_p(table.degrees[r], p) for r in rows]
+        blocks.append((rows, nu_order - min(vals), [v - min(vals) for v in vals]))
+    return blocks, signatures
+
+
+def _defect_zero_rows(table, p):
+    return [r for r, d in enumerate(table.degrees) if nu_p(d, p) == nu_p(table.order, p)]
+
+
+@pytest.fixture(scope="module")
+def larger_tables():
+    return [(spec, build_table(spec)) for spec in ("sym:6", "alt:7", "sl2:13")]
+
+
+@pytest.mark.parametrize("p,skipped", [(2, 1726), (3, 2208), (5, 2620), (7, 2967)])
+def test_partition_matches_the_all_rows_reference(corpus_tables, larger_tables, p, skipped):
+    # block_partition reduces only rows of positive p-defect; a row of
+    # p-defect zero is alone in its block (Brauer-Nesbitt), which the
+    # reference sees as a signature no other row of its table has
+    assert sum(len(_defect_zero_rows(t, p)) for _, t in corpus_tables) == skipped
+    for spec, t in corpus_tables + larger_tables:
+        want, signatures = reference_partition(t, p)
+        got = block_partition(t, p)
+        assert [(b.rows, b.defect, b.heights) for b in got] == want, (spec, p)
+        assert [b.id for b in got] == list(range(len(want)))
+        for r in _defect_zero_rows(t, p):
+            assert signatures.count(signatures[r]) == 1, (spec, p, r)
 
 
 # ---------------------------------------------------------------------------

@@ -1137,6 +1137,8 @@ def _coefficient(text):
         (symmetric(3), _swap_rows_0_and_1, "row 0 is not the trivial character"),
         (symmetric(3), _drop_last_row, "row count != class count"),
         (symmetric(3), _row_2_copies_row_1, "sum of squared degrees != group order"),
+        (symmetric(3), _pm(1, 2, True), "power map entry must be an integer, got True"),
+        (symmetric(3), _pm(2, 3, 2.0), "power map entry must be an integer, got 2.0"),
     ],
 )
 def test_ingest_validates_class_data(group, mutate, match):
