@@ -432,7 +432,9 @@ def dixon_table(group, cd):
                     orbit.append(y)
     cols = list(zip(*map(residues.__getitem__, reps)))
     packed = [modular._pack(col) for col in cols]
-    roots = [pow(s, k, q) for k in range(e)]  # zeta_e^k mod q
+    roots = [1]  # zeta_e^k mod q, k < e, one product each
+    for _ in range(e - 1):
+        roots.append(roots[-1] * s % q)
     lifted = {}  # raw exponent map at e -> (its value, its image mod q)
     columns = [None] * c
     rational = 0  # classes j filling the columns of their rational class

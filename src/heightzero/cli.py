@@ -59,13 +59,24 @@ def _scalar(obj):
     return encode(obj)
 
 
-def _chunks(obj, out, pad):
+def _chunks(obj, out, pad, memo):
     """Append to the list out the text json.dumps(obj, indent=2,
     sort_keys=True) gives obj, for obj on a line indented by pad.  Each
     scalar is one chunk with the separator and key before it, encoded by one
     _SCALARS lookup; any other value goes to _chunks again, which recurses
     into a dict, list or tuple and raises TypeError in _scalar for the rest.
-    A key that is not a str raises TypeError in encode_basestring_ascii."""
+    A key that is not a str raises TypeError in encode_basestring_ascii.
+
+    A container that is an array element is encoded once per indentation:
+    memo, which lives for one _dump, maps an element's (id, pad) to the
+    slice of out its first encoding appended, and from the second encounter on to that slice
+    joined after the ",\n" + pad separator, one string that every later
+    encounter appends again.  The ids stay valid because obj holds every
+    element until the dump ends.  Only array elements are keyed: that is
+    where a table's values repeat (table_to_json places one dict per
+    distinct value at every irr cell of that value), while no output here
+    places one object under two keys, so a dict value would only pay the
+    lookup."""
     kind = type(obj)
     if kind is dict:
         if not obj:
@@ -78,7 +89,7 @@ def _chunks(obj, out, pad):
             encode = encoder(type(value))
             if encode is None:
                 out.append(sep + encode_basestring_ascii(key) + ": ")
-                _chunks(value, out, inner)
+                _chunks(value, out, inner, memo)
             else:
                 out.append(sep + encode_basestring_ascii(key) + ": " + encode(value))
             sep = comma
@@ -92,11 +103,20 @@ def _chunks(obj, out, pad):
         encoder = _SCALARS.get
         for value in obj:
             encode = encoder(type(value))
-            if encode is None:
-                out.append(sep)
-                _chunks(value, out, inner)
-            else:
+            if encode is not None:
                 out.append(sep + encode(value))
+            else:
+                key = (id(value), inner)
+                seen = memo.get(key)
+                if seen is None:
+                    out.append(sep)
+                    start = len(out)
+                    _chunks(value, out, inner, memo)
+                    memo[key] = (start, len(out))
+                else:
+                    if type(seen) is tuple:
+                        seen = memo[key] = comma + "".join(out[seen[0] : seen[1]])
+                    out.append(seen if sep is comma else sep + seen[len(comma) :])
             sep = comma
         out.append("\n" + pad + "]")
     else:
@@ -115,7 +135,7 @@ def _write(pieces, path):
 
 def _dump(obj, path):
     chunks = []
-    _chunks(obj, chunks, "")
+    _chunks(obj, chunks, "", {})
     chunks.append("\n")
     _write(chunks, path)
 

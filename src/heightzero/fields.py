@@ -10,7 +10,16 @@ from __future__ import annotations
 
 from math import gcd, lcm
 
-from .cyclotomic import CycElt, _euler_phi, _jacobi, _prime_powers, _units, nu_p, subgroup_closure
+from .cyclotomic import (
+    CycElt,
+    _euler_phi,
+    _jacobi,
+    _prime_powers,
+    _units,
+    nu_p,
+    subgroup_closure,
+    unit_generators,
+)
 
 __all__ = [
     "AbelianField",
@@ -169,7 +178,10 @@ def quadratic_field(d):
 
     The discriminant is D = d for d = 1 mod 4 and D = 4d otherwise, and the
     character is the Kronecker symbol (D/k) on (Z/|D|)*: the Jacobi symbol
-    (k/|D|) for odd D, and (D/k) for even D, where every unit k is odd."""
+    (k/|D|) for odd D, and (D/k) for even D, where every unit k is odd.  The
+    character is multiplicative, so it is read on unit_generators(|D|) only,
+    and its kernel is generated by the generators of symbol 1 and m0 m for
+    each generator m of symbol -1, m0 the first of them."""
     if d in (0, 1):
         raise ValueError("d must be a squarefree integer other than 0 and 1")
     for p, q in _prime_powers(abs(d)):
@@ -177,5 +189,8 @@ def quadratic_field(d):
             raise ValueError(f"{d} is not squarefree")
     disc = d if d % 4 == 1 else 4 * d
     n = abs(disc)
-    fixer = [k for k in _units(n) if (_jacobi(k, n) if disc % 2 else _jacobi(disc, k)) == 1]
-    return AbelianField(n, fixer)
+    plus, minus = [], []
+    for k in unit_generators(n):
+        symbol = _jacobi(k, n) if disc % 2 else _jacobi(disc, k)
+        (plus if symbol == 1 else minus).append(k)
+    return AbelianField(n, plus + [minus[0] * m for m in minus])

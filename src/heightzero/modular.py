@@ -112,14 +112,16 @@ def poly_roots(q):
     divisors = {x for r in range(1, isqrt(q - 1) + 1) if (q - 1) % r == 0 for x in (r, (q - 1) // r)} - {1}
     w = next(x for x in range(2, q) if all(pow(x, (q - 1) // r, q) != 1 for r in divisors))
     lanes, table, packed = _Lanes(n, q), [1], 1  # w^T(m) for m < len(table), and it packed
+    power = 1  # w^m for m = len(table) - 1
 
     def roots(coeffs):
-        nonlocal packed
+        nonlocal packed, power
         d = len(coeffs) - 1
         _check_lanes(d + 1, q)
         if len(table) < n + d:  # w^T(m + 1) = w^T(m) w^m
-            for m in range(len(table) - 1, n + d - 1):
-                table.append(table[-1] * pow(w, m, q) % q)
+            for _ in range(n + d - len(table)):
+                table.append(table[-1] * power % q)
+                power = power * w % q
             packed = _pack(table)
         a = [c * pow(t, -1, q) % q for c, t in zip(coeffs, table)]  # at b = 0
         step = [pow(w, n * i, q) for i in range(d + 1)]  # b -> b + n

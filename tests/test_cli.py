@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import heightzero
 from heightzero import cli, modular
+from heightzero.chartab import table_to_json
 from heightzero.cli import _dump, build_parser, main
 from heightzero.cyclotomic import nu_p
 from heightzero.reports import build_table
@@ -811,6 +812,14 @@ def _stdlib_text(obj):
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+# containers placed at several positions of one output, as table_to_json
+# places one dict per distinct value at every irr cell of that value
+_SHARED = {"n": 4, "terms": [[1, "1/2"], [3, "-1/1"]]}
+_SHARED_LIST = [1, [2, "x"], {"k": None}]
+_HOLDS_EMPTY = {"a": {}, "b": [], "c": [{}, []]}
+_HOLDS_FLOAT = {"x": 0.5}
+
+
 _WRITER_CALLS = [
     ["table", "--group", "meta:12:11"],
     ["table", "--group", "dihedral:8"],
@@ -870,6 +879,11 @@ def test_writer_matches_json_dumps_on_every_caller(tmp_path, capsys, monkeypatch
         -12,
         None,
         True,
+        [_SHARED, 1, _SHARED, _SHARED],
+        [_SHARED, [_SHARED, [_SHARED, _SHARED]], _SHARED, [_SHARED]],
+        {"v": _SHARED, "w": [_SHARED, _SHARED], "x": {"y": _SHARED}},
+        [_SHARED_LIST, _SHARED_LIST, (_SHARED_LIST,), _SHARED_LIST],
+        [_HOLDS_EMPTY, [_HOLDS_EMPTY], _HOLDS_EMPTY, _HOLDS_EMPTY],
     ],
 )
 def test_writer_matches_json_dumps_on_edge_cases(tmp_path, capsys, obj):
@@ -882,14 +896,39 @@ def test_writer_matches_json_dumps_on_edge_cases(tmp_path, capsys, obj):
 
 @pytest.mark.parametrize(
     "obj",
-    [{"rows": [1, 0.5]}, {"rows": {1, 2}}, {"rows": [{1: "a"}]}, 2.0, {(1,): 0}],
-    ids=["float", "set", "int-key", "top-level-float", "tuple-key"],
+    [
+        {"rows": [1, 0.5]},
+        {"rows": {1, 2}},
+        {"rows": [{1: "a"}]},
+        2.0,
+        {(1,): 0},
+        [_SHARED, _HOLDS_FLOAT, _SHARED, _HOLDS_FLOAT],
+    ],
+    ids=["float", "set", "int-key", "top-level-float", "tuple-key", "float-in-shared-dict"],
 )
 def test_writer_rejects_other_types_before_the_output_opens(tmp_path, obj):
     out = tmp_path / "out.json"
     with pytest.raises(TypeError):
         _dump(obj, str(out))
     assert not out.exists()
+
+
+def test_writer_hands_a_table_one_piece_per_cell(monkeypatch):
+    # each distinct value is encoded once, and each later cell of it is one
+    # piece; encoding every cell anew makes about eight times as many here
+    pieces = []
+    monkeypatch.setattr(cli, "_write", lambda chunks, path: pieces.extend(chunks))
+    table = build_table("cyclic:60")
+    obj = table_to_json(table)
+    _dump(obj, "-")
+    assert "".join(pieces) == _stdlib_text(obj)
+    k, e = len(obj["classes"]), obj["exponent"]
+    cells = sum(map(len, obj["irr"]))
+    # per class, six pieces of its classes entry besides its power map and
+    # two of its irr row; per distinct value, its separate first encoding:
+    # two keys, two closings and four pieces per term; nine for the top level
+    per_value = sum(4 + 4 * len(v.terms) for v in table.values)
+    assert len(pieces) <= cells + k * e + 8 * k + per_value + 9
 
 
 def test_one_parser_serves_a_sequence_of_calls(tmp_path, capsys):

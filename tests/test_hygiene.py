@@ -173,6 +173,8 @@ ID_USERS = {
     "equal values one index of CharacterTable.values",
     "reports.sweep_theorem_A": "the galois_orbits fact counts row_field objects, "
     "one per Galois orbit of rows",
+    "cli._chunks": "a container placed at several array positions of one output "
+    "is encoded once per indentation",
 }
 
 
