@@ -716,17 +716,12 @@ def _int(value, what):
 
 def _parse_power_map(entries, keys):
     """One class's power map, read at the keys str(a), a < e, in one pass
-    and type-checked in bulk; if that fails, the entries are read again one
-    by one, so the first missing key or bad entry raises its own message."""
-    if len(entries) != len(keys):
-        raise ValueError(f"power map has {len(entries)} entries, expected exponent {len(keys)}")
-    try:
-        row = list(map(entries.__getitem__, keys))
-        if set(map(type, row)) == {int}:
-            return row
-    except KeyError:
-        pass
-    return [_int(entries[a], "power map entry") for a in keys]
+    and type-checked in bulk: the first missing key raises KeyError, and the
+    first entry that is not an int raises _int's message."""
+    row = list(map(entries.__getitem__, keys))
+    if set(map(type, row)) != {int}:
+        _int(next(a for a in row if type(a) is not int), "power map entry")
+    return row
 
 
 def _check_ingest(order, cd, rows):
@@ -774,10 +769,11 @@ def _check_ingest(order, cd, rows):
 def table_from_json(obj):
     """Ingest an externally produced table JSON (the table_to_json format).
 
-    Each distinct value encoding is parsed once, and the table's checks work
-    once per distinct value (see _intern).  Malformed input, a power map that
-    is not one of a finite group and a table failing orthogonality raise
-    ValueError."""
+    Power map lengths are checked before any entry is read, so a declared
+    exponent costs nothing beyond the input; each distinct value encoding is
+    parsed once, and the checks work once per distinct value (see _intern).
+    Malformed input, a power map that is not one of a finite group and a
+    table failing orthogonality raise ValueError."""
     try:
         e = _int(obj["exponent"], "exponent")
         if e < 1:
@@ -785,6 +781,9 @@ def table_from_json(obj):
         classes = obj["classes"]
         sizes = [_int(c["size"], "class size") for c in classes]
         orders = [_int(c["element_order"], "element order") for c in classes]
+        for n in (len(c["powermap"]) for c in classes):
+            if n != e:
+                raise ValueError(f"power map has {n} entries, expected exponent {e}")
         keys = list(map(str, range(e)))
         pmap = [_parse_power_map(c["powermap"], keys) for c in classes]
         order = _int(obj["order"], "order")

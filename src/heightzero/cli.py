@@ -28,6 +28,7 @@ from .chartab import table_from_json, table_to_json
 from .cyclotomic import isprime
 from .reports import (
     _integer,
+    _theorem_A_record,
     build_table,
     corollary_c_sweep,
     default_corpus,
@@ -164,15 +165,16 @@ def cmd_blocks(args):
 
 
 def _timings():
-    """A sweep progress hook writing one JSON line per group to stderr, with
-    the seconds since the previous group finished (or since the sweep began)
-    and the sweep's run facts for that group."""
+    """A sweep progress hook writing one JSON line per group to stderr: the
+    group's summary entry without its per-row lists, the sweep's run facts
+    for that group and the seconds since the previous group finished (or
+    since the sweep began)."""
     last = time.perf_counter()
 
     def progress(entry, facts):
         nonlocal last
         now = time.perf_counter()
-        line = {key: entry[key] for key in ("group", "order", "height_zero_rows")}
+        line = {key: v for key, v in entry.items() if key not in ("violations", "reports")}
         line.update(facts)
         line["seconds"] = round(now - last, 6)
         print(json.dumps(line, sort_keys=True), file=sys.stderr, flush=True)
@@ -244,25 +246,16 @@ def cmd_ingest(args):
         except RecursionError:
             raise ValueError(f"{args.file}: JSON nested too deeply") from None
     table = table_from_json(obj)
+    if args.check == "blocks":
+        _dump(block_report_json(table, args.p), args.out)
+        return 0
+    # argparse choices leave "a" and "sigma" as the other checks
     if args.check == "a":
-        reports, violations = verify_theorem_A(table, args.p)
-        _dump(
-            {
-                "p": args.p,
-                "height_zero_rows": len(reports),
-                "violations": violations,
-                "reports": [r.to_json() for r in reports],
-            },
-            args.out,
-        )
-        return 0 if not violations else 2
-    if args.check == "sigma":
+        record = _theorem_A_record(*verify_theorem_A(table, args.p), p=args.p)
+    else:
         record = _sigma_record(table)
-        _dump(record, args.out)
-        return 0 if not record["violations"] else 2
-    # argparse choices leave "blocks" as the only other check
-    _dump(block_report_json(table, args.p), args.out)
-    return 0
+    _dump(record, args.out)
+    return 0 if not record["violations"] else 2
 
 
 def _int_arg(value):

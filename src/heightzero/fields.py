@@ -118,8 +118,9 @@ def rational_field():
 
 
 def field_from_values(values):
-    """Smallest abelian field containing every value, by a Galois scan over
-    the units of the common modulus.
+    """Smallest abelian field containing every value, by a stabilizer scan
+    over the units k of the common modulus: a k outside the fixer found so
+    far joins it, with the subgroup it generates, when it fixes every value.
 
     This is the route for loose values (the public API).  Rows of a
     CharacterTable go through CharacterTable.row_field, which reads the
@@ -128,27 +129,13 @@ def field_from_values(values):
     values = [v for v in values if isinstance(v, CycElt)]
     if not values:
         return rational_field()
-    big = 1
-    for v in values:
-        big = lcm(big, v.n)
-    if big == 1:
-        return rational_field()
+    big = lcm(*(v.n for v in values))
     emb = [v.embed(big) for v in values]
-    return _fixer_scan(big, lambda k: all(v.galois(k) == v for v in emb))
-
-
-def _fixer_scan(n, fixes):
-    """The fixed field of {k in (Z/n)* : fixes(k)}, a subgroup.
-
-    Stabilizer scan over the units; elements already known to lie in the
-    subgroup are skipped."""
-    fixer = {1 % n}
-    for k in _units(n):
-        if k in fixer:
-            continue
-        if fixes(k):
-            fixer = subgroup_closure(n, [*fixer, k])
-    return AbelianField(n, fixer)
+    fixer = {1 % big}
+    for k in _units(big):
+        if k not in fixer and all(v.galois(k) == v for v in emb):
+            fixer = subgroup_closure(big, [*fixer, k])
+    return AbelianField(big, fixer)
 
 
 def conductor_parts(field, p):

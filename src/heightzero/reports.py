@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from importlib import resources
 
-from .cyclotomic import _prime_powers, nu_p, sigma_unit, subgroup_closure
+from .cyclotomic import _prime_powers, _units, nu_p, sigma_unit, subgroup_closure
 from .fields import (
     AbelianField,
     conductor_parts,
@@ -280,6 +280,16 @@ def verify_theorem_A(table, p, partition=None):
     return reports, violations
 
 
+def _theorem_A_record(reports, violations, **fields):
+    """The record of one table's verify_theorem_A result, fields first."""
+    return {
+        **fields,
+        "height_zero_rows": len(reports),
+        "violations": violations,
+        "reports": [rep.to_json() for rep in reports],
+    }
+
+
 def sweep_theorem_A(specs, p, progress):
     """Run verify_theorem_A over many group specs; returns a summary dict.
 
@@ -287,8 +297,10 @@ def sweep_theorem_A(specs, p, progress):
     summary entry and a dict of run facts that stay out of the summary: the
     table's route ('direct' or 'dixon'), the Dixon prime q (None on the direct
     route), the residue degree f of the primes above p, the number of
-    distinct table values and the number of Galois orbits on the rows (each
-    orbit shares one row_field object)."""
+    distinct table values and the number of Galois orbits on the rows.  By
+    Brauer's permutation lemma that is the number of Galois orbits on the
+    classes, the rational classes {power_map[j][u] : u a unit mod o_j}, so it
+    is read off the power map and no field is built for it."""
     groups_out = []
     total_rows = 0
     total_violations = 0
@@ -299,24 +311,19 @@ def sweep_theorem_A(specs, p, progress):
         reports, violations = verify_theorem_A(table, p, partition)
         total_rows += len(reports)
         total_violations += len(violations)
-        groups_out.append(
-            {
-                "group": spec,
-                "order": table.order,
-                "height_zero_rows": len(reports),
-                "violations": violations,
-                "reports": [rep.to_json() for rep in reports],
-            }
-        )
+        groups_out.append(_theorem_A_record(reports, violations, group=spec, order=table.order))
         if progress is not None:
             route = _auto_route(group)
-            e = table.classes.exponent
+            cd = table.classes
+            e, pm = cd.exponent, cd.power_map
             facts = {
                 "route": route,
                 "q": _dixon_prime(e, table.order, table.num_classes) if route == "dixon" else None,
                 "f": len(subgroup_closure(e // p ** nu_p(e, p), [p])),
                 "values": len(table.values),
-                "galois_orbits": len({id(table.row_field(r)) for r in range(table.num_classes)}),
+                "galois_orbits": len(
+                    {frozenset(map(pm[j].__getitem__, _units(o))) for j, o in enumerate(cd.element_orders)}
+                ),
             }
             progress(groups_out[-1], facts)
     return {

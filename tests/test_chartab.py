@@ -1103,6 +1103,18 @@ def _row_2_copies_row_1(obj):
     obj["irr"][2] = copy.deepcopy(obj["irr"][1])
 
 
+def _renamed_key(obj):
+    # six entries still, but no key "5"
+    pm = obj["classes"][1]["powermap"]
+    pm["6"] = pm.pop("5")
+
+
+def _bad_entry_then_short_map(obj):
+    # every length is checked before any entry is read
+    obj["classes"][1]["powermap"]["1"] = True
+    del obj["classes"][2]["powermap"]["5"]
+
+
 def _coefficient(text):
     # -1 at modulus 6 is z^2 + z^4; int() reads each of these texts as 1
     def mutate(obj):
@@ -1139,6 +1151,8 @@ def _coefficient(text):
         (symmetric(3), _row_2_copies_row_1, "sum of squared degrees != group order"),
         (symmetric(3), _pm(1, 2, True), "power map entry must be an integer, got True"),
         (symmetric(3), _pm(2, 3, 2.0), "power map entry must be an integer, got 2.0"),
+        (symmetric(3), _renamed_key, "lacks the required key '5'"),
+        (symmetric(3), _bad_entry_then_short_map, "power map has 5 entries, expected exponent 6"),
     ],
 )
 def test_ingest_validates_class_data(group, mutate, match):

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from fractions import Fraction
@@ -340,8 +341,9 @@ def test_specs_with_no_generators_keep_their_meaning(capsys):
     assert out == run(["realize", "--field", "cyclo:12", "--p", "2"], capsys)[1].replace('"cyclo:12"', '"fix:12:"')
 
 
-def _run_cli_process(argv, timeout):
-    """The CLI in a child process, killed (and the test failed) past timeout."""
+def _run_cli_process(argv, timeout, preexec_fn=None):
+    """The CLI in a child process, killed (and the test failed) past timeout;
+    preexec_fn, if given, runs in the child before the interpreter starts."""
     env = dict(os.environ, PYTHONPATH=str(Path(heightzero.__file__).resolve().parent.parent))
     return subprocess.run(
         [sys.executable, "-m", "heightzero.cli", *argv],
@@ -349,6 +351,7 @@ def _run_cli_process(argv, timeout):
         capture_output=True,
         text=True,
         timeout=timeout,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -650,6 +653,32 @@ def test_ingest_rejects_corrupt_power_map(tmp_path, capsys):
     code, _, err = run(["ingest", "--file", str(path), "--p", "2", "--check", "a"], capsys)
     assert code == 1
     assert err.startswith("error: ") and "power map" in err
+
+
+def test_ingest_sizes_power_maps_before_reading_them(tmp_path):
+    # one 1-entry power map under a declared exponent of 10^12: the keys
+    # str(a), a < e, used to be built before any length check, and the child
+    # died with a MemoryError traceback; the input runs only in a child
+    # process capped at 1 GiB of address space
+    obj = {
+        "name": "big",
+        "order": 1,
+        "exponent": 10**12,
+        "classes": [{"size": 1, "element_order": 1, "powermap": {"0": 0}}],
+        "irr": [[{"n": 1, "terms": [[0, "1/1"]]}]],
+    }
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(obj))
+    gib = 1 << 30
+    proc = _run_cli_process(
+        ["ingest", "--file", str(path), "--p", "2", "--check", "a"],
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (gib, gib)),
+    )
+    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 1
+    assert proc.stderr == "error: power map has 1 entries, expected exponent 1000000000000\n"
+    assert proc.stdout == ""
 
 
 @pytest.mark.parametrize("check,p", [("a", "2"), ("sigma", "2"), ("blocks", "3")])

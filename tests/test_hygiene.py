@@ -171,8 +171,6 @@ def test_every_public_definition_is_referenced(path):
 ID_USERS = {
     "chartab._intern": "the one owner of value identity: one id() pass makes "
     "equal values one index of CharacterTable.values",
-    "reports.sweep_theorem_A": "the galois_orbits fact counts row_field objects, "
-    "one per Galois orbit of rows",
     "cli._chunks": "a container placed at several array positions of one output "
     "is encoded once per indentation",
 }

@@ -165,6 +165,24 @@ def test_sweep_structure():
     assert [g["group"] for g in summary["groups"]] == ["sym:3", "cyclic:4"]
 
 
+def test_galois_orbits_fact_counts_the_row_field_orbits(monkeypatch):
+    # the sweep reads galois_orbits off the power map as the number of
+    # rational classes (Brauer's permutation lemma); row_field keeps one field
+    # object per Galois orbit of rows, so counting those objects checks it
+    specs = [*default_corpus(), "sym:6", "alt:7", "sl2:13"]
+    tables, orbits = [], []
+
+    def recording_build(group):
+        tables.append(build_table(group))
+        return tables[-1]
+
+    monkeypatch.setattr(reports, "build_table", recording_build)
+    sweep_theorem_A(specs, 2, lambda entry, facts: orbits.append(facts["galois_orbits"]))
+    assert len(tables) == len(orbits) == len(specs)
+    for spec, t, n in zip(specs, tables, orbits):
+        assert n == len({id(t.row_field(r)) for r in range(t.num_classes)}), spec
+
+
 def test_odd_p_sweep_reports_findings_not_failures():
     # odd-p mode flags rows whose field is outside the conductor class;
     # on these groups there are none, and the call never raises
